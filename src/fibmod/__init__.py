@@ -8,12 +8,12 @@ classification, self-square enumeration, and a checkpointed, resumable
 Wall-Sun-Sun prime scanner.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arith import (
     Factorization,
     factorize,
     is_prime,
-    lcm_all,
-    mul_mod,
     primes_in_range,
     sieve_upto,
     two_adic_split,
@@ -71,56 +71,9 @@ from .wss import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnomalyError",
-    "CheckpointError",
-    "FIB_EXACT_CAP",
-    "Factorization",
-    "FibMatrix",
-    "GoodPrimeEntry",
-    "GoodnessReport",
-    "OddSelfSquareReport",
-    "PisanoProfile",
-    "PrimePowerPeriod",
-    "ScanCheckpoint",
-    "SelfSquareRecord",
-    "WssRecord",
-    "binomial_expansion_rhs",
-    "cofactor_mod",
-    "doubling_rhs",
-    "enumerate_self_square",
-    "factorize",
-    "fib_exact",
-    "fib_pair_mod",
-    "goodness_report",
-    "is_good_direct",
-    "is_good_fast",
-    "is_good_prime",
-    "is_prime",
-    "lcm_all",
-    "legendre5",
-    "lifting_exponent",
-    "load_checkpoint",
-    "matrix_pow_mod",
-    "mul_mod",
-    "odd_self_square_check",
-    "period_divisor_class",
-    "pisano_direct",
-    "pisano_fast",
-    "prime_period",
-    "prime_power_period",
-    "primes_in_range",
-    "profile",
-    "rank_of_apparition",
-    "scan_wss",
-    "self_square_test",
-    "sieve_upto",
-    "subtraction_rhs",
-    "two_adic_split",
-    "two_power_valuation_check",
-    "wss_check",
-    "zero_count",
-    "zero_count_direct",
-    "zero_count_odd",
-    "zero_count_period_pattern",
-]
+# Every public name imported above; the submodules those imports bind are not exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

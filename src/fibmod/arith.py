@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: modular ops, 2-adic valuation, primality, factoring.
+"""Exact integer arithmetic: 2-adic valuation, primality, factoring.
 
 Everything here is pure and deterministic. Python integers are arbitrary
 precision, so modular products are exact without double-width tricks; the
@@ -20,13 +20,6 @@ _TWO64 = 1 << 64
 # takes over; numbers below _TRIAL_LIMIT**2 are therefore fully factored by
 # trial division alone.
 _TRIAL_LIMIT = 1000
-
-
-def mul_mod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m, exact for any size of operands."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    return (a % m) * (b % m) % m
 
 
 def two_adic_split(n: int) -> tuple[int, int]:
@@ -143,7 +136,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize supports n < 2**64")
     target = n
     counts: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -163,15 +156,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(target, tuple(sorted(counts.items())))
 
 
-def lcm_all(values: list[int]) -> int:
-    """Least common multiple of a nonempty list of positive integers."""
-    if not values:
-        raise ValueError("lcm_all requires a nonempty list")
-    if any(v < 1 for v in values):
-        raise ValueError("lcm_all requires positive integers")
-    return math.lcm(*values)
-
-
 def sieve_upto(n: int) -> list[int]:
     """All primes <= n by a plain sieve of Eratosthenes."""
     if n < 2:
@@ -184,6 +168,9 @@ def sieve_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if flags[i]]
 
 
+_TRIAL_PRIMES = sieve_upto(_TRIAL_LIMIT)
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi] via a segmented sieve."""
     lo = max(lo, 2)
@@ -194,12 +181,3 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         start = max(p * p, (lo + p - 1) // p * p)
         flags[start - lo :: p] = b"\x00" * len(range(start, hi + 1, p))
     return [lo + i for i, f in enumerate(flags) if f]
-
-
-_TRIAL_PRIME_CACHE: list[int] = []
-
-
-def _trial_primes() -> list[int]:
-    if not _TRIAL_PRIME_CACHE:
-        _TRIAL_PRIME_CACHE.extend(sieve_upto(_TRIAL_LIMIT))
-    return _TRIAL_PRIME_CACHE

@@ -20,9 +20,10 @@ every prime factor forces goodness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .arith import factorize, is_prime, lcm_all, two_adic_split
+from .arith import factorize, is_prime, two_adic_split
 from .errors import AnomalyError
 from .fib import matrix_pow_mod
 from .pisano import pisano_fast, prime_period, rank_of_apparition, zero_count
@@ -149,7 +150,7 @@ def zero_count_odd(m: int) -> int:
     factors = factorize(m).factors
     per_prime = [zero_count(p) for p, _ in factors]
     case_value = per_prime[0] if len(set(per_prime)) == 1 else 2
-    t = lcm_all([rank_of_apparition(p**e) for p, e in factors])
+    t = math.lcm(*[rank_of_apparition(p**e) for p, e in factors])
     lattice_value = pisano_fast(m) // t
     if case_value != lattice_value:
         raise AnomalyError(

@@ -128,12 +128,6 @@ def _cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(report: classify.GoodnessReport) -> dict:
-    payload = asdict(report)
-    payload["prime_entries"] = [asdict(e) for e in report.prime_entries]
-    return payload
-
-
 def _cmd_good(args) -> int:
     if (args.m is None) == (args.range is None):
         raise ValueError("give exactly one of: a single m, or --range LO HI")
@@ -147,7 +141,7 @@ def _cmd_good(args) -> int:
     reports = [classify.goodness_report(m, method=args.method) for m in range(lo, hi + 1)]
     elapsed = (time.perf_counter() - t0) * 1000
     if args.m is not None:
-        output = _report_payload(reports[0])
+        output = asdict(reports[0])
         human = f"m={args.m} good={reports[0].is_good} (method={args.method})"
     else:
         good = [r.m for r in reports if r.is_good]
@@ -187,15 +181,7 @@ def _cmd_wss_scan(args) -> int:
         block_size=args.block_size,
     )
     elapsed = (time.perf_counter() - t0) * 1000
-    output = {
-        "range_lo": ck.range_lo,
-        "range_hi": ck.range_hi,
-        "last_completed": ck.last_completed,
-        "hits": [asdict(h) for h in ck.hits],
-        "anomaly_count": ck.anomaly_count,
-        "wall_time_seconds": ck.wall_time_seconds,
-        "checkpoint": checkpoint,
-    }
+    output = {**asdict(ck), "checkpoint": checkpoint}
     human = (
         f"scanned [{ck.range_lo}, {ck.range_hi}] "
         f"hits={len(ck.hits)} anomalies={ck.anomaly_count} checkpoint={checkpoint}"

@@ -156,6 +156,15 @@ def binomial_expansion_rhs(k: int, n: int, mod: int) -> int:
         raise ValueError(f"binomial expansion needs k, n >= 1, got ({k}, {n})")
     if mod < 1:
         raise ValueError(f"modulus must be >= 1, got {mod}")
+    return _binomial_sum(k, n, mod, shift=0)
+
+
+def _binomial_sum(k: int, n: int, mod: int, shift: int) -> int:
+    """sum_{i=1}^{n} C(n,i) * u_i * u_k^(i-shift) * u_{k-1}^(n-i) mod mod.
+
+    shift 0 gives u_{k*n}; shift 1, for u_k == 0 mod the base of mod, gives
+    the quotient u_{k*n} / u_k.  Arguments are checked by the public callers.
+    """
     u_km1, u_k = fib_pair_mod(k - 1, mod)
     # u_1 .. u_n mod mod
     small = [0] * (n + 1)
@@ -172,7 +181,7 @@ def binomial_expansion_rhs(k: int, n: int, mod: int) -> int:
     for i in range(1, n + 1):
         term = comb(n, i) % mod
         term = term * small[i] % mod
-        term = term * pow_k[i] % mod
+        term = term * pow_k[i - shift] % mod
         term = term * pow_km1[n - i] % mod
         total = (total + term) % mod
     return total

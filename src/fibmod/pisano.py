@@ -16,10 +16,11 @@ everywhere; the test suites enforce it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorize, is_prime, lcm_all
+from .arith import factorize, is_prime
 from .errors import AnomalyError
 from .fib import fib_pair_mod
 
@@ -145,11 +146,7 @@ def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
         raise ValueError(f"pisano_fast requires m >= 2, got {m}")
-    return lcm_all([prime_power_period(p, e).gamma_pe for p, e in factorize(m).factors])
-
-
-def _gamma(m: int) -> int:
-    return 1 if m == 1 else pisano_fast(m)
+    return math.lcm(*[prime_power_period(p, e).gamma_pe for p, e in factorize(m).factors])
 
 
 def _rank_given_period(m: int, gamma: int) -> int:

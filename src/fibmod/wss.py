@@ -22,12 +22,12 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from math import comb
 
 from .arith import factorize, is_prime, primes_in_range, two_adic_split
 from .errors import AnomalyError, CheckpointError
-from .fib import fib_pair_mod
+from .fib import _binomial_sum, fib_pair_mod
 from .pisano import pisano_fast, prime_period, prime_power_period
 
 DEFAULT_BLOCK_SIZE = 10_000
@@ -149,25 +149,7 @@ def cofactor_mod(a: int, g: int, n_l: int) -> int:
         raise ValueError(f"period index must be >= 1, got {g}")
     if n_l < 1:
         raise ValueError(f"modulus must be >= 1, got {n_l}")
-    u_gm1, u_g = fib_pair_mod(g - 1, n_l)
-    small = [0] * (a + 1)
-    x, y = 0, 1 % n_l
-    for i in range(1, a + 1):
-        x, y = y, (x + y) % n_l
-        small[i] = x
-    pow_g = [1 % n_l]
-    pow_gm1 = [1 % n_l]
-    for _ in range(a):
-        pow_g.append(pow_g[-1] * u_g % n_l)
-        pow_gm1.append(pow_gm1[-1] * u_gm1 % n_l)
-    total = 0
-    for i in range(1, a + 1):
-        term = comb(a, i) % n_l
-        term = term * small[i] % n_l
-        term = term * pow_g[i - 1] % n_l
-        term = term * pow_gm1[a - i] % n_l
-        total = (total + term) % n_l
-    return total
+    return _binomial_sum(g, a, n_l, shift=1)
 
 
 def two_power_valuation_check(k: int) -> tuple[int, bool]:
@@ -217,19 +199,8 @@ def _scan_block(bounds: tuple[int, int]) -> list[WssRecord]:
     return [wss_check(p) for p in primes_in_range(lo, hi)]
 
 
-def _checkpoint_payload(ck: ScanCheckpoint) -> dict:
-    return {
-        "range_lo": ck.range_lo,
-        "range_hi": ck.range_hi,
-        "last_completed": ck.last_completed,
-        "hits": [asdict(h) for h in ck.hits],
-        "anomaly_count": ck.anomaly_count,
-        "wall_time_seconds": ck.wall_time_seconds,
-    }
-
-
 def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
-    text = json.dumps(_checkpoint_payload(ck), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(asdict(ck), indent=2, sort_keys=True) + "\n"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -258,18 +229,13 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
     for field, kind in _CHECKPOINT_FIELDS.items():
         if field not in raw or not isinstance(raw[field], kind):
             raise CheckpointError(f"checkpoint {path} missing or invalid field {field!r}")
+    values = {field: raw[field] for field in _CHECKPOINT_FIELDS}
     try:
-        hits = tuple(WssRecord(**h) for h in raw["hits"])
+        values["hits"] = tuple(WssRecord(**h) for h in values["hits"])
     except TypeError as exc:
         raise CheckpointError(f"checkpoint {path} carries malformed hit records") from exc
-    ck = ScanCheckpoint(
-        range_lo=raw["range_lo"],
-        range_hi=raw["range_hi"],
-        last_completed=raw["last_completed"],
-        hits=hits,
-        anomaly_count=raw["anomaly_count"],
-        wall_time_seconds=float(raw["wall_time_seconds"]),
-    )
+    values["wall_time_seconds"] = float(values["wall_time_seconds"])
+    ck = ScanCheckpoint(**values)
     if not ck.range_lo <= ck.last_completed <= ck.range_hi:
         raise CheckpointError(
             f"checkpoint {path} progress {ck.last_completed} outside "
@@ -360,46 +326,32 @@ def scan_wss(
         prev_wall = previous.wall_time_seconds
         if results_path:
             _trim_results(results_path, previous.last_completed)
+    elif results_path:
+        # a fresh scan owns the results file from its first line
+        open(results_path, "w", encoding="utf-8").close()
 
     began = time.perf_counter()
     blocks = [(s, min(s + block_size - 1, hi)) for s in range(start, hi + 1, block_size)]
     if max_blocks is not None:
         blocks = blocks[:max_blocks]
 
-    current = ScanCheckpoint(
-        range_lo=lo,
-        range_hi=hi,
-        last_completed=start - 1,
-        hits=tuple(hits),
-        anomaly_count=anomalies,
-        wall_time_seconds=prev_wall,
-    )
-
-    def finish_block(block_hi: int, records: list[WssRecord]) -> ScanCheckpoint:
-        nonlocal anomalies
-        if results_path:
-            _append_results(results_path, records)
-        hits.extend(r for r in records if r.is_wss)
-        anomalies += sum(1 for r in records if not r.criteria_agree)
-        ck = ScanCheckpoint(
-            range_lo=lo,
-            range_hi=hi,
-            last_completed=block_hi,
-            hits=tuple(hits),
-            anomaly_count=anomalies,
-            wall_time_seconds=prev_wall + (time.perf_counter() - began),
-        )
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, ck)
-        return ck
-
-    if workers == 1 or len(blocks) <= 1:
-        for block in blocks:
-            current = finish_block(block[1], _scan_block(block))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_block, block) for block in blocks]
-            # consume in submission order: merged output is worker-count invariant
-            for block, future in zip(blocks, futures):
-                current = finish_block(block[1], future.result())
-    return current
+    parallel = workers > 1 and len(blocks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        # both maps yield in block order: merged output is worker-count invariant
+        scanned = pool.map(_scan_block, blocks) if parallel else map(_scan_block, blocks)
+        for (_, block_hi), records in zip(blocks, scanned):
+            if results_path:
+                _append_results(results_path, records)
+            hits.extend(r for r in records if r.is_wss)
+            anomalies += sum(1 for r in records if not r.criteria_agree)
+            ck = ScanCheckpoint(
+                range_lo=lo,
+                range_hi=hi,
+                last_completed=block_hi,
+                hits=tuple(hits),
+                anomaly_count=anomalies,
+                wall_time_seconds=prev_wall + (time.perf_counter() - began),
+            )
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, ck)
+    return ck

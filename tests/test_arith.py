@@ -6,36 +6,12 @@ from fibmod.arith import (
     Factorization,
     factorize,
     is_prime,
-    lcm_all,
-    mul_mod,
     primes_in_range,
     sieve_upto,
     two_adic_split,
 )
 
 from helpers import is_prime_trial
-
-
-class TestMulMod:
-    def test_zero_absorbs(self):
-        assert mul_mod(0, 7, 13) == 0
-
-    @pytest.mark.parametrize("x,m", [(0, 1), (4, 9), (12, 13), (10**9, 10**9 + 7)])
-    def test_one_is_identity(self, x, m):
-        assert mul_mod(1, x, m) == x % m
-
-    def test_matches_exact_product(self):
-        a = b = 10**9
-        m = 10**9 + 7
-        assert mul_mod(a, b, m) == (a * b) % m  # arbitrary-precision oracle
-
-    def test_large_operands_exact(self):
-        a, b, m = 2**62 - 3, 2**61 + 9, 2**63 - 25
-        assert mul_mod(a, b, m) == (a * b) % m
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            mul_mod(1, 1, 0)
 
 
 class TestTwoAdicSplit:
@@ -140,28 +116,6 @@ class TestFactorize:
         assert factorize(60).divisors() == sorted(
             d for d in range(1, 61) if 60 % d == 0
         )
-
-
-class TestLcmAll:
-    def test_examples(self):
-        assert lcm_all([3, 20]) == 60
-        assert lcm_all([8, 12, 20]) == 120
-
-    @pytest.mark.parametrize("x", [1, 7, 360])
-    def test_singleton(self, x):
-        assert lcm_all([x]) == x
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            lcm_all([])
-        with pytest.raises(ValueError):
-            lcm_all([4, 0])
-
-
-@settings(deadline=None, max_examples=300)
-@given(a=st.integers(0, 2**80), b=st.integers(0, 2**80), m=st.integers(1, 2**70))
-def test_mul_mod_agrees_with_exact_product(a, b, m):
-    assert mul_mod(a, b, m) == (a * b) % m
 
 
 @settings(deadline=None, max_examples=200)

@@ -256,6 +256,12 @@ class TestScan:
         scan_wss(2, 500, checkpoint_path=str(tmp_path / "c2.json"), results_path=str(clean_out))
         assert out.read_text() == clean_out.read_text()
 
+    def test_fresh_scan_starts_results_empty(self, tmp_path):
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 100, results_path=str(out))
+        scan_wss(2, 100, results_path=str(out))
+        assert len(out.read_text().splitlines()) == len(sieve_upto(100)) == 25
+
     def test_completed_scan_is_idempotent(self, tmp_path):
         path = tmp_path / "ck.json"
         first = scan_wss(2, 300, checkpoint_path=str(path))
