@@ -21,6 +21,8 @@ from unittest import mock
 import pytest
 
 import fibmod
+import fibmod.classify as classify_module
+import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod.cli import main
 
@@ -49,6 +51,10 @@ CASES = {
     "wss-scan synthetic hit --json": _HIT_SCAN + ["--json"],
     "verify --suite all --max 300": ["verify", "--suite", "all", "--max", "300"],
     "verify --suite all --max 300 --json": ["verify", "--suite", "all", "--max", "300", "--json"],
+    "verify --suite all --max 300 injected faults":
+        ["verify", "--suite", "all", "--max", "300"],
+    "verify --suite all --max 300 injected faults --json":
+        ["verify", "--suite", "all", "--max", "300", "--json"],
     "usage: fib without index": ["fib"],
     "usage: good with m and --range": ["good", "5", "--range", "3", "9"],
 }
@@ -69,6 +75,22 @@ def _fake_hit_check(real_check):
     return check
 
 
+def _fake_good_direct(real_direct):
+    # the direct goodness route answers wrongly at four odd moduli: one prime,
+    # three composites whose prime factors all have zero count 4
+    def direct(m):
+        return not real_direct(m) if m in (13, 65, 85, 221) else real_direct(m)
+
+    return direct
+
+
+def _fake_period_direct(real_direct):
+    def direct(m):
+        return real_direct(m) + 1 if m == 100 else real_direct(m)
+
+    return direct
+
+
 def _lines(text: str, tmp: str) -> list[str]:
     return _MASKED.sub(r'\1"<masked>"', text.replace(tmp, "<tmp>")).splitlines(keepends=True)
 
@@ -81,6 +103,11 @@ def run_case(name: str) -> dict:
         if "synthetic hit" in name:
             fake = _fake_hit_check(wss_module.wss_check)
             stack.enter_context(mock.patch.object(wss_module, "wss_check", fake))
+        if "injected faults" in name:
+            good = _fake_good_direct(classify_module.is_good_direct)
+            period = _fake_period_direct(pisano_module.pisano_direct)
+            stack.enter_context(mock.patch.object(classify_module, "is_good_direct", good))
+            stack.enter_context(mock.patch.object(pisano_module, "pisano_direct", period))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(tmp=tmp) for arg in CASES[name]])
