@@ -10,7 +10,8 @@ Commands:
 
 With --json, exactly one JSON document (the CommandResult: command, inputs,
 output, elapsed_ms) is written to stdout and any human-readable text goes
-to stderr.  Exit codes: 0 success, 1 usage, 2 I/O, 3 WSS hit found,
+to stderr.  Exit codes: 0 success, 1 usage, 2 I/O or a dead worker process
+(re-running the same scan resumes from its checkpoint), 3 WSS hit found,
 4 theorem/criterion anomaly.
 """
 
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 
 from . import classify, pisano, verify, wss
@@ -80,23 +82,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, command: str, inputs: dict, output, elapsed_ms: float, human: str) -> None:
-    if args.json:
-        doc = {
-            "command": command,
-            "inputs": inputs,
-            "output": output,
-            "elapsed_ms": elapsed_ms,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
-
-
-def _cmd_fib(args) -> int:
+def _cmd_fib(args):
     if args.n < 0:
         raise ValueError("index must be >= 0")
-    t0 = time.perf_counter()
     if args.mod is None:
         if args.n > FIB_EXACT_CAP:
             raise ValueError(
@@ -104,34 +92,26 @@ def _cmd_fib(args) -> int:
             )
         value = fib_exact(args.n)
         output = {"n": args.n, "value": value}
-        human = str(value)
     else:
         value = fib_pair_mod(args.n, args.mod)[0]
         output = {"n": args.n, "mod": args.mod, "value": value}
-        human = str(value)
-    elapsed = (time.perf_counter() - t0) * 1000
-    _emit(args, "fib", {"n": args.n, "mod": args.mod}, output, elapsed, human)
-    return EXIT_OK
+    return {"n": args.n, "mod": args.mod}, output, str(value), EXIT_OK
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args):
     if args.m < 2:
         raise ValueError("profile needs m >= 2")
-    t0 = time.perf_counter()
     prof = pisano.profile(args.m)
-    elapsed = (time.perf_counter() - t0) * 1000
     output = {"m": prof.m, "gamma": prof.gamma, "alpha": prof.alpha, "upsilon": prof.upsilon}
     human = (
         f"m={prof.m} period={prof.gamma} rank={prof.alpha} zero_count={prof.upsilon}"
     )
-    _emit(args, "profile", {"m": args.m}, output, elapsed, human)
-    return EXIT_OK
+    return {"m": args.m}, output, human, EXIT_OK
 
 
-def _cmd_good(args) -> int:
+def _cmd_good(args):
     if (args.m is None) == (args.range is None):
         raise ValueError("give exactly one of: a single m, or --range LO HI")
-    t0 = time.perf_counter()
     if args.m is not None:
         lo = hi = args.m
     else:
@@ -139,7 +119,6 @@ def _cmd_good(args) -> int:
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
     reports = [classify.goodness_report(m, method=args.method) for m in range(lo, hi + 1)]
-    elapsed = (time.perf_counter() - t0) * 1000
     if args.m is not None:
         output = asdict(reports[0])
         human = f"m={args.m} good={reports[0].is_good} (method={args.method})"
@@ -153,15 +132,8 @@ def _cmd_good(args) -> int:
             "good": good,
         }
         human = f"[{lo}, {hi}]: {len(good)} good numbers (method={args.method})"
-    _emit(
-        args,
-        "good",
-        {"m": args.m, "range": args.range, "method": args.method},
-        output,
-        elapsed,
-        human,
-    )
-    return EXIT_OK
+    inputs = {"m": args.m, "range": args.range, "method": args.method}
+    return inputs, output, human, EXIT_OK
 
 
 def _default_checkpoint_path(lo: int, hi: int) -> str:
@@ -169,9 +141,8 @@ def _default_checkpoint_path(lo: int, hi: int) -> str:
     return os.path.join(directory, f"wss-scan-{lo}-{hi}.checkpoint.json")
 
 
-def _cmd_wss_scan(args) -> int:
+def _cmd_wss_scan(args):
     checkpoint = args.checkpoint or _default_checkpoint_path(args.lo, args.hi)
-    t0 = time.perf_counter()
     ck = wss.scan_wss(
         args.lo,
         args.hi,
@@ -180,7 +151,6 @@ def _cmd_wss_scan(args) -> int:
         results_path=args.out,
         block_size=args.block_size,
     )
-    elapsed = (time.perf_counter() - t0) * 1000
     output = {**asdict(ck), "checkpoint": checkpoint}
     human = (
         f"scanned [{ck.range_lo}, {ck.range_hi}] "
@@ -193,20 +163,18 @@ def _cmd_wss_scan(args) -> int:
         "checkpoint": checkpoint,
         "out": args.out,
     }
-    _emit(args, "wss-scan", inputs, output, elapsed, human)
+    code = EXIT_OK
     if ck.hits:
         print(f"WALL-SUN-SUN HIT: {[h.p for h in ck.hits]}", file=sys.stderr)
-        return EXIT_WSS_HIT
-    if ck.anomaly_count:
+        code = EXIT_WSS_HIT
+    elif ck.anomaly_count:
         print(f"criterion anomalies: {ck.anomaly_count}", file=sys.stderr)
-        return EXIT_ANOMALY
-    return EXIT_OK
+        code = EXIT_ANOMALY
+    return inputs, output, human, code
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args):
     results = verify.run_suites(args.suite, args.max_value, seed=args.seed)
-    elapsed = (time.perf_counter() - t0) * 1000
     stream = sys.stderr if args.json else sys.stdout
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -215,25 +183,14 @@ def _cmd_verify(args) -> int:
             line += f" counterexamples: {'; '.join(r.failures)}"
         print(line, file=stream)
     failed = [r for r in results if not r.passed]
-    output = {
-        "suite": args.suite,
-        "max": args.max_value,
-        "seed": args.seed,
-        "passed": not failed,
-        "results": [asdict(r) for r in results],
-    }
+    inputs = {"suite": args.suite, "max": args.max_value, "seed": args.seed}
+    output = {**inputs, "passed": not failed, "results": [asdict(r) for r in results]}
     human = f"{len(results) - len(failed)}/{len(results)} properties passed"
-    _emit(
-        args,
-        "verify",
-        {"suite": args.suite, "max": args.max_value, "seed": args.seed},
-        output,
-        elapsed,
-        human,
-    )
-    return EXIT_ANOMALY if failed else EXIT_OK
+    return inputs, output, human, EXIT_ANOMALY if failed else EXIT_OK
 
 
+# each handler returns (inputs, output, human line, exit code); main times
+# it and writes either the --json document or the human line
 _HANDLERS = {
     "fib": _cmd_fib,
     "profile": _cmd_profile,
@@ -250,7 +207,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        t0 = time.perf_counter()
+        inputs, output, human, code = _HANDLERS[args.command](args)
+        elapsed_ms = (time.perf_counter() - t0) * 1000
+        if args.json:
+            doc = {
+                "command": args.command,
+                "inputs": inputs,
+                "output": output,
+                "elapsed_ms": elapsed_ms,
+            }
+            print(json.dumps(doc, indent=2))
+        else:
+            print(human)
+        return code
     except ValueError as exc:
         print(f"fibmod: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,10 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fibmod: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BrokenExecutor as exc:
+        print(f"fibmod: worker process died: {exc}", file=sys.stderr)
+        return EXIT_IO
     except AnomalyError as exc:
         print(f"fibmod: ANOMALY: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
-
 
 if __name__ == "__main__":
     sys.exit(main())

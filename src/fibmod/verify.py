@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import classify, pisano, wss
-from .arith import factorize, sieve_upto
+from .arith import sieve_upto
 from .errors import AnomalyError
 from .fib import (
     binomial_expansion_rhs,
@@ -59,12 +59,19 @@ class _Property:
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:
     """Fibonacci identity and matrix-route audits against the exact values."""
     rng = random.Random(seed)
-    results = []
     exact = [0, 1]
     while len(exact) <= 2 * max_value + 2:
         exact.append(exact[-1] + exact[-2])
+    props = [_Property(name) for name in (
+        "matrix-entries-match-exact",
+        "matrix-agrees-with-fast-doubling",
+        "cassini-determinant",
+        "doubling-identity",
+        "subtraction-identity",
+        "binomial-expansion-identity",
+    )]
+    entries, doubling_route, cassini, doubling, subtraction, binomial = props
 
-    prop = _Property("matrix-entries-match-exact")
     for _ in range(400):
         n = rng.randrange(0, max_value + 1)
         m = rng.choice(_MODULUS_POOL)
@@ -75,74 +82,66 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
             and mat.u_cur == exact[n] % m
             and mat.u_next == exact[n + 1] % m
         )
-        prop.check(ok, f"n={n} m={m}")
-    results.append(prop.result())
+        entries.check(ok, f"n={n} m={m}")
 
-    prop = _Property("matrix-agrees-with-fast-doubling")
     for _ in range(400):
         n = rng.randrange(0, 4 * max_value)
         m = rng.choice(_MODULUS_POOL)
         mat = matrix_pow_mod(n, m)
         pair = fib_pair_mod(n, m)
-        prop.check((mat.u_cur, mat.u_next) == pair, f"n={n} m={m}")
-    results.append(prop.result())
+        doubling_route.check((mat.u_cur, mat.u_next) == pair, f"n={n} m={m}")
 
-    prop = _Property("cassini-determinant")
     for _ in range(400):
         n = rng.randrange(0, 10_000)
         m = rng.choice(_MODULUS_POOL)
         mat = matrix_pow_mod(n, m)
-        prop.check(mat.recurrence_ok() and mat.determinant_ok(), f"n={n} m={m}")
-    results.append(prop.result())
+        cassini.check(mat.recurrence_ok() and mat.determinant_ok(), f"n={n} m={m}")
 
-    prop = _Property("doubling-identity")
     for _ in range(400):
         n = rng.randrange(1, max_value + 1)
         m = rng.choice(_MODULUS_POOL)
-        prop.check(doubling_rhs(n, m) == exact[2 * n] % m, f"n={n} m={m}")
-    results.append(prop.result())
+        doubling.check(doubling_rhs(n, m) == exact[2 * n] % m, f"n={n} m={m}")
 
-    prop = _Property("subtraction-identity")
     for _ in range(400):
         n = rng.randrange(0, max_value + 1)
         k = rng.randrange(0, n + 1)
         m = rng.choice(_MODULUS_POOL)
-        prop.check(subtraction_rhs(n, k, m) == exact[n - k] % m, f"m_idx={n} n_idx={k} mod={m}")
-    results.append(prop.result())
+        subtraction.check(
+            subtraction_rhs(n, k, m) == exact[n - k] % m, f"m_idx={n} n_idx={k} mod={m}"
+        )
 
-    prop = _Property("binomial-expansion-identity")
     for _ in range(400):
         k = rng.randrange(1, 61)
         n = rng.randrange(1, 13)
         m = rng.choice(_MODULUS_POOL)
         want = fib_exact(k * n) % m
-        prop.check(binomial_expansion_rhs(k, n, m) == want, f"k={k} n={n} mod={m}")
-    results.append(prop.result())
+        binomial.check(binomial_expansion_rhs(k, n, m) == want, f"k={k} n={n} mod={m}")
 
-    return results
+    return [prop.result() for prop in props]
 
 
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     """Period/rank/zero-count structure over [2, max_value]."""
-    results = []
+    props = [_Property(name) for name in (
+        "fast-period-equals-direct",
+        "period-is-zerocount-times-rank",
+        "odd-prime-power-zero-count-stable",
+        "two-power-zero-counts",
+        "odd-prime-period-even",
+        "rank-neighbors-nonzero",
+    )]
+    routes, structure, stable, two_powers, even_period, neighbors = props
 
-    prop = _Property("fast-period-equals-direct")
     for m in range(2, max_value + 1):
         fast = pisano.pisano_fast(m)
         direct = pisano.pisano_direct(m)
-        prop.check(fast == direct, f"m={m} fast={fast} direct={direct}")
-    results.append(prop.result())
-
-    prop = _Property("period-is-zerocount-times-rank")
-    for m in range(2, max_value + 1):
+        routes.check(fast == direct, f"m={m} fast={fast} direct={direct}")
         prof = pisano.profile(m)
-        prop.check(
+        structure.check(
             prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4),
             f"m={m} profile={prof}",
         )
-    results.append(prop.result())
 
-    prop = _Property("odd-prime-power-zero-count-stable")
     for p in sieve_upto(min(499, max_value)):
         if p == 2:
             continue
@@ -150,148 +149,113 @@ def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
         for e in (2, 3):
             if p**e > 1_000_000:
                 break
-            prop.check(pisano.zero_count(p**e) == base, f"p={p} e={e}")
-    results.append(prop.result())
+            stable.check(pisano.zero_count(p**e) == base, f"p={p} e={e}")
 
-    prop = _Property("two-power-zero-counts")
-    prop.check(pisano.zero_count(2) == 1, "m=2")
-    prop.check(pisano.zero_count(4) == 1, "m=4")
+    two_powers.check(pisano.zero_count(2) == 1, "m=2")
+    two_powers.check(pisano.zero_count(4) == 1, "m=4")
     for e in range(3, 13):
-        prop.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
-    results.append(prop.result())
+        two_powers.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
 
-    odd_primes = [p for p in sieve_upto(max_value) if p != 2]
-
-    prop = _Property("odd-prime-period-even")
-    for p in odd_primes:
-        prop.check(pisano.prime_period(p) % 2 == 0, f"p={p}")
-    results.append(prop.result())
-
-    prop = _Property("rank-neighbors-nonzero")
     for p in sieve_upto(max_value):
+        if p != 2:
+            even_period.check(pisano.prime_period(p) % 2 == 0, f"p={p}")
         rank = pisano.rank_of_apparition(p)
         before = fib_pair_mod(rank - 1, p)[0]
         after = fib_pair_mod(rank + 1, p)[0]
-        prop.check(before != 0 and after != 0, f"p={p} rank={rank}")
-    results.append(prop.result())
+        neighbors.check(before != 0 and after != 0, f"p={p} rank={rank}")
 
-    return results
+    return [prop.result() for prop in props]
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     """Goodness criteria, zero-count patterns, and divisor classes."""
-    results = []
+    props = [_Property(name) for name in (
+        "fast-goodness-equals-direct",
+        "even-never-good",
+        "prime-power-goodness-follows-prime",
+        "zero-count-pins-period-two-part",
+        "good-number-zero-count-structure",
+        "all-zero-count-4-factors-force-good",
+        "odd-zero-count-formula-matches-scan",
+        "period-divisor-class-covers",
+    )]
+    routes, even, powers, pattern, structure, force, formula, covers = props
 
-    prop = _Property("fast-goodness-equals-direct")
     for m in range(3, max_value + 1, 2):
-        fast = classify.is_good_fast(m).is_good
+        report = classify.is_good_fast(m)
         direct = classify.is_good_direct(m)
-        prop.check(fast == direct, f"m={m} fast={fast} direct={direct}")
-    results.append(prop.result())
-
-    prop = _Property("even-never-good")
-    for m in range(2, min(2000, max_value) + 1, 2):
-        prop.check(not classify.is_good_direct(m), f"m={m}")
-    results.append(prop.result())
-
-    prop = _Property("prime-power-goodness-follows-prime")
-    for p in sieve_upto(max_value):
-        if p == 2:
-            continue
-        e = 1
-        while p**e <= max_value:
-            prop.check(
-                classify.is_good_direct(p**e) == classify.is_good_prime(p),
-                f"p={p} e={e}",
+        routes.check(report.is_good == direct, f"m={m} fast={report.is_good} direct={direct}")
+        entries = report.prime_entries
+        if report.is_good:
+            counts = {entry.upsilon_p for entry in entries}
+            structure.check(
+                len(counts) == 1 and report.upsilon_m == entries[0].upsilon_p,
+                f"m={m} counts={sorted(counts)} upsilon_m={report.upsilon_m}",
             )
-            e += 1
-    results.append(prop.result())
-
-    prop = _Property("zero-count-pins-period-two-part")
-    for p in sieve_upto(max_value):
-        if p == 2:
-            continue
-        try:
-            classify.zero_count_period_pattern(p)
-            prop.check(True, "")
-        except AnomalyError as exc:
-            prop.check(False, str(exc))
-    results.append(prop.result())
-
-    prop = _Property("good-number-zero-count-structure")
-    for m in range(3, max_value + 1, 2):
-        report = classify.is_good_fast(m)
-        if not report.is_good:
-            continue
-        counts = {entry.upsilon_p for entry in report.prime_entries}
-        prop.check(
-            len(counts) == 1 and report.upsilon_m == report.prime_entries[0].upsilon_p,
-            f"m={m} counts={sorted(counts)} upsilon_m={report.upsilon_m}",
-        )
-    results.append(prop.result())
-
-    prop = _Property("all-zero-count-4-factors-force-good")
-    for m in range(3, max_value + 1, 2):
-        report = classify.is_good_fast(m)
-        if all(entry.upsilon_p == 4 for entry in report.prime_entries):
-            prop.check(classify.is_good_direct(m), f"m={m}")
-    results.append(prop.result())
-
-    prop = _Property("odd-zero-count-formula-matches-scan")
-    for m in range(3, max_value + 1, 2):
-        factors = factorize(m).factors
-        if len(factors) == 1 and factors[0][1] == 1:
+        if all(entry.upsilon_p == 4 for entry in entries):
+            force.check(direct, f"m={m}")
+        if len(entries) == 1 and entries[0].e == 1:
             continue  # formula is trivial at primes; scan the composites
         try:
             value = classify.zero_count_odd(m)
         except AnomalyError as exc:
-            prop.check(False, str(exc))
+            formula.check(False, str(exc))
             continue
-        prop.check(value == pisano.zero_count_direct(m), f"m={m} value={value}")
-    results.append(prop.result())
+        formula.check(value == pisano.zero_count_direct(m), f"m={m} value={value}")
 
-    prop = _Property("period-divisor-class-covers")
-    both = []
+    for m in range(2, min(2000, max_value) + 1, 2):
+        even.check(not classify.is_good_direct(m), f"m={m}")
+
     for p in sieve_upto(max_value):
-        if p == 5:
+        if p != 5:
+            cls = classify.period_divisor_class(p)
+            covers.check(cls != "neither", f"p={p} class={cls}")
+        if p == 2:
             continue
-        cls = classify.period_divisor_class(p)
-        prop.check(cls != "neither", f"p={p} class={cls}")
-        if cls == "both":
-            both.append(p)
-    # overlap is recorded, never assumed absent; an empty list is the finding
-    results.append(prop.result())
+        e = 1
+        while p**e <= max_value:
+            powers.check(
+                classify.is_good_direct(p**e) == classify.is_good_prime(p),
+                f"p={p} e={e}",
+            )
+            e += 1
+        try:
+            classify.zero_count_period_pattern(p)
+            pattern.check(True, "")
+        except AnomalyError as exc:
+            pattern.check(False, str(exc))
 
-    return results
+    return [prop.result() for prop in props]
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
     """Wall-Sun-Sun criteria, self-square enumeration, cofactor structure."""
-    results = []
+    props = [_Property(name) for name in (
+        "no-wss-primes-and-criteria-agree",
+        "self-square-set-is-6-12",
+        "two-power-valuation-is-k-plus-1",
+        "cofactor-times-u-g-gives-u-ag",
+        "cofactor-divisibility-forces-multiplier",
+        "odd-moduli-never-self-square",
+    )]
+    criteria, self_square, two_power, cofactor, multiplier, odd_moduli = props
 
-    prop = _Property("no-wss-primes-and-criteria-agree")
     for p in sieve_upto(max_value):
         record = wss.wss_check(p)
-        prop.check(
+        criteria.check(
             not record.is_wss and record.criteria_agree,
             f"p={p} is_wss={record.is_wss} agree={record.criteria_agree}",
         )
-    results.append(prop.result())
 
-    prop = _Property("self-square-set-is-6-12")
     found = {record.m for record in wss.enumerate_self_square(max_value)}
     expected = {6, 12} if max_value >= 12 else set()
-    prop.check(found == expected, f"found={sorted(found)}")
-    results.append(prop.result())
+    self_square.check(found == expected, f"found={sorted(found)}")
 
-    prop = _Property("two-power-valuation-is-k-plus-1")
     for k in range(1, 31):
         valuation, ok = wss.two_power_valuation_check(k)
         want = 1 if k == 1 else k + 1
-        prop.check(valuation == want and ok, f"k={k} valuation={valuation} ok={ok}")
-    results.append(prop.result())
+        two_power.check(valuation == want and ok, f"k={k} valuation={valuation} ok={ok}")
 
-    prop = _Property("cofactor-times-u-g-gives-u-ag")
     for n in (2, 3, 5, 6, 7):
         for k in (1, 2):
             g = pisano.pisano_fast(n**k)
@@ -299,10 +263,8 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
                 for modulus in (n**k, n ** (2 * k), 997):
                     lhs = wss.cofactor_mod(a, g, modulus) * fib_pair_mod(g, modulus)[0]
                     rhs = fib_pair_mod(a * g, modulus)[0]
-                    prop.check(lhs % modulus == rhs, f"n={n} k={k} a={a} mod={modulus}")
-    results.append(prop.result())
+                    cofactor.check(lhs % modulus == rhs, f"n={n} k={k} a={a} mod={modulus}")
 
-    prop = _Property("cofactor-divisibility-forces-multiplier")
     for n in range(2, 8):
         for k in (1, 2):
             g = pisano.pisano_fast(n**k)
@@ -310,21 +272,18 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
                 n_l = n**l
                 for a in range(1, 201):
                     if wss.cofactor_mod(a, g, n_l) % n_l == 0:
-                        prop.check(a % n_l == 0, f"n={n} k={k} l={l} a={a}")
+                        multiplier.check(a % n_l == 0, f"n={n} k={k} l={l} a={a}")
                     else:
-                        prop.check(True, "")
-    results.append(prop.result())
+                        multiplier.check(True, "")
 
-    prop = _Property("odd-moduli-never-self-square")
     for m in range(3, min(2000, max_value) + 1, 2):
         report = wss.odd_self_square_check(m)
-        prop.check(
+        odd_moduli.check(
             report.ok and all(flag for _, _, flag in report.prime_power_ok),
             f"m={m}",
         )
-    results.append(prop.result())
 
-    return results
+    return [prop.result() for prop in props]
 
 
 def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult]:

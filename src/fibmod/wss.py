@@ -263,21 +263,33 @@ def _append_results(path: str, records: list[WssRecord]) -> None:
 
 
 def _trim_results(path: str, last_completed: int) -> None:
-    """Drop result lines beyond the checkpointed frontier (re-scanned on resume)."""
+    """Drop result lines beyond the checkpointed frontier (re-scanned on resume).
+
+    The file is streamed, not held in memory.  A final fragment without a
+    newline is a torn append, which lies past the frontier, and is dropped.
+    Any other unreadable line raises CheckpointError: dropping it would
+    lose a prime that the resumed scan never visits again.
+    """
     if not os.path.exists(path):
         return
-    kept = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                p = json.loads(line)["p"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue
-            if p <= last_completed:
-                kept.append(line)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
+    try:
+        with open(path, "rb") as src, open(tmp, "wb") as dst:
+            for number, line in enumerate(src, 1):
+                if not line.endswith(b"\n"):
+                    break
+                try:
+                    keep = json.loads(line)["p"] <= last_completed
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CheckpointError(
+                        f"results file {path} line {number} is unreadable: {exc}"
+                    ) from exc
+                if keep:
+                    dst.write(line)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -300,6 +312,9 @@ def scan_wss(
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
+    if 2 * (hi + 1) >= 2**64:
+        # factorize, which bounds each prime's period, works below 2^64
+        raise ValueError(f"hi = {hi} is out of range: need 2 * (hi + 1) < 2^64")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if block_size < 1:

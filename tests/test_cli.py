@@ -1,8 +1,27 @@
 import json
+import os
+import re
 
+import fibmod.wss as wss_module
 from fibmod.cli import main
 
 from helpers import fib_upto
+
+_TEST_PID = os.getpid()
+_real_scan_block = wss_module._scan_block
+
+
+def _die_after_two_blocks(bounds):
+    # stands in for wss._scan_block inside pool workers
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("expected to run in a worker process")
+    if bounds[0] > 1000:
+        os._exit(1)
+    return _real_scan_block(bounds)
+
+
+def _normalized(path):
+    return re.sub(r'"wall_time_seconds": [0-9.eE+-]+', "", path.read_text())
 
 
 def run(capsys, *argv):
@@ -158,8 +177,6 @@ class TestWssScanCommand:
         assert (tmp_path / "wss-scan-2-100.checkpoint.json").exists()
 
     def test_resume_from_partial_checkpoint(self, capsys, tmp_path):
-        import re
-
         from fibmod.wss import scan_wss
 
         partial = tmp_path / "partial.json"
@@ -176,11 +193,7 @@ class TestWssScanCommand:
             "--checkpoint", str(fresh), "--block-size", "100",
         )
         assert code == 0
-
-        def normalized(path):
-            return re.sub(r'"wall_time_seconds": [0-9.eE+-]+', "", path.read_text())
-
-        assert normalized(partial) == normalized(fresh)
+        assert _normalized(partial) == _normalized(fresh)
 
     def test_hit_exit_code(self, capsys, tmp_path, monkeypatch):
         # force a synthetic hit so the dedicated exit code path is exercised
@@ -226,6 +239,26 @@ class TestWssScanCommand:
         )
         assert code == 4
         assert "anomal" in err
+
+
+    def test_dead_worker_exits_2_and_rerun_resumes(self, capsys, tmp_path, monkeypatch):
+        def scan(name):
+            return run(
+                capsys, "wss-scan", "--from", "2", "--to", "3000", "--block-size", "500",
+                "--jobs", "2", "--checkpoint", str(tmp_path / f"{name}.json"),
+                "--out", str(tmp_path / f"{name}.jsonl"),
+            )
+
+        monkeypatch.setattr(wss_module, "_scan_block", _die_after_two_blocks)
+        code, out, err = scan("crashed")
+        assert code == 2 and out == ""
+        assert err.startswith("fibmod: worker process died: ")
+        monkeypatch.undo()
+
+        assert scan("crashed")[0] == 0
+        assert scan("clean")[0] == 0
+        assert _normalized(tmp_path / "crashed.json") == _normalized(tmp_path / "clean.json")
+        assert (tmp_path / "crashed.jsonl").read_text() == (tmp_path / "clean.jsonl").read_text()
 
 
 class TestVerifyCommand:

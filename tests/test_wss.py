@@ -256,6 +256,37 @@ class TestScan:
         scan_wss(2, 500, checkpoint_path=str(tmp_path / "c2.json"), results_path=str(clean_out))
         assert out.read_text() == clean_out.read_text()
 
+    def test_corrupt_results_line_refuses_resume(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        lines = out.read_text().splitlines(keepends=True)
+        lines[3] = "{not json\n"
+        out.write_text("".join(lines))
+        with pytest.raises(CheckpointError, match="line 4"):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "res.jsonl"]
+
+    def test_torn_last_line_resumes_cleanly(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        # a crash part-way through appending the next block's first line
+        with out.open("a") as fh:
+            fh.write('{"p": 211, "legendre5": 1, "ind')
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out))
+
+        clean_out = tmp_path / "clean.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(tmp_path / "c2.json"), results_path=str(clean_out))
+        assert out.read_bytes() == clean_out.read_bytes()
+
+    def test_out_of_domain_range_rejected_up_front(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(ValueError, match="out of range"):
+            scan_wss(2**63, 2**63 + 100, checkpoint_path=str(ck), results_path=str(out))
+        assert list(tmp_path.iterdir()) == []
+
     def test_fresh_scan_starts_results_empty(self, tmp_path):
         out = tmp_path / "res.jsonl"
         scan_wss(2, 100, results_path=str(out))
