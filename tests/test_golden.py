@@ -38,6 +38,9 @@ CASES = {
     "fib 24 --json": ["fib", "24", "--json"],
     "fib 10 --mod 7 --json": ["fib", "10", "--mod", "7", "--json"],
     "profile 5 --json": ["profile", "5", "--json"],
+    "profile 11 --json": ["profile", "11", "--json"],
+    "profile 2187 --json": ["profile", "2187", "--json"],
+    "profile 2000003 --json": ["profile", "2000003", "--json"],
     "profile 1105": ["profile", "1105"],
     "profile 1105 --json": ["profile", "1105", "--json"],
     "good 21": ["good", "21"],

@@ -1,6 +1,7 @@
 import pytest
 
 from fibmod.arith import sieve_upto
+from fibmod.classify import period_divisor_class
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import (
     lifting_exponent,
@@ -13,6 +14,7 @@ from fibmod.pisano import (
     zero_count,
     zero_count_direct,
 )
+from fibmod.wss import wss_check
 
 from helpers import fib_upto, pisano_scan, rank_scan, zero_scan
 
@@ -113,7 +115,7 @@ class TestRankOfApparition:
         assert rank_of_apparition(m) == rank
 
     def test_matches_scan(self):
-        for m in range(2, 500):
+        for m in range(2, 3000):
             assert rank_of_apparition(m) == rank_scan(m), m
 
     def test_rank_neighbors_nonzero_at_primes(self):
@@ -172,3 +174,16 @@ class TestProfile:
         for p in sieve_upto(10_000):
             if p != 2:
                 assert prime_period(p) % 2 == 0
+
+
+@pytest.mark.parametrize(
+    "function",
+    [prime_period, lambda p: prime_power_period(p, 1), wss_check, period_divisor_class],
+    ids=["prime_period", "prime_power_period", "wss_check", "period_divisor_class"],
+)
+@pytest.mark.parametrize("p", [0, 1, -7, 9, 91, 2**64 + 1])
+def test_period_layer_rejects_non_primes(function, p):
+    want = "is_prime is deterministic only below 2**64" if p >= 2**64 else f"{p} is not prime"
+    with pytest.raises(ValueError) as info:
+        function(p)
+    assert str(info.value) == want
