@@ -87,13 +87,6 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, expected {self.n}")
 
-    def divisors(self) -> list[int]:
-        """All divisors of n in increasing order."""
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
 
 def _rho_factor(n: int) -> int:
     """Nontrivial factor of odd composite n via Brent's cycle variant.

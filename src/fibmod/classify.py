@@ -168,8 +168,6 @@ def period_divisor_class(p: int) -> str:
     raw outcome ("both" / "neither" included) is reported rather than
     assumed.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 5:
         raise ValueError("p = 5 is excluded from the divisor classes")
     gamma = prime_period(p)

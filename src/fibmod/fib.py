@@ -33,8 +33,13 @@ def fib_exact(n: int, cap: int = FIB_EXACT_CAP) -> int:
     return a
 
 
-def _pair_mod(n: int, m: int) -> tuple[int, int]:
-    """(u_n, u_{n+1}) mod m by iterative fast doubling over the bits of n."""
+def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
+    """(u_n mod m, u_{n+1} mod m) in O(log n) multiplications, by iterative
+    fast doubling over the bits of n."""
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
     if m == 1:
         return 0, 0
     a, b = 0, 1  # (u_0, u_1)
@@ -48,15 +53,6 @@ def _pair_mod(n: int, m: int) -> tuple[int, int]:
         else:
             a, b = c, d
     return a, b
-
-
-def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
-    """(u_n mod m, u_{n+1} mod m) in O(log n) multiplications."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return _pair_mod(n, m)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,11 @@ _PERIOD_BOUND_FACTOR = 6
 # never silently truncated.
 _LIFTING_SEARCH_BOUND = 8
 
+# Entries kept by each memoized function, so a long scan runs in bounded memory.
+# A bounded lru_cache entry costs about 56 B more than an unbounded one, so the
+# bound stays small; 2^14 still holds every modulus `verify --max 10000` revisits.
+_CACHE_SIZE = 1 << 14
+
 
 @dataclass(frozen=True)
 class PisanoProfile:
@@ -77,14 +82,25 @@ def pisano_direct(m: int) -> int:
     raise AnomalyError(f"no period found for m={m} within {limit} steps")
 
 
-@lru_cache(maxsize=None)
+def _least_divisor(t: int, holds) -> int:
+    """Least divisor d of t with holds(d), given that holds(x) is true
+    exactly when d | x: order reduction over the prime factors of t.  A
+    false holds(t) contradicts the premise and raises AnomalyError."""
+    if not holds(t):
+        raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
+    for q, _ in factorize(t).factors:
+        while t % q == 0 and holds(t // q):
+            t //= q
+    return t
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def prime_period(p: int) -> int:
     """Period of a prime modulus without iterating the full cycle.
 
     For p not in {2, 5} the period divides p - 1 when p = +-1 mod 5 and
     2*(p + 1) otherwise, so it is found by order reduction over the
-    divisor lattice of that bound.  A bound failure would contradict the
-    classification and raises AnomalyError.
+    factors of that bound.  It is the period layer's one primality check.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -93,16 +109,10 @@ def prime_period(p: int) -> int:
     if p == 5:
         return 20
     bound = p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    if fib_pair_mod(bound, p) != (0, 1):
-        raise AnomalyError(f"period of {p} does not divide its divisor bound {bound}")
-    t = bound
-    for q, _ in factorize(bound).factors:
-        while t % q == 0 and fib_pair_mod(t // q, p) == (0, 1):
-            t //= q
-    return t
+    return _least_divisor(bound, lambda t: fib_pair_mod(t, p) == (0, 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def lifting_exponent(p: int) -> int:
     """Largest a with p^a dividing u_{period(p)}.
 
@@ -131,8 +141,6 @@ def prime_power_period(p: int, e: int) -> PrimePowerPeriod:
     """
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 2:
         return PrimePowerPeriod(p=2, e=e, gamma_p=3, epsilon=1, gamma_pe=3 << (e - 1))
     gamma_p = prime_period(p)
@@ -141,7 +149,7 @@ def prime_power_period(p: int, e: int) -> PrimePowerPeriod:
     return PrimePowerPeriod(p=p, e=e, gamma_p=gamma_p, epsilon=eps, gamma_pe=gamma_pe)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=_CACHE_SIZE)
 def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
@@ -150,15 +158,12 @@ def pisano_fast(m: int) -> int:
 
 
 def _rank_given_period(m: int, gamma: int) -> int:
-    # the rank divides the period, so only divisors of gamma need testing
-    for d in factorize(gamma).divisors() if gamma > 1 else [1]:
-        if fib_pair_mod(d, m)[0] == 0:
-            return d
-    raise AnomalyError(f"u_period != 0 mod {m}")  # pragma: no cover
+    # strong divisibility: u_t == 0 mod m exactly when the rank divides t
+    return _least_divisor(gamma, lambda t: fib_pair_mod(t, m)[0] == 0)
 
 
 def rank_of_apparition(m: int) -> int:
-    """Least z >= 1 with u_z == 0 mod m, via the divisors of the period."""
+    """Least z >= 1 with u_z == 0 mod m, by order reduction from the period."""
     if m < 2:
         raise ValueError(f"rank_of_apparition requires m >= 2, got {m}")
     return _rank_given_period(m, pisano_fast(m))

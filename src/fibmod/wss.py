@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -96,13 +97,12 @@ def _legendre5(p: int) -> int:
 
 def wss_check(p: int) -> WssRecord:
     """Evaluate both Wall-Sun-Sun criteria for a prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    gamma = prime_period(p)  # rejects a non-prime p
     chi = _legendre5(p)
     index = p - chi
     p2 = p * p
     residue_index = fib_pair_mod(index, p2)[0]
-    residue_gamma = fib_pair_mod(prime_period(p), p2)[0]
+    residue_gamma = fib_pair_mod(gamma, p2)[0]
     return WssRecord(
         p=p,
         legendre5=chi,
@@ -194,9 +194,21 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
 # --------------------------- range scanning ---------------------------
 
 
-def _scan_block(bounds: tuple[int, int]) -> list[WssRecord]:
+def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[WssRecord]]:
     lo, hi = bounds
-    return [wss_check(p) for p in primes_in_range(lo, hi)]
+    return hi, [wss_check(p) for p in primes_in_range(lo, hi)]
+
+
+def _in_order(pool, blocks, depth: int):
+    """Scanned blocks in block order, like pool.map, but with at most depth
+    blocks submitted and not yet merged, so memory does not grow with the range."""
+    pending = deque()
+    for bounds in blocks:
+        pending.append(pool.submit(_scan_block, bounds))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
@@ -204,6 +216,8 @@ def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -260,6 +274,9 @@ def _append_results(path: str, records: list[WssRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
             fh.write(_result_line(record) + "\n")
+        # durable before the checkpoint that moves the frontier past them
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _trim_results(path: str, last_completed: int) -> None:
@@ -346,15 +363,15 @@ def scan_wss(
         open(results_path, "w", encoding="utf-8").close()
 
     began = time.perf_counter()
-    blocks = [(s, min(s + block_size - 1, hi)) for s in range(start, hi + 1, block_size)]
-    if max_blocks is not None:
-        blocks = blocks[:max_blocks]
+    # a range slice is lazy: blocks are made as the scan reaches them
+    starts = range(start, hi + 1, block_size)[:max_blocks]
+    blocks = ((s, min(s + block_size - 1, hi)) for s in starts)
 
-    parallel = workers > 1 and len(blocks) > 1
+    parallel = workers > 1 and len(starts) > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        # both maps yield in block order: merged output is worker-count invariant
-        scanned = pool.map(_scan_block, blocks) if parallel else map(_scan_block, blocks)
-        for (_, block_hi), records in zip(blocks, scanned):
+        # both iterators yield in block order: merged output is worker-count invariant
+        scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)
+        for block_hi, records in scanned:
             if results_path:
                 _append_results(results_path, records)
             hits.extend(r for r in records if r.is_wss)

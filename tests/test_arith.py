@@ -110,13 +110,6 @@ class TestFactorize:
         with pytest.raises(ValueError):
             Factorization(16, ((4, 2),))  # non-prime base
 
-    def test_divisors(self):
-        assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
-        assert factorize(97).divisors() == [1, 97]
-        assert factorize(60).divisors() == sorted(
-            d for d in range(1, 61) if 60 % d == 0
-        )
-
 
 @settings(deadline=None, max_examples=200)
 @given(n=st.integers(1, 2**60))

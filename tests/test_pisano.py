@@ -187,3 +187,9 @@ def test_period_layer_rejects_non_primes(function, p):
     with pytest.raises(ValueError) as info:
         function(p)
     assert str(info.value) == want
+
+
+def test_memo_caches_are_bounded():
+    # a scan memoizes every prime it meets; an unbounded cache grows with the range
+    for function in (prime_period, lifting_exponent, pisano_fast):
+        assert function.cache_info().maxsize is not None

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import tracemalloc
+from concurrent.futures import Executor, Future
 
 import pytest
 
+import fibmod.wss as wss_module
 from fibmod.arith import sieve_upto, two_adic_split
 from fibmod.errors import CheckpointError
 from fibmod.fib import fib_pair_mod
@@ -181,6 +185,37 @@ def _normalized(path):
     return re.sub(r'"wall_time_seconds": [0-9.eE+-]+', '"wall_time_seconds": 0', text)
 
 
+class _CountingExecutor(Executor):
+    """Synchronous stand-in for ProcessPoolExecutor.  It runs each call at
+    submit time and records the most futures ever submitted and not yet
+    consumed (their result taken)."""
+
+    peak = 0
+
+    def __init__(self, max_workers):
+        self.waiting = 0
+
+    def submit(self, fn, *args):
+        self.waiting += 1
+        _CountingExecutor.peak = max(_CountingExecutor.peak, self.waiting)
+        return _CountedFuture(self, fn(*args))
+
+
+class _CountedFuture(Future):
+    def __init__(self, executor, value):
+        super().__init__()
+        self.executor = executor
+        self.set_result(value)
+
+    def result(self, timeout=None):
+        self.executor.waiting -= 1
+        return super().result(timeout)
+
+
+class _Crash(Exception):
+    pass
+
+
 class TestScan:
     def test_singleton_range(self, tmp_path):
         ck = scan_wss(11, 11, checkpoint_path=str(tmp_path / "ck.json"))
@@ -292,6 +327,81 @@ class TestScan:
         scan_wss(2, 100, results_path=str(out))
         scan_wss(2, 100, results_path=str(out))
         assert len(out.read_text().splitlines()) == len(sieve_upto(100)) == 25
+
+    def test_blocks_are_made_lazily(self):
+        # a list of every block of [2, 300000] would hold 3e5 tuples
+        tracemalloc.start()
+        try:
+            scan_wss(2, 300_000, block_size=1, max_blocks=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial.json"
+        scan_wss(2, 3000, checkpoint_path=str(serial), block_size=100)
+        monkeypatch.setattr(_CountingExecutor, "peak", 0)
+        monkeypatch.setattr(wss_module, "ProcessPoolExecutor", _CountingExecutor)
+        pooled = tmp_path / "pooled.json"
+        scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
+        assert 0 < _CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
+        assert _normalized(pooled) == _normalized(serial)
+
+    def test_results_and_checkpoint_fsynced_before_replace(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        results = out.stat().st_ino
+        assert len(calls) == 9  # three blocks
+        # per block: the results reach the disk, then the new checkpoint, then it is renamed in
+        for block in range(3):
+            fsync_results, fsync_tmp, rename = calls[3 * block : 3 * block + 3]
+            assert fsync_results == ("fsync", results)
+            assert fsync_tmp[0] == "fsync" and fsync_tmp[1] != results
+            assert rename == ("replace", fsync_tmp[1])
+
+    def test_crash_between_results_and_checkpoint_resumes_cleanly(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        real_write = wss_module._write_checkpoint
+        written = []
+
+        def crash_on_third_block(path, checkpoint):
+            if len(written) == 2:
+                raise _Crash
+            written.append(checkpoint)
+            real_write(path, checkpoint)
+
+        monkeypatch.setattr(wss_module, "_write_checkpoint", crash_on_third_block)
+        with pytest.raises(_Crash):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        monkeypatch.undo()
+        assert load_checkpoint(str(ck)).last_completed == 201
+        assert json.loads(out.read_text().splitlines()[-1])["p"] > 201  # orphaned lines
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+
+        clean_ck = tmp_path / "clean.json"
+        clean_out = tmp_path / "clean.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(clean_ck), results_path=str(clean_out), block_size=100)
+        assert _normalized(ck) == _normalized(clean_ck)
+        assert out.read_bytes() == clean_out.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["ck.json", "res.jsonl", "clean.json", "clean.jsonl"]
+        )
 
     def test_completed_scan_is_idempotent(self, tmp_path):
         path = tmp_path / "ck.json"
