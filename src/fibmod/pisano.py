@@ -33,9 +33,8 @@ _PERIOD_BOUND_FACTOR = 6
 # never silently truncated.
 _LIFTING_SEARCH_BOUND = 8
 
-# Entries kept by each memoized function, so a long scan runs in bounded memory.
-# A bounded lru_cache entry costs about 56 B more than an unbounded one, so the
-# bound stays small; 2^14 still holds every modulus `verify --max 10000` revisits.
+# Entries per memoized function: bounded so a long scan keeps flat memory, and
+# small, as a bounded lru_cache entry costs about 56 B more than an unbounded one.
 _CACHE_SIZE = 1 << 14
 
 
