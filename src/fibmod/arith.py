@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 # Witnesses proven deterministic for every n < 2**64 (Sinclair's base set).
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -149,28 +150,21 @@ def factorize(n: int) -> Factorization:
     return Factorization(target, tuple(sorted(counts.items())))
 
 
-def sieve_upto(n: int) -> list[int]:
-    """All primes <= n by a plain sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i in range(n + 1) if flags[i]]
-
-
-_TRIAL_PRIMES = sieve_upto(_TRIAL_LIMIT)
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi] via a segmented sieve."""
+    """All primes in [lo, hi] via a segmented sieve; its base primes sieve [2, isqrt(hi)]."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     flags = bytearray([1]) * (hi - lo + 1)
-    for p in sieve_upto(math.isqrt(hi)):
-        start = max(p * p, (lo + p - 1) // p * p)
-        flags[start - lo :: p] = b"\x00" * len(range(start, hi + 1, p))
-    return [lo + i for i, f in enumerate(flags) if f]
+    for p in primes_in_range(2, math.isqrt(hi)):
+        start = max(p * p, lo + (-lo) % p)  # first multiple of p to strike
+        flags[start - lo :: p] = bytes((hi - start) // p + 1)
+    return list(compress(range(lo, hi + 1), flags))
+
+
+def sieve_upto(n: int) -> list[int]:
+    """All primes <= n."""
+    return primes_in_range(2, n)
+
+
+_TRIAL_PRIMES = sieve_upto(_TRIAL_LIMIT)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from .arith import factorize, is_prime, two_adic_split
 from .errors import AnomalyError
 from .fib import matrix_pow_mod
-from .pisano import pisano_fast, prime_period, rank_of_apparition, zero_count
+from .pisano import pisano_fast, prime_period, profile, rank_of_apparition, zero_count
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,15 @@ def is_good_prime(p: int) -> bool:
 def _prime_entries(m: int) -> tuple[GoodPrimeEntry, ...]:
     entries = []
     for p, e in factorize(m).factors:
-        gamma_p = prime_period(p)
-        k = two_adic_split(gamma_p)[0]
+        prof = profile(p)
         entries.append(
             GoodPrimeEntry(
                 p=p,
                 e=e,
-                gamma_p=gamma_p,
-                two_adic=k,
-                good_prime=(p != 2 and gamma_p % 4 == 0),
-                upsilon_p=zero_count(p),
+                gamma_p=prof.gamma,
+                two_adic=two_adic_split(prof.gamma)[0],
+                good_prime=(p != 2 and prof.gamma % 4 == 0),
+                upsilon_p=prof.upsilon,
             )
         )
     return tuple(entries)
@@ -108,13 +107,14 @@ def is_good_fast(m: int) -> GoodnessReport:
     else:
         ks = {entry.two_adic for entry in entries}
         good = all(entry.good_prime for entry in entries) and len(ks) == 1
+    prof = profile(m)
     return GoodnessReport(
         m=m,
         is_odd=is_odd,
-        gamma=pisano_fast(m),
+        gamma=prof.gamma,
         prime_entries=entries,
         is_good=good,
-        upsilon_m=zero_count(m),
+        upsilon_m=prof.upsilon,
         method="fast",
     )
 
@@ -190,8 +190,8 @@ def zero_count_period_pattern(p: int) -> str:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"pattern check needs an odd prime, got {p}")
-    upsilon = zero_count(p)
-    k = two_adic_split(prime_period(p))[0]
+    prof = profile(p)
+    upsilon, k = prof.upsilon, two_adic_split(prof.gamma)[0]
     if upsilon == 1 and k == 1:
         return "v1_pattern"
     if upsilon == 2 and k >= 3:

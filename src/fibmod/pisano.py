@@ -8,10 +8,11 @@ invariants describe it:
   * rank(m)        — least z >= 1 with u_z == 0 mod m (rank of apparition);
   * zero count(m)  — zeros per period, always period/rank and one of 1, 2, 4.
 
-Two independent routes compute the period: a direct linear scan
-(pisano_direct) and the fast path (pisano_fast) that factors m, lifts each
-prime period to the prime power, and takes the lcm.  The two must agree
-everywhere; the test suites enforce it.
+Two independent routes compute all three.  The direct route
+(profile_direct) reads them from one linear scan of (u_l, u_{l+1}); the
+fast route (profile) factors m, lifts each prime period to the prime power,
+takes the lcm, and finds the rank by order reduction from that period.
+verify holds all three fast values against the direct scan, as do the tests.
 """
 
 from __future__ import annotations
@@ -60,25 +61,38 @@ class PrimePowerPeriod:
     gamma_pe: int
 
 
-def pisano_direct(m: int) -> int:
-    """Period of the Fibonacci sequence mod m by direct iteration.
-
-    Additions only; intended for m small enough that an O(period) scan is
-    acceptable.  Serves as the oracle for the fast path.
+def profile_direct(m: int) -> PisanoProfile:
+    """Profile of m from one scan of the pairs: the period is the first
+    return to (0, 1), the rank the first zero, the zero count the zeros up
+    to that return.  Additions only and no step shared with the fast route;
+    the oracle for m small enough that an O(period) scan is acceptable.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 1
-    a, b = 0, 1
+    one = 1 % m
+    a, b = one, one  # (u_l, u_{l+1}) mod m at l = 1
+    alpha = zeros = 0
     limit = _PERIOD_BOUND_FACTOR * m
-    l = 0
-    while l < limit:
+    for l in range(1, limit + 1):
+        if a == 0:
+            zeros += 1
+            alpha = alpha or l
+            if b == one:
+                return PisanoProfile(m=m, gamma=l, alpha=alpha, upsilon=zeros)
         a, b = b, (a + b) % m
-        l += 1
-        if a == 0 and b == 1:
-            return l
     raise AnomalyError(f"no period found for m={m} within {limit} steps")
+
+
+def pisano_direct(m: int) -> int:
+    """Period of the Fibonacci sequence mod m by direct iteration."""
+    return profile_direct(m).gamma
+
+
+def zero_count_direct(m: int) -> int:
+    """Zeros per period counted by direct iteration; test oracle."""
+    if m < 2:
+        raise ValueError(f"zero_count_direct requires m >= 2, got {m}")
+    return profile_direct(m).upsilon
 
 
 def _least_divisor(t: int, holds) -> int:
@@ -156,40 +170,6 @@ def pisano_fast(m: int) -> int:
     return math.lcm(*[prime_power_period(p, e).gamma_pe for p, e in factorize(m).factors])
 
 
-def _rank_given_period(m: int, gamma: int) -> int:
-    # strong divisibility: u_t == 0 mod m exactly when the rank divides t
-    return _least_divisor(gamma, lambda t: fib_pair_mod(t, m)[0] == 0)
-
-
-def rank_of_apparition(m: int) -> int:
-    """Least z >= 1 with u_z == 0 mod m, by order reduction from the period."""
-    if m < 2:
-        raise ValueError(f"rank_of_apparition requires m >= 2, got {m}")
-    return _rank_given_period(m, pisano_fast(m))
-
-
-def zero_count(m: int) -> int:
-    """Zeros of (u_i mod m) per period, computed as period/rank."""
-    if m < 2:
-        raise ValueError(f"zero_count requires m >= 2, got {m}")
-    gamma = pisano_fast(m)
-    return gamma // _rank_given_period(m, gamma)
-
-
-def zero_count_direct(m: int) -> int:
-    """Zeros per period counted by scanning one full period; test oracle."""
-    if m < 2:
-        raise ValueError(f"zero_count_direct requires m >= 2, got {m}")
-    gamma = pisano_fast(m)
-    a, b = 0, 1
-    zeros = 0
-    for _ in range(gamma):
-        if a == 0:
-            zeros += 1
-        a, b = b, (a + b) % m
-    return zeros
-
-
 def profile(m: int) -> PisanoProfile:
     """Full (period, rank, zero count) profile of a modulus."""
     if m < 1:
@@ -197,5 +177,20 @@ def profile(m: int) -> PisanoProfile:
     if m == 1:
         return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
     gamma = pisano_fast(m)
-    alpha = _rank_given_period(m, gamma)
+    # strong divisibility: u_t == 0 mod m exactly when the rank divides t
+    alpha = _least_divisor(gamma, lambda t: fib_pair_mod(t, m)[0] == 0)
     return PisanoProfile(m=m, gamma=gamma, alpha=alpha, upsilon=gamma // alpha)
+
+
+def rank_of_apparition(m: int) -> int:
+    """Least z >= 1 with u_z == 0 mod m, by order reduction from the period."""
+    if m < 2:
+        raise ValueError(f"rank_of_apparition requires m >= 2, got {m}")
+    return profile(m).alpha
+
+
+def zero_count(m: int) -> int:
+    """Zeros of (u_i mod m) per period, computed as period/rank."""
+    if m < 2:
+        raise ValueError(f"zero_count requires m >= 2, got {m}")
+    return profile(m).upsilon

@@ -121,7 +121,7 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
 
 
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
-    """Period/rank/zero-count structure over [2, max_value]."""
+    """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -133,13 +133,13 @@ def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     routes, structure, stable, two_powers, even_period, neighbors = props
 
     for m in range(2, max_value + 1):
-        fast = pisano.pisano_fast(m)
-        direct = pisano.pisano_direct(m)
-        routes.check(fast == direct, f"m={m} fast={fast} direct={direct}")
         prof = pisano.profile(m)
+        direct = pisano.profile_direct(m)
+        routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
         structure.check(
-            prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4),
-            f"m={m} profile={prof}",
+            prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
+            and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
+            f"m={m} profile={prof} direct={direct}",
         )
 
     for p in sieve_upto(min(499, max_value)):

@@ -176,17 +176,16 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"odd self-square check needs odd m >= 3, got {m}")
-    gamma = pisano_fast(m)
-    residue = fib_pair_mod(gamma, m * m)[0]
+    record = self_square_test(m)
     entries = []
     for p, e in factorize(m).factors:
         gamma_pe = prime_power_period(p, e).gamma_pe
         entries.append((p, e, fib_pair_mod(gamma_pe, p ** (2 * e))[0] != 0))
     return OddSelfSquareReport(
         m=m,
-        gamma=gamma,
-        residue_mod_m2=residue,
-        ok=residue != 0,
+        gamma=record.gamma,
+        residue_mod_m2=record.residue_mod_m2,
+        ok=not record.divisible,
         prime_power_ok=tuple(entries),
     )
 

@@ -123,6 +123,16 @@ class TestSieves:
         assert sieve_upto(500) == [n for n in range(501) if is_prime_trial(n)]
         assert sieve_upto(1) == []
 
+    def test_every_small_window_matches_trial_division(self):
+        primes = [n for n in range(200) if is_prime_trial(n)]
+        for lo in range(200):
+            for hi in range(200):
+                assert primes_in_range(lo, hi) == [p for p in primes if lo <= p <= hi], (lo, hi)
+
+    def test_window_near_1e12_matches_primality_test(self):
+        lo, hi = 10**12, 10**12 + 2000
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
     def test_segment_matches_full_sieve(self):
         full = sieve_upto(10_000)
         assert primes_in_range(5_000, 10_000) == [p for p in full if p >= 5_000]

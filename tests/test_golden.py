@@ -87,9 +87,11 @@ def _fake_good_direct(real_direct):
     return direct
 
 
-def _fake_period_direct(real_direct):
+def _fake_profile_direct(real_direct):
+    # the direct period is one too large at m = 100; its rank and zero count stay right
     def direct(m):
-        return real_direct(m) + 1 if m == 100 else real_direct(m)
+        prof = real_direct(m)
+        return dataclasses.replace(prof, gamma=prof.gamma + 1) if m == 100 else prof
 
     return direct
 
@@ -108,9 +110,9 @@ def run_case(name: str) -> dict:
             stack.enter_context(mock.patch.object(wss_module, "wss_check", fake))
         if "injected faults" in name:
             good = _fake_good_direct(classify_module.is_good_direct)
-            period = _fake_period_direct(pisano_module.pisano_direct)
+            prof = _fake_profile_direct(pisano_module.profile_direct)
             stack.enter_context(mock.patch.object(classify_module, "is_good_direct", good))
-            stack.enter_context(mock.patch.object(pisano_module, "pisano_direct", period))
+            stack.enter_context(mock.patch.object(pisano_module, "profile_direct", prof))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(tmp=tmp) for arg in CASES[name]])

@@ -1,5 +1,9 @@
+import contextlib
+from unittest import mock
+
 import pytest
 
+import fibmod.pisano as pisano_module
 from fibmod.arith import sieve_upto
 from fibmod.classify import period_divisor_class
 from fibmod.fib import fib_pair_mod
@@ -10,6 +14,7 @@ from fibmod.pisano import (
     prime_period,
     prime_power_period,
     profile,
+    profile_direct,
     rank_of_apparition,
     zero_count,
     zero_count_direct,
@@ -31,6 +36,32 @@ class TestPisanoDirect:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             pisano_direct(0)
+
+
+class TestProfileDirect:
+    def test_matches_scan_oracles(self):
+        for m in [1, *range(2, 3000)]:
+            prof = profile_direct(m)
+            assert (prof.gamma, prof.alpha, prof.upsilon) == (
+                pisano_scan(m), rank_scan(m), zero_scan(m)
+            ), m
+
+    def test_views_reach_no_fast_route(self):
+        def refuse(*args):
+            raise AssertionError("the direct route called a fast one")
+
+        with contextlib.ExitStack() as stack:
+            for name in ("pisano_fast", "factorize", "fib_pair_mod"):
+                stack.enter_context(mock.patch.object(pisano_module, name, refuse))
+            for m in range(2, 500):
+                assert pisano_direct(m) == pisano_scan(m), m
+                assert zero_count_direct(m) == zero_scan(m), m
+
+    def test_rejects_bad_moduli(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+            profile_direct(0)
+        with pytest.raises(ValueError, match="zero_count_direct requires m >= 2, got 1"):
+            zero_count_direct(1)
 
 
 class TestPrimePeriod:

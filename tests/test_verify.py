@@ -1,5 +1,9 @@
+from unittest import mock
+
 import pytest
 
+import fibmod.pisano as pisano_module
+from fibmod.pisano import PisanoProfile
 from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pisano, suite_wss
 
 
@@ -34,3 +38,18 @@ def test_identities_seeded_reproducible():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites("nope", 100)
+
+
+def test_rank_and_zero_count_audited_against_direct_scan():
+    # a fast profile that is wrong at m = 5 yet keeps period = zero count * rank
+    real_profile = pisano_module.profile
+
+    def fake(m):
+        return PisanoProfile(m=5, gamma=20, alpha=10, upsilon=2) if m == 5 else real_profile(m)
+
+    with mock.patch.object(pisano_module, "profile", fake):
+        results = {r.name: r for r in suite_pisano(50)}
+    assert results["fast-period-equals-direct"].passed
+    structure = results["period-is-zerocount-times-rank"]
+    assert not structure.passed
+    assert structure.failures[0].startswith("m=5 ")
