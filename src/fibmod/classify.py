@@ -74,9 +74,9 @@ def is_good_direct(m: int) -> bool:
 
 def is_good_prime(p: int) -> bool:
     """An odd prime is good iff 4 divides its period."""
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise ValueError(f"good-prime test needs an odd prime, got {p}")
-    return prime_period(p) % 4 == 0
+    return prime_period(p) % 4 == 0  # prime_period rejects non-primes
 
 
 def _prime_entries(m: int) -> tuple[GoodPrimeEntry, ...]:

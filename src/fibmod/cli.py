@@ -112,23 +112,21 @@ def _cmd_profile(args):
 def _cmd_good(args):
     if (args.m is None) == (args.range is None):
         raise ValueError("give exactly one of: a single m, or --range LO HI")
-    if args.m is not None:
-        lo = hi = args.m
-    else:
-        lo, hi = args.range
+    lo, hi = args.range or (args.m, args.m)
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
-    reports = [classify.goodness_report(m, method=args.method) for m in range(lo, hi + 1)]
     if args.m is not None:
-        output = asdict(reports[0])
-        human = f"m={args.m} good={reports[0].is_good} (method={args.method})"
+        report = classify.goodness_report(args.m, method=args.method)
+        output = asdict(report)
+        human = f"m={args.m} good={report.is_good} (method={args.method})"
     else:
-        good = [r.m for r in reports if r.is_good]
+        # one report at a time, so memory stays flat over a range of any length
+        good = [m for m in range(lo, hi + 1) if classify.goodness_report(m, args.method).is_good]
         output = {
             "lo": lo,
             "hi": hi,
             "method": args.method,
-            "checked": len(reports),
+            "checked": hi - lo + 1,
             "good": good,
         }
         human = f"[{lo}, {hi}]: {len(good)} good numbers (method={args.method})"

@@ -11,8 +11,9 @@ invariants describe it:
 Two independent routes compute all three.  The direct route
 (profile_direct) reads them from one linear scan of (u_l, u_{l+1}); the
 fast route (profile) factors m, lifts each prime period to the prime power,
-takes the lcm, and finds the rank by order reduction from that period.
-verify holds all three fast values against the direct scan, as do the tests.
+takes the lcm, and reads the zero count, hence the rank, from which of
+u_{period/4}, u_{period/2}, u_{period} is the first zero mod m.  verify
+holds all three fast values against the direct scan, as do the tests.
 """
 
 from __future__ import annotations
@@ -95,18 +96,6 @@ def zero_count_direct(m: int) -> int:
     return profile_direct(m).upsilon
 
 
-def _least_divisor(t: int, holds) -> int:
-    """Least divisor d of t with holds(d), given that holds(x) is true
-    exactly when d | x: order reduction over the prime factors of t.  A
-    false holds(t) contradicts the premise and raises AnomalyError."""
-    if not holds(t):
-        raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
-    for q, _ in factorize(t).factors:
-        while t % q == 0 and holds(t // q):
-            t //= q
-    return t
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def prime_period(p: int) -> int:
     """Period of a prime modulus without iterating the full cycle.
@@ -121,8 +110,13 @@ def prime_period(p: int) -> int:
         return 3
     if p == 5:
         return 20
-    bound = p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
-    return _least_divisor(bound, lambda t: fib_pair_mod(t, p) == (0, 1))
+    t = p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+    if fib_pair_mod(t, p) != (0, 1):
+        raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
+    for q, _ in factorize(t).factors:
+        while t % q == 0 and fib_pair_mod(t // q, p) == (0, 1):
+            t //= q
+    return t
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -177,20 +171,23 @@ def profile(m: int) -> PisanoProfile:
     if m == 1:
         return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
     gamma = pisano_fast(m)
-    # strong divisibility: u_t == 0 mod m exactly when the rank divides t
-    alpha = _least_divisor(gamma, lambda t: fib_pair_mod(t, m)[0] == 0)
-    return PisanoProfile(m=m, gamma=gamma, alpha=alpha, upsilon=gamma // alpha)
+    # u_t == 0 mod m exactly when the rank divides t, and period/rank is 1, 2
+    # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0
+    for upsilon in (4, 2, 1):
+        if gamma % upsilon == 0 and fib_pair_mod(gamma // upsilon, m)[0] == 0:
+            return PisanoProfile(m=m, gamma=gamma, alpha=gamma // upsilon, upsilon=upsilon)
+    raise AnomalyError(f"fast period {gamma} of m={m} is not a period: u_{gamma} != 0 mod m")
 
 
 def rank_of_apparition(m: int) -> int:
-    """Least z >= 1 with u_z == 0 mod m, by order reduction from the period."""
+    """Least z >= 1 with u_z == 0 mod m: the period over the zero count."""
     if m < 2:
         raise ValueError(f"rank_of_apparition requires m >= 2, got {m}")
     return profile(m).alpha
 
 
 def zero_count(m: int) -> int:
-    """Zeros of (u_i mod m) per period, computed as period/rank."""
+    """Zeros of (u_i mod m) per period, one of 1, 2, 4."""
     if m < 2:
         raise ValueError(f"zero_count requires m >= 2, got {m}")
     return profile(m).upsilon

@@ -290,6 +290,8 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
     """Run one named suite (or all of them) and return the results."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if max_value < 2:
+        raise ValueError(f"max must be >= 2, got {max_value}")
     results = []
     if suite in ("identities", "all"):
         results.extend(suite_identities(min(max_value, 3000), seed=seed))

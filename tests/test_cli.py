@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import tracemalloc
+
+import pytest
 
 import fibmod.wss as wss_module
 from fibmod.cli import main
@@ -123,6 +126,18 @@ class TestGoodCommand:
     def test_human_output(self, capsys):
         code, out, _ = run(capsys, "good", "--range", "3", "99")
         assert code == 0 and "good numbers" in out
+
+    def test_range_memory_does_not_grow_with_its_length(self, capsys):
+        # kept for every modulus, the ~0.7 KiB reports alone would take ~3.3 MiB here
+        tracemalloc.start()
+        try:
+            code = main(["good", "--range", "3", "5000", "--method", "fast"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "[3, 5000]" in capsys.readouterr().out
+        assert peak < 2 * 2**20
 
     def test_route_disagreement_exits_4(self, capsys, monkeypatch):
         import fibmod.classify as classify_module
@@ -277,6 +292,13 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 1
+
+    @pytest.mark.parametrize("suite", ["pisano", "all"])
+    def test_max_below_two_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "fibmod: error: max must be >= 2, got 1\n"
 
     def test_seed_reproducible(self, capsys):
         _, doc_a, _ = run_json(capsys, "verify", "--suite", "identities", "--max", "200",

@@ -5,7 +5,8 @@ import pytest
 
 import fibmod.pisano as pisano_module
 from fibmod.arith import sieve_upto
-from fibmod.classify import period_divisor_class
+from fibmod.classify import is_good_prime, period_divisor_class
+from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import (
     lifting_exponent,
@@ -206,11 +207,45 @@ class TestProfile:
             if p != 2:
                 assert prime_period(p) % 2 == 0
 
+    def test_rank_does_not_factor_the_period(self):
+        for m in range(2, 3000):
+            pisano_fast(m)  # warm: factorize is then reached only through the rank
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        with mock.patch.object(pisano_module, "factorize", refuse):
+            for m in range(2, 3000):
+                prof = profile(m)
+                assert (prof.gamma, prof.alpha, prof.upsilon) == (
+                    pisano_scan(m), rank_scan(m), zero_scan(m)
+                ), m
+
+    def test_fast_period_that_is_no_period_is_an_anomaly(self):
+        real = pisano_module.pisano_fast
+        with mock.patch.object(pisano_module, "pisano_fast", lambda m: 17 if m == 7 else real(m)):
+            with pytest.raises(AnomalyError, match=r"\b17\b.*m=7\b"):
+                profile(7)
+
+    @pytest.mark.parametrize("m", [
+        *(2**k for k in range(1, 17)),
+        *(3**k for k in range(1, 10)),
+        *(5**k for k in range(1, 7)),
+        *(2 * 5**k for k in range(1, 7)),
+        # prime factors with zero counts 1 (11, 19, 29), 2 (3, 7, 41) and 4 (5, 13, 17, 37)
+        11 * 13 * 17, 3 * 11 * 13 * 17, 2**5 * 5**3 * 11, 13 * 17 * 37,
+        5**3 * 13 * 17, 3**2 * 7 * 13 * 17, 2**3 * 3 * 7 * 11 * 19, 29 * 37 * 41,
+    ])
+    def test_matches_direct_on_structured_moduli(self, m):
+        assert profile(m) == profile_direct(m)
+
 
 @pytest.mark.parametrize(
     "function",
-    [prime_period, lambda p: prime_power_period(p, 1), wss_check, period_divisor_class],
-    ids=["prime_period", "prime_power_period", "wss_check", "period_divisor_class"],
+    [prime_period, lambda p: prime_power_period(p, 1), wss_check, period_divisor_class,
+     is_good_prime],
+    ids=["prime_period", "prime_power_period", "wss_check", "period_divisor_class",
+         "is_good_prime"],
 )
 @pytest.mark.parametrize("p", [0, 1, -7, 9, 91, 2**64 + 1])
 def test_period_layer_rejects_non_primes(function, p):
