@@ -42,7 +42,6 @@ from .fib import (
 )
 from .pisano import (
     PisanoProfile,
-    PrimePowerPeriod,
     lifting_exponent,
     pisano_direct,
     pisano_fast,

@@ -102,11 +102,8 @@ def is_good_fast(m: int) -> GoodnessReport:
         raise ValueError(f"classification starts at m = 2, got {m}")
     entries = _prime_entries(m)
     is_odd = m % 2 == 1
-    if not is_odd:
-        good = False
-    else:
-        ks = {entry.two_adic for entry in entries}
-        good = all(entry.good_prime for entry in entries) and len(ks) == 1
+    ks = {entry.two_adic for entry in entries}
+    good = is_odd and all(entry.good_prime for entry in entries) and len(ks) == 1
     prof = profile(m)
     return GoodnessReport(
         m=m,

@@ -10,9 +10,9 @@ Commands:
 
 With --json, exactly one JSON document (the CommandResult: command, inputs,
 output, elapsed_ms) is written to stdout and any human-readable text goes
-to stderr.  Exit codes: 0 success, 1 usage, 2 I/O or a dead worker process
-(re-running the same scan resumes from its checkpoint), 3 WSS hit found,
-4 theorem/criterion anomaly.
+to stderr.  Exit codes: 0 success, 1 usage, 2 I/O, a checkpoint in use by
+another scan, or a dead worker process (re-running the same scan resumes
+from its checkpoint), 3 WSS hit found, 4 theorem/criterion anomaly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict
 
 from . import classify, pisano, verify, wss
 from .errors import AnomalyError, CheckpointError
-from .fib import FIB_EXACT_CAP, fib_exact, fib_pair_mod
+from .fib import fib_exact, fib_pair_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,13 +83,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fib(args):
-    if args.n < 0:
-        raise ValueError("index must be >= 0")
     if args.mod is None:
-        if args.n > FIB_EXACT_CAP:
-            raise ValueError(
-                f"index {args.n} exceeds the exact cap {FIB_EXACT_CAP}; use --mod"
-            )
         value = fib_exact(args.n)
         output = {"n": args.n, "value": value}
     else:

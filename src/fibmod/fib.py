@@ -21,12 +21,12 @@ from math import comb
 FIB_EXACT_CAP = 1_000_000
 
 
-def fib_exact(n: int, cap: int = FIB_EXACT_CAP) -> int:
+def fib_exact(n: int) -> int:
     """The exact n-th Fibonacci number, by the defining recurrence."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n > cap:
-        raise ValueError(f"index {n} exceeds exact-evaluation cap {cap}")
+    if n > FIB_EXACT_CAP:
+        raise ValueError(f"index {n} exceeds the exact cap {FIB_EXACT_CAP}; take it mod m")
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b

@@ -10,10 +10,11 @@ invariants describe it:
 
 Two independent routes compute all three.  The direct route
 (profile_direct) reads them from one linear scan of (u_l, u_{l+1}); the
-fast route (profile) factors m, lifts each prime period to the prime power,
-takes the lcm, and reads the zero count, hence the rank, from which of
-u_{period/4}, u_{period/2}, u_{period} is the first zero mod m.  verify
-holds all three fast values against the direct scan, as do the tests.
+fast route (profile) factors m, lifts each prime period to the prime power
+by one rule for every prime, 2 included, takes the lcm, and reads the zero
+count, hence the rank, from which of u_{period/4}, u_{period/2}, u_{period}
+is the first zero mod m.  verify holds all three fast values against the
+direct scan, as do the tests.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class PisanoProfile:
     upsilon: int
 
 
-@dataclass(frozen=True)
-class PrimePowerPeriod:
-    """Period data for p^e: the prime period, its lifting exponent, and
-    the lifted period of the power."""
-
-    p: int
-    e: int
-    gamma_p: int
-    epsilon: int
-    gamma_pe: int
-
-
 def profile_direct(m: int) -> PisanoProfile:
     """Profile of m from one scan of the pairs: the period is the first
     return to (0, 1), the rank the first zero, the zero count the zeros up
@@ -96,21 +85,24 @@ def zero_count_direct(m: int) -> int:
     return profile_direct(m).upsilon
 
 
+def _legendre5(p: int) -> int:
+    """chi = (p/5) for a prime p: 0 at p = 5, +1 for p = +-1, -1 for p = +-2 mod 5."""
+    return (0, 1, -1, -1, 1)[p % 5]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def prime_period(p: int) -> int:
     """Period of a prime modulus without iterating the full cycle.
 
-    For p not in {2, 5} the period divides p - 1 when p = +-1 mod 5 and
-    2*(p + 1) otherwise, so it is found by order reduction over the
-    factors of that bound.  It is the period layer's one primality check.
+    The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
+    2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
+    reduction over the factors of that bound (p = 2 and p = 5 included).
+    It is the period layer's one primality check.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 3
-    if p == 5:
-        return 20
-    t = p - 1 if p % 5 in (1, 4) else 2 * (p + 1)
+    chi = _legendre5(p)
+    t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
     if fib_pair_mod(t, p) != (0, 1):
         raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
     for q, _ in factorize(t).factors:
@@ -138,22 +130,17 @@ def lifting_exponent(p: int) -> int:
     )
 
 
-def prime_power_period(p: int, e: int) -> PrimePowerPeriod:
-    """Period of p^e via the lifting rule.
+def prime_power_period(p: int, e: int) -> int:
+    """Period of p^e by the lifting rule p^max(0, e - eps) * period(p).
 
-    For odd p: period(p^e) = period(p) while e <= lifting exponent, and
-    grows by a factor p per further power.  p = 2 does not fit the odd
-    rule's hypotheses and is special-cased to period(2^e) = 3 * 2^(e-1),
-    which the direct scan confirms.
+    eps is the lifting exponent of p, read only for e >= 2, where it can
+    change the answer.  The rule holds for every prime: at p = 2 it gives
+    3 * 2^(e-1), which the direct scan confirms.
     """
     if e < 1:
         raise ValueError(f"exponent must be >= 1, got {e}")
-    if p == 2:
-        return PrimePowerPeriod(p=2, e=e, gamma_p=3, epsilon=1, gamma_pe=3 << (e - 1))
     gamma_p = prime_period(p)
-    eps = lifting_exponent(p)
-    gamma_pe = gamma_p if e <= eps else p ** (e - eps) * gamma_p
-    return PrimePowerPeriod(p=p, e=e, gamma_p=gamma_p, epsilon=eps, gamma_pe=gamma_pe)
+    return gamma_p if e == 1 else p ** max(0, e - lifting_exponent(p)) * gamma_p
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -161,7 +148,7 @@ def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
         raise ValueError(f"pisano_fast requires m >= 2, got {m}")
-    return math.lcm(*[prime_power_period(p, e).gamma_pe for p, e in factorize(m).factors])
+    return math.lcm(*[prime_power_period(p, e) for p, e in factorize(m).factors])
 
 
 def profile(m: int) -> PisanoProfile:
@@ -172,9 +159,14 @@ def profile(m: int) -> PisanoProfile:
         return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
     gamma = pisano_fast(m)
     # u_t == 0 mod m exactly when the rank divides t, and period/rank is 1, 2
-    # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0
-    for upsilon in (4, 2, 1):
-        if gamma % upsilon == 0 and fib_pair_mod(gamma // upsilon, m)[0] == 0:
+    # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0;
+    # there P^(period/z) = b*I with b = u_{period/z + 1}, so P^period = b^z * I
+    for upsilon in (z for z in (4, 2, 1) if gamma % z == 0):
+        u, b = fib_pair_mod(gamma // upsilon, m)
+        if u == 0:
+            if pow(b, upsilon, m) != 1:
+                raise AnomalyError(f"fast period {gamma} of m={m} is not a period: "
+                                   f"P^{gamma} = {pow(b, upsilon, m)}*I mod m")
             return PisanoProfile(m=m, gamma=gamma, alpha=gamma // upsilon, upsilon=upsilon)
     raise AnomalyError(f"fast period {gamma} of m={m} is not a period: u_{gamma} != 0 mod m")
 

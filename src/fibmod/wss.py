@@ -10,26 +10,28 @@ conjectured (equivalently to WSS non-existence) to hold only for m = 6 and
 m = 12; enumerate_self_square reproduces that at desk scale.
 
 scan_wss walks a prime range in fixed-size blocks, optionally fanned out
-to worker processes.  Results are merged in ascending block order and a
-single writer owns the checkpoint file, so scans are deterministic and
-resumable: identical ranges yield byte-identical checkpoints (modulo wall
-time) regardless of worker count or interruption pattern.
+to worker processes.  Results are merged in ascending block order, and one
+process, holding a flock on <checkpoint>.lock, writes the checkpoint, so
+scans are deterministic and resumable: identical ranges yield byte-identical
+checkpoints (modulo wall time) regardless of worker count or interruption
+pattern.  chi = (p/5) and every period come from pisano.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 
 from .arith import factorize, is_prime, primes_in_range, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
-from .pisano import pisano_fast, prime_period, prime_power_period
+from .pisano import _legendre5, pisano_fast, prime_period, prime_power_period
 
 DEFAULT_BLOCK_SIZE = 10_000
 
@@ -88,13 +90,6 @@ def legendre5(p: int) -> int:
     return _legendre5(p)
 
 
-def _legendre5(p: int) -> int:
-    r = p % 5
-    if r == 0:
-        return 0
-    return 1 if r in (1, 4) else -1
-
-
 def wss_check(p: int) -> WssRecord:
     """Evaluate both Wall-Sun-Sun criteria for a prime."""
     gamma = prime_period(p)  # rejects a non-prime p
@@ -127,12 +122,7 @@ def enumerate_self_square(m_max: int) -> list[SelfSquareRecord]:
     """All m in [2, m_max] with m^2 | u_{period(m)}; expected {6, 12}."""
     if m_max < 2:
         raise ValueError(f"enumeration bound must be >= 2, got {m_max}")
-    found = []
-    for m in range(2, m_max + 1):
-        record = self_square_test(m)
-        if record.divisible:
-            found.append(record)
-    return found
+    return [r for r in map(self_square_test, range(2, m_max + 1)) if r.divisible]
 
 
 def cofactor_mod(a: int, g: int, n_l: int) -> int:
@@ -160,7 +150,7 @@ def two_power_valuation_check(k: int) -> tuple[int, bool]:
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    gamma = 3 << (k - 1)
+    gamma = prime_power_period(2, k)
     residue = fib_pair_mod(gamma, 1 << (2 * k + 8))[0]
     if residue == 0:
         raise AnomalyError(f"valuation of u_period(2^{k}) exceeds {2 * k + 8}")
@@ -177,16 +167,16 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"odd self-square check needs odd m >= 3, got {m}")
     record = self_square_test(m)
-    entries = []
-    for p, e in factorize(m).factors:
-        gamma_pe = prime_power_period(p, e).gamma_pe
-        entries.append((p, e, fib_pair_mod(gamma_pe, p ** (2 * e))[0] != 0))
+    entries = tuple(
+        (p, e, fib_pair_mod(prime_power_period(p, e), p ** (2 * e))[0] != 0)
+        for p, e in factorize(m).factors
+    )
     return OddSelfSquareReport(
         m=m,
         gamma=record.gamma,
         residue_mod_m2=record.residue_mod_m2,
         ok=not record.divisible,
-        prime_power_ok=tuple(entries),
+        prime_power_ok=entries,
     )
 
 
@@ -309,6 +299,29 @@ def _trim_results(path: str, last_completed: int) -> None:
     os.replace(tmp, path)
 
 
+@contextmanager
+def _scan_lock(path: str):
+    """Hold <checkpoint>.lock for the whole scan; a second scan fails at once.
+
+    The kernel drops a flock when its holder dies, and the file is never
+    deleted: a later scan would lock a new file while this one holds the old.
+    """
+    with open(path + ".lock", "a", encoding="utf-8") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CheckpointError(f"checkpoint {path} is in use by another scan") from None
+        yield lock
+
+
+def _drop_inherited_lock(fd: int, lock: os.stat_result | None) -> None:
+    """Pool initializer: close a forked worker's copy of the scan lock, which
+    a worker orphaned by a killed scan would hold, refusing every later run."""
+    with suppress(OSError):  # an unforked worker has no copy
+        if os.path.samestat(os.fstat(fd), lock):
+            os.close(fd)
+
+
 def scan_wss(
     lo: int,
     hi: int,
@@ -338,51 +351,54 @@ def scan_wss(
     if max_blocks is not None and max_blocks < 1:
         raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
 
-    start = lo
-    hits: list[WssRecord] = []
-    anomalies = 0
-    prev_wall = 0.0
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        previous = load_checkpoint(checkpoint_path)
-        if (previous.range_lo, previous.range_hi) != (lo, hi):
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} covers "
-                f"[{previous.range_lo}, {previous.range_hi}], not [{lo}, {hi}]"
-            )
-        if previous.last_completed >= hi:
-            return previous
-        start = previous.last_completed + 1
-        hits = list(previous.hits)
-        anomalies = previous.anomaly_count
-        prev_wall = previous.wall_time_seconds
-        if results_path:
-            _trim_results(results_path, previous.last_completed)
-    elif results_path:
-        # a fresh scan owns the results file from its first line
-        open(results_path, "w", encoding="utf-8").close()
-
-    began = time.perf_counter()
-    # a range slice is lazy: blocks are made as the scan reaches them
-    starts = range(start, hi + 1, block_size)[:max_blocks]
-    blocks = ((s, min(s + block_size - 1, hi)) for s in starts)
-
-    parallel = workers > 1 and len(starts) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        # both iterators yield in block order: merged output is worker-count invariant
-        scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)
-        for block_hi, records in scanned:
+    with _scan_lock(checkpoint_path) if checkpoint_path else nullcontext() as lock:
+        start = lo
+        hits: list[WssRecord] = []
+        anomalies = 0
+        prev_wall = 0.0
+        if checkpoint_path and os.path.exists(checkpoint_path):
+            previous = load_checkpoint(checkpoint_path)
+            if (previous.range_lo, previous.range_hi) != (lo, hi):
+                raise CheckpointError(
+                    f"checkpoint {checkpoint_path} covers "
+                    f"[{previous.range_lo}, {previous.range_hi}], not [{lo}, {hi}]"
+                )
+            if previous.last_completed >= hi:
+                return previous
+            start = previous.last_completed + 1
+            hits = list(previous.hits)
+            anomalies = previous.anomaly_count
+            prev_wall = previous.wall_time_seconds
             if results_path:
-                _append_results(results_path, records)
-            hits.extend(r for r in records if r.is_wss)
-            anomalies += sum(1 for r in records if not r.criteria_agree)
-            ck = ScanCheckpoint(
-                range_lo=lo,
-                range_hi=hi,
-                last_completed=block_hi,
-                hits=tuple(hits),
-                anomaly_count=anomalies,
-                wall_time_seconds=prev_wall + (time.perf_counter() - began),
-            )
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, ck)
-    return ck
+                _trim_results(results_path, previous.last_completed)
+        elif results_path:
+            # a fresh scan owns the results file from its first line
+            open(results_path, "w", encoding="utf-8").close()
+
+        began = time.perf_counter()
+        # a range slice is lazy: blocks are made as the scan reaches them
+        starts = range(start, hi + 1, block_size)[:max_blocks]
+        blocks = ((s, min(s + block_size - 1, hi)) for s in starts)
+
+        parallel = workers > 1 and len(starts) > 1
+        held = (lock.fileno(), os.fstat(lock.fileno())) if lock else (-1, None)
+        pool_args = {"initializer": _drop_inherited_lock, "initargs": held}
+        with ProcessPoolExecutor(workers, **pool_args) if parallel else nullcontext() as pool:
+            # both iterators yield in block order: merged output is worker-count invariant
+            scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)
+            for block_hi, records in scanned:
+                if results_path:
+                    _append_results(results_path, records)
+                hits.extend(r for r in records if r.is_wss)
+                anomalies += sum(1 for r in records if not r.criteria_agree)
+                ck = ScanCheckpoint(
+                    range_lo=lo,
+                    range_hi=hi,
+                    last_completed=block_hi,
+                    hits=tuple(hits),
+                    anomaly_count=anomalies,
+                    wall_time_seconds=prev_wall + (time.perf_counter() - began),
+                )
+                if checkpoint_path:
+                    _write_checkpoint(checkpoint_path, ck)
+        return ck

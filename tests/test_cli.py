@@ -1,3 +1,6 @@
+import contextlib
+import fcntl
+import functools
 import json
 import os
 import re
@@ -7,6 +10,7 @@ import pytest
 
 import fibmod.wss as wss_module
 from fibmod.cli import main
+from fibmod.wss import load_checkpoint
 
 from helpers import fib_upto
 
@@ -20,6 +24,18 @@ def _die_after_two_blocks(bounds):
         raise RuntimeError("expected to run in a worker process")
     if bounds[0] > 1000:
         os._exit(1)
+    return _real_scan_block(bounds)
+
+
+def _refuse_inherited_lock(lock_path, bounds):
+    # stands in for wss._scan_block inside pool workers
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("expected to run in a worker process")
+    lock = os.stat(lock_path)
+    for name in os.listdir("/dev/fd"):
+        with contextlib.suppress(OSError):
+            if os.path.samestat(os.fstat(int(name)), lock):
+                raise AssertionError(f"worker holds the scan lock as fd {name}")
     return _real_scan_block(bounds)
 
 
@@ -209,6 +225,35 @@ class TestWssScanCommand:
         )
         assert code == 0
         assert _normalized(partial) == _normalized(fresh)
+
+    def test_checkpoint_in_use_exits_2_and_touches_nothing(self, capsys, tmp_path):
+        from fibmod.wss import scan_wss
+
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        before = ck.read_bytes(), out.read_bytes()
+        argv = ("wss-scan", "--from", "2", "--to", "500", "--block-size", "100",
+                "--checkpoint", str(ck), "--out", str(out))
+        with open(f"{ck}.lock", "a") as other_scan:
+            fcntl.flock(other_scan, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == f"fibmod: checkpoint error: checkpoint {ck} is in use by another scan\n"
+        assert (ck.read_bytes(), out.read_bytes()) == before
+        # once the other scan lets go, the same command resumes
+        assert run(capsys, *argv)[0] == 0
+        assert load_checkpoint(str(ck)).last_completed == 500
+
+    def test_workers_do_not_hold_the_lock(self, capsys, tmp_path, monkeypatch):
+        # a worker orphaned by a killed scan would otherwise refuse every rerun
+        ck = tmp_path / "ck.json"
+        probe = functools.partial(_refuse_inherited_lock, f"{ck}.lock")
+        monkeypatch.setattr(wss_module, "_scan_block", probe)
+        code, _, err = run(
+            capsys, "wss-scan", "--from", "2", "--to", "3000", "--block-size", "500",
+            "--jobs", "2", "--checkpoint", str(ck),
+        )
+        assert code == 0, err
 
     def test_hit_exit_code(self, capsys, tmp_path, monkeypatch):
         # force a synthetic hit so the dedicated exit code path is exercised

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibmod.fib as fib_module
 from fibmod.fib import (
     FIB_EXACT_CAP,
     binomial_expansion_rhs,
@@ -27,11 +28,12 @@ class TestFibExact:
         for n in range(500):
             assert fib_exact(n) == FIB[n]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         assert FIB_EXACT_CAP == 1_000_000
+        monkeypatch.setattr(fib_module, "FIB_EXACT_CAP", 5)
         with pytest.raises(ValueError):
-            fib_exact(10, cap=5)
-        assert fib_exact(5, cap=5) == 5
+            fib_exact(10)
+        assert fib_exact(5) == 5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

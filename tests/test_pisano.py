@@ -99,26 +99,34 @@ class TestLiftingExponent:
 
 class TestPrimePowerPeriod:
     def test_examples(self):
-        assert prime_power_period(2, 3).gamma_pe == 12
-        assert prime_power_period(5, 1).gamma_pe == 20
-        assert prime_power_period(5, 2).gamma_pe == 100
+        assert prime_power_period(2, 3) == 12
+        assert prime_power_period(5, 1) == 20
+        assert prime_power_period(5, 2) == 100
         assert pisano_direct(25) == 100
 
     def test_two_powers_match_direct(self):
         for k in range(1, 21):
-            assert prime_power_period(2, k).gamma_pe == pisano_direct(2**k)
+            assert prime_power_period(2, k) == pisano_direct(2**k)
 
     def test_odd_powers_match_direct(self):
         for p, e in [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (11, 2), (13, 2), (47, 2)]:
-            assert prime_power_period(p, e).gamma_pe == pisano_direct(p**e)
+            assert prime_power_period(p, e) == pisano_direct(p**e)
 
     def test_structure(self):
         for p in sieve_upto(200):
+            gamma_p = prime_period(p)
             for e in (1, 2, 3):
-                record = prime_power_period(p, e)
-                assert record.gamma_pe % record.gamma_p == 0
-                if p != 2:
-                    assert record.gamma_p % 2 == 0
+                assert prime_power_period(p, e) % gamma_p == 0
+            if p != 2:
+                assert gamma_p % 2 == 0
+
+    def test_first_powers_never_read_the_lifting_exponent(self):
+        def refuse(p):
+            raise AssertionError(f"lifting_exponent({p}) called")
+
+        with mock.patch.object(pisano_module, "lifting_exponent", refuse):
+            for p in sieve_upto(500):
+                assert prime_power_period(p, 1) == pisano_direct(p), p
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -226,6 +234,13 @@ class TestProfile:
         with mock.patch.object(pisano_module, "pisano_fast", lambda m: 17 if m == 7 else real(m)):
             with pytest.raises(AnomalyError, match=r"\b17\b.*m=7\b"):
                 profile(7)
+
+    def test_fast_period_that_is_a_multiple_of_the_rank_only_is_an_anomaly(self):
+        # u_5 == 0 mod 5, but P^5 == u_6 * I == 3*I mod 5: 5 is the rank, not a period
+        real = pisano_module.pisano_fast
+        with mock.patch.object(pisano_module, "pisano_fast", lambda m: 5 if m == 5 else real(m)):
+            with pytest.raises(AnomalyError, match=r"fast period 5 of m=5 .* 3\*I"):
+                profile(5)
 
     @pytest.mark.parametrize("m", [
         *(2**k for k in range(1, 17)),

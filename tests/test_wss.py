@@ -192,7 +192,7 @@ class _CountingExecutor(Executor):
 
     peak = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **pool_options):
         self.waiting = 0
 
     def submit(self, fn, *args):
@@ -300,7 +300,9 @@ class TestScan:
         out.write_text("".join(lines))
         with pytest.raises(CheckpointError, match="line 4"):
             scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out))
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "res.jsonl"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "ck.json", "ck.json.lock", "res.jsonl"
+        ]
 
     def test_torn_last_line_resumes_cleanly(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -400,7 +402,7 @@ class TestScan:
         assert _normalized(ck) == _normalized(clean_ck)
         assert out.read_bytes() == clean_out.read_bytes()
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            ["ck.json", "res.jsonl", "clean.json", "clean.jsonl"]
+            ["ck.json", "ck.json.lock", "res.jsonl", "clean.json", "clean.json.lock", "clean.jsonl"]
         )
 
     def test_completed_scan_is_idempotent(self, tmp_path):
