@@ -1,9 +1,15 @@
-"""Exact integer arithmetic: 2-adic valuation, primality, factoring.
+"""Exact integer arithmetic: 2-adic valuation, primality, factoring, sieving.
 
 Everything here is pure and deterministic. Python integers are arbitrary
 precision, so modular products are exact without double-width tricks; the
 primality test uses a fixed witness set that is deterministic for all
-inputs below 2**64.
+inputs below 2**64, which is also the domain of factorize and
+primes_in_range.
+
+factorize proves each factor once, while it finds it, and returns its
+result without a second check.  primes_in_range sieves a window with base
+primes no larger than the window is wide, so its memory is O(window); a
+survivor the base primes cannot vouch for is proved by is_prime.
 """
 
 from __future__ import annotations
@@ -64,8 +70,10 @@ def is_prime(n: int) -> bool:
 class Factorization:
     """Prime factorization of n: ordered tuple of (prime, exponent) pairs.
 
-    Construction re-verifies the defining invariants: primes strictly
+    Construction verifies the defining invariants: primes strictly
     increasing, exponents >= 1, every base prime, product equal to n.
+    factorize, which proves them as it goes, builds its result with
+    _proven instead.
     """
 
     n: int
@@ -87,6 +95,14 @@ class Factorization:
             prod *= p**e
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, expected {self.n}")
+
+    @classmethod
+    def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """A Factorization whose invariants the caller has proved: no re-check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
+        return self
 
 
 def _rho_factor(n: int) -> int:
@@ -136,8 +152,10 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    # Whatever survives trial division is either prime or splits under rho;
-    # every emitted factor is re-checked with the deterministic test.
+    # Trial division stops early only at a prime; otherwise the survivor, and
+    # every part rho splits from it, has no factor <= _TRIAL_LIMIT.  So a part
+    # below _TRIAL_LIMIT**2 is prime, and a larger one is proved prime by
+    # is_prime or split by rho: every counted factor is proven, once.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -147,19 +165,32 @@ def factorize(n: int) -> Factorization:
         d = _rho_factor(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(target, tuple(sorted(counts.items())))
+    return Factorization._proven(target, tuple(sorted(counts.items())))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi] via a segmented sieve; its base primes sieve [2, isqrt(hi)]."""
+    """All primes in [lo, hi], for hi < 2**64, by a segmented sieve.
+
+    The base primes reach base = min(isqrt(hi), hi - lo + 1), so memory is
+    O(hi - lo) however large hi is.  A survivor below (base + 1)**2 is prime
+    by the sieve; a larger one, left only when the window is narrower than
+    isqrt(hi), must also pass is_prime.
+    """
+    if hi >= _TWO64:
+        raise ValueError("primes_in_range supports hi < 2**64")
     lo = max(lo, 2)
     if hi < lo:
         return []
+    base = min(math.isqrt(hi), hi - lo + 1)
     flags = bytearray([1]) * (hi - lo + 1)
-    for p in primes_in_range(2, math.isqrt(hi)):
+    for p in primes_in_range(2, base):
         start = max(p * p, lo + (-lo) % p)  # first multiple of p to strike
         flags[start - lo :: p] = bytes((hi - start) // p + 1)
-    return list(compress(range(lo, hi + 1), flags))
+    primes = list(compress(range(lo, hi + 1), flags))
+    proven = (base + 1) ** 2
+    if hi < proven:
+        return primes
+    return [n for n in primes if n < proven or is_prime(n)]
 
 
 def sieve_upto(n: int) -> list[int]:

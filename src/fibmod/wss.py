@@ -200,6 +200,16 @@ def _in_order(pool, blocks, depth: int):
         yield pending.popleft().result()
 
 
+def _replace_durably(tmp: str, path: str) -> None:
+    """os.replace, then fsync the directory, so that the rename survives a crash."""
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
     text = json.dumps(asdict(ck), indent=2, sort_keys=True) + "\n"
     tmp = path + ".tmp"
@@ -207,7 +217,7 @@ def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _replace_durably(tmp, path)
 
 
 _CHECKPOINT_FIELDS = {
@@ -292,11 +302,13 @@ def _trim_results(path: str, last_completed: int) -> None:
                     ) from exc
                 if keep:
                     dst.write(line)
+            dst.flush()
+            os.fsync(dst.fileno())
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    os.replace(tmp, path)
+    _replace_durably(tmp, path)
 
 
 @contextmanager

@@ -5,6 +5,7 @@ trial division — so the library's fast paths are checked against code that
 shares none of their structure.
 """
 
+from functools import lru_cache
 from math import isqrt
 
 
@@ -23,6 +24,28 @@ def is_prime_trial(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+@lru_cache(maxsize=4)
+def _eratosthenes(n: int) -> tuple[int, ...]:
+    """Primes <= n by a plain sieve of [0, n]."""
+    keep = [True] * (n + 1)
+    for d in range(2, isqrt(n) + 1):
+        if keep[d]:
+            for k in range(d * d, n + 1, d):
+                keep[k] = False
+    return tuple(d for d in range(2, n + 1) if keep[d])
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi] by a full segmented sieve: the window is struck by
+    every prime up to isqrt(hi), however narrow it is."""
+    lo = max(lo, 2)
+    window = [True] * (hi - lo + 1)
+    for d in _eratosthenes(isqrt(hi)):
+        for k in range(max(d * d, (lo + d - 1) // d * d), hi + 1, d):
+            window[k - lo] = False
+    return [lo + i for i, keep in enumerate(window) if keep]
 
 
 def pisano_scan(m: int) -> int:

@@ -216,6 +216,24 @@ class _Crash(Exception):
     pass
 
 
+def _record_fsync_and_replace(monkeypatch) -> list[tuple[str, int]]:
+    """Log ("fsync", inode) and ("replace", inode of the source) as they happen."""
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
 class TestScan:
     def test_singleton_range(self, tmp_path):
         ck = scan_wss(11, 11, checkpoint_path=str(tmp_path / "ck.json"))
@@ -353,28 +371,31 @@ class TestScan:
     def test_results_and_checkpoint_fsynced_before_replace(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        calls = []
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def fsync(fd):
-            calls.append(("fsync", os.fstat(fd).st_ino))
-            real_fsync(fd)
-
-        def replace(src, dst):
-            calls.append(("replace", os.stat(src).st_ino))
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
+        calls = _record_fsync_and_replace(monkeypatch)
         scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         results = out.stat().st_ino
-        assert len(calls) == 9  # three blocks
-        # per block: the results reach the disk, then the new checkpoint, then it is renamed in
+        directory = tmp_path.stat().st_ino
+        assert len(calls) == 12  # three blocks
+        # per block: the results reach the disk, then the new checkpoint, then it is
+        # renamed in, then the directory that records the rename
         for block in range(3):
-            fsync_results, fsync_tmp, rename = calls[3 * block : 3 * block + 3]
+            fsync_results, fsync_tmp, rename, fsync_dir = calls[4 * block : 4 * block + 4]
             assert fsync_results == ("fsync", results)
-            assert fsync_tmp[0] == "fsync" and fsync_tmp[1] != results
+            assert fsync_tmp[0] == "fsync" and fsync_tmp[1] not in (results, directory)
             assert rename == ("replace", fsync_tmp[1])
+            assert fsync_dir == ("fsync", directory)
+
+    def test_trimmed_results_fsynced_before_replace(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
+        calls = _record_fsync_and_replace(monkeypatch)
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
+        # the resume first trims the results: the trimmed copy reaches the disk,
+        # is renamed over the results file, then the directory is fsynced
+        fsync_tmp, rename, fsync_dir = calls[:3]
+        assert rename == ("replace", fsync_tmp[1]) == ("replace", out.stat().st_ino)
+        assert fsync_dir == ("fsync", tmp_path.stat().st_ino)
 
     def test_crash_between_results_and_checkpoint_resumes_cleanly(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
