@@ -120,8 +120,14 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
-def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
-    """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
+def suite_pisano(
+    max_value: int = 10_000, *, zero_counts: bytearray | None = None
+) -> list[PropertyResult]:
+    """Period/rank/zero-count structure over [2, max_value], against one direct scan.
+
+    zero_counts, of length max_value + 1, receives the zero count of every
+    m that the direct scan finds, for suite_classify to reuse.
+    """
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -135,6 +141,8 @@ def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     for m in range(2, max_value + 1):
         prof = pisano.profile(m)
         direct = pisano.profile_direct(m)
+        if zero_counts is not None:
+            zero_counts[m] = direct.upsilon
         routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
         structure.check(
             prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
@@ -167,8 +175,14 @@ def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     return [prop.result() for prop in props]
 
 
-def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
-    """Goodness criteria, zero-count patterns, and divisor classes."""
+def suite_classify(
+    max_value: int = 10_000, *, zero_counts: bytearray | None = None
+) -> list[PropertyResult]:
+    """Goodness criteria, zero-count patterns, and divisor classes.
+
+    The odd-composite zero-count formula is checked against a direct scan:
+    the one suite_pisano filled zero_counts from, or else its own.
+    """
     props = [_Property(name) for name in (
         "fast-goodness-equals-direct",
         "even-never-good",
@@ -181,6 +195,7 @@ def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     )]
     routes, even, powers, pattern, structure, force, formula, covers = props
 
+    direct_zero_count = pisano.zero_count_direct if zero_counts is None else zero_counts.__getitem__
     good_odd = set()  # odd m the direct route calls good, reused for prime powers
     for m in range(3, max_value + 1, 2):
         report = classify.is_good_fast(m)
@@ -204,7 +219,7 @@ def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
         except AnomalyError as exc:
             formula.check(False, str(exc))
             continue
-        formula.check(value == pisano.zero_count_direct(m), f"m={m} value={value}")
+        formula.check(value == direct_zero_count(m), f"m={m} value={value}")
 
     for m in range(2, min(2000, max_value) + 1, 2):
         even.check(not classify.is_good_direct(m), f"m={m}")
@@ -293,12 +308,14 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
     if max_value < 2:
         raise ValueError(f"max must be >= 2, got {max_value}")
     results = []
+    # with both suites, each m is scanned directly once, by suite_pisano
+    zero_counts = bytearray(max_value + 1) if suite == "all" else None
     if suite in ("identities", "all"):
         results.extend(suite_identities(min(max_value, 3000), seed=seed))
     if suite in ("pisano", "all"):
-        results.extend(suite_pisano(max_value))
+        results.extend(suite_pisano(max_value, zero_counts=zero_counts))
     if suite in ("classify", "all"):
-        results.extend(suite_classify(max_value))
+        results.extend(suite_classify(max_value, zero_counts=zero_counts))
     if suite in ("wss", "all"):
         results.extend(suite_wss(max_value))
     return results

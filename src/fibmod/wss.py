@@ -22,6 +22,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,7 @@ from .fib import _binomial_sum, fib_pair_mod
 from .pisano import _legendre5, pisano_fast, prime_period, prime_power_period
 
 DEFAULT_BLOCK_SIZE = 10_000
+_ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its scan is alive
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,8 @@ def _in_order(pool, blocks, depth: int):
         yield pending.popleft().result()
 
 
-def _replace_durably(tmp: str, path: str) -> None:
-    """os.replace, then fsync the directory, so that the rename survives a crash."""
-    os.replace(tmp, path)
+def _fsync_directory(path: str) -> None:
+    """Fsync the directory that holds path."""
     fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -210,14 +211,56 @@ def _replace_durably(tmp: str, path: str) -> None:
         os.close(fd)
 
 
+def _replace_durably(tmp: str, path: str) -> None:
+    """os.replace, then fsync the directory, so that the rename survives a crash."""
+    os.replace(tmp, path)
+    _fsync_directory(path)
+
+
 def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
-    text = json.dumps(asdict(ck), indent=2, sort_keys=True) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    _replace_durably(tmp, path)
+    """Atomically replace the checkpoint at path, recycling the old one's inode.
+
+    The new bytes go into the spare <path>.tmp in place, and the old
+    checkpoint's inode becomes the next spare.  No write frees an inode, and
+    so no write frees a disk block: where a filesystem trims freed blocks
+    synchronously (ext4 mounted with discard), a freeing rename costs tens of
+    milliseconds.  The steps:
+
+      1. write and fsync the spare <path>.tmp in place;
+      2. link <path> to <path>.old, after removing a stale .old;
+      3. rename .tmp over <path>, which frees nothing while .old links the
+         old inode;
+      4. rename .old to .tmp: the old inode is the next spare;
+      5. fsync the directory.
+
+    Crash analysis: at every step <path> names a complete, fsynced file,
+    the old checkpoint up to step 3 and the new one from then on.
+    load_checkpoint reads only <path>, never .tmp or .old.  The next write
+    overwrites a stale .tmp and removes a stale .old.  The first write has
+    no checkpoint to link, and a filesystem without hard links refuses
+    os.link: both take the plain rename, which frees the old inode.
+    """
+    data = (json.dumps(asdict(ck), indent=2, sort_keys=True) + "\n").encode()
+    spare, old = path + ".tmp", path + ".old"
+    fd = os.open(spare, os.O_WRONLY | os.O_CREAT, 0o666)  # no O_TRUNC: it frees blocks
+    try:
+        written = 0
+        while written < len(data):
+            written += os.pwrite(fd, data[written:], written)
+        os.ftruncate(fd, len(data))  # drop the tail of a longer stale spare
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    with suppress(FileNotFoundError):
+        os.remove(old)
+    try:
+        os.link(path, old)
+    except OSError:
+        _replace_durably(spare, path)
+        return
+    os.replace(spare, path)
+    os.replace(old, spare)
+    _fsync_directory(path)
 
 
 _CHECKPOINT_FIELDS = {
@@ -317,21 +360,39 @@ def _scan_lock(path: str):
 
     The kernel drops a flock when its holder dies, and the file is never
     deleted: a later scan would lock a new file while this one holds the old.
+    Before it lets go, the scan removes its spare <checkpoint>.tmp, so a
+    scan leaves only the checkpoint and the lock file behind.
     """
     with open(path + ".lock", "a", encoding="utf-8") as lock:
         try:
             fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CheckpointError(f"checkpoint {path} is in use by another scan") from None
-        yield lock
+        try:
+            yield lock
+        finally:  # the spare that _write_checkpoint recycles
+            with suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
 
 
-def _drop_inherited_lock(fd: int, lock: os.stat_result | None) -> None:
-    """Pool initializer: close a forked worker's copy of the scan lock, which
-    a worker orphaned by a killed scan would hold, refusing every later run."""
+def _init_worker(parent: int, fd: int, lock: os.stat_result | None) -> None:
+    """Pool initializer: tie a worker's life to its scan's.
+
+    It closes a forked worker's copy of the scan lock, which a worker
+    orphaned by a killed scan would hold, refusing every later run.  And it
+    ends the worker once the scan is gone: a worker waiting for its next
+    block would otherwise wait forever, reparented to init.
+    """
     with suppress(OSError):  # an unforked worker has no copy
         if os.path.samestat(os.fstat(fd), lock):
             os.close(fd)
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
 
 
 def scan_wss(
@@ -394,7 +455,7 @@ def scan_wss(
 
         parallel = workers > 1 and len(starts) > 1
         held = (lock.fileno(), os.fstat(lock.fileno())) if lock else (-1, None)
-        pool_args = {"initializer": _drop_inherited_lock, "initargs": held}
+        pool_args = {"initializer": _init_worker, "initargs": (os.getpid(), *held)}
         with ProcessPoolExecutor(workers, **pool_args) if parallel else nullcontext() as pool:
             # both iterators yield in block order: merged output is worker-count invariant
             scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)

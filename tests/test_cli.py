@@ -3,7 +3,12 @@ import fcntl
 import functools
 import json
 import os
+import pathlib
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -37,6 +42,33 @@ def _refuse_inherited_lock(lock_path, bounds):
             if os.path.samestat(os.fstat(int(name)), lock):
                 raise AssertionError(f"worker holds the scan lock as fd {name}")
     return _real_scan_block(bounds)
+
+
+# a --jobs 2 scan whose workers each record their pid in argv[1], then stay
+# busy with their block; argv[2:] is the wss-scan command line
+_REPORTING_SCAN = """
+import os, sys, time
+import fibmod.wss as wss
+from fibmod.cli import main
+
+def report_and_wait(bounds):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+wss._scan_block = report_and_wait
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # an exited worker stays a zombie until its new parent reaps it
+    with contextlib.suppress(OSError):
+        return pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    return True
 
 
 def _normalized(path):
@@ -254,6 +286,38 @@ class TestWssScanCommand:
             "--jobs", "2", "--checkpoint", str(ck),
         )
         assert code == 0, err
+
+    def test_workers_die_with_a_killed_scan(self, tmp_path):
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        src = str(pathlib.Path(wss_module.__file__).parents[1])
+        scan = subprocess.Popen(
+            [sys.executable, "-c", _REPORTING_SCAN, str(pids_dir),
+             "wss-scan", "--from", "2", "--to", "100000", "--block-size", "1000",
+             "--jobs", "2", "--checkpoint", str(tmp_path / "ck.json")],
+            env={"PYTHONPATH": src},
+            stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(name) for name in os.listdir(pids_dir)]
+            assert len(workers) == 2, workers
+            scan.send_signal(signal.SIGKILL)
+            scan.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            scan.kill()
+            scan.wait(timeout=10)
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
 
     def test_hit_exit_code(self, capsys, tmp_path, monkeypatch):
         # force a synthetic hit so the dedicated exit code path is exercised

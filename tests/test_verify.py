@@ -53,3 +53,19 @@ def test_rank_and_zero_count_audited_against_direct_scan():
     structure = results["period-is-zerocount-times-rank"]
     assert not structure.passed
     assert structure.failures[0].startswith("m=5 ")
+
+
+def test_all_suites_scan_each_modulus_directly_once():
+    scanned = []
+    real_scan = pisano_module.profile_direct
+
+    def counting(m):
+        scanned.append(m)
+        return real_scan(m)
+
+    with mock.patch.object(pisano_module, "profile_direct", counting):
+        shared = run_suites("all", 300)
+    assert sorted(scanned) == list(range(2, 301))
+    # the classify suite on its own scans for itself, with the same outcome
+    alone = suite_classify(300)
+    assert [r for r in shared if r.name in {a.name for a in alone}] == alone

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import os
 import re
@@ -217,21 +219,83 @@ class _Crash(Exception):
 
 
 def _record_fsync_and_replace(monkeypatch) -> list[tuple[str, int]]:
-    """Log ("fsync", inode) and ("replace", inode of the source) as they happen."""
+    """Log ("fsync", inode), ("link", inode) and ("replace", inode of the source)
+    as they happen."""
     calls = []
-    real_fsync, real_replace = os.fsync, os.replace
+    real_fsync, real_link, real_replace = os.fsync, os.link, os.replace
 
     def fsync(fd):
         calls.append(("fsync", os.fstat(fd).st_ino))
         real_fsync(fd)
+
+    def link(src, dst):
+        calls.append(("link", os.stat(src).st_ino))
+        real_link(src, dst)
 
     def replace(src, dst):
         calls.append(("replace", os.stat(src).st_ino))
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "link", link)
     monkeypatch.setattr(os, "replace", replace)
     return calls
+
+
+def _record_last_links_dropped(monkeypatch) -> list[int]:
+    """Log the inode whose last name an os.replace is about to unlink, which
+    frees it, and with it its disk blocks."""
+    dropped = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        with contextlib.suppress(FileNotFoundError):
+            if os.stat(dst).st_nlink == 1:
+                dropped.append(os.stat(dst).st_ino)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return dropped
+
+
+def _crash_in_third_write(monkeypatch, steps_done):
+    """Make the third checkpoint write raise _Crash once it has taken steps_done
+    of its link, replace and replace steps: steps_done = 0 raises between its
+    steps 1 and 2, 3 between its steps 4 and 5."""
+    real_write, real_link, real_replace = wss_module._write_checkpoint, os.link, os.replace
+    writes, taken = [], []
+
+    def step(real):
+        def run(*args):
+            if len(taken) == steps_done:
+                raise _Crash
+            real(*args)
+            taken.append(real)
+            if len(taken) == steps_done:
+                raise _Crash
+        return run
+
+    def write(path, checkpoint):
+        writes.append(checkpoint)
+        if len(writes) == 3:
+            monkeypatch.setattr(os, "link", step(real_link))
+            monkeypatch.setattr(os, "replace", step(real_replace))
+        real_write(path, checkpoint)
+
+    monkeypatch.setattr(wss_module, "_write_checkpoint", write)
+
+
+def _assert_same_as_an_uninterrupted_scan(tmp_path, ck, out):
+    """ck and out hold [2, 500] in blocks of 100 byte for byte (modulo wall
+    time), and the scans left no other file behind."""
+    clean_ck = tmp_path / "clean.json"
+    clean_out = tmp_path / "clean.jsonl"
+    scan_wss(2, 500, checkpoint_path=str(clean_ck), results_path=str(clean_out), block_size=100)
+    assert _normalized(ck) == _normalized(clean_ck)
+    assert out.read_bytes() == clean_out.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [ck.name, f"{ck.name}.lock", out.name, "clean.json", "clean.json.lock", "clean.jsonl"]
+    )
 
 
 class TestScan:
@@ -372,18 +436,36 @@ class TestScan:
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
         calls = _record_fsync_and_replace(monkeypatch)
+        dropped = _record_last_links_dropped(monkeypatch)
         scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         results = out.stat().st_ino
         directory = tmp_path.stat().st_ino
-        assert len(calls) == 12  # three blocks
-        # per block: the results reach the disk, then the new checkpoint, then it is
-        # renamed in, then the directory that records the rename
-        for block in range(3):
-            fsync_results, fsync_tmp, rename, fsync_dir = calls[4 * block : 4 * block + 4]
-            assert fsync_results == ("fsync", results)
-            assert fsync_tmp[0] == "fsync" and fsync_tmp[1] not in (results, directory)
-            assert rename == ("replace", fsync_tmp[1])
-            assert fsync_dir == ("fsync", directory)
+        assert dropped == []  # no block's rename frees an inode
+        assert len(calls) == 4 + 6 + 6  # three blocks
+        # the first block: the results reach the disk, then the new checkpoint,
+        # then it is renamed in, then the directory that records the rename
+        fsync_results, fsync_first, rename, fsync_dir = calls[:4]
+        assert fsync_results == ("fsync", results)
+        assert fsync_first[0] == "fsync" and fsync_first[1] not in (results, directory)
+        assert rename == ("replace", fsync_first[1])
+        assert fsync_dir == ("fsync", directory)
+        # every later block writes the spare, links the live checkpoint to .old,
+        # renames the spare in, and makes the old checkpoint the next spare
+        spare, live = calls[5][1], fsync_first[1]
+        for block in (1, 2):
+            assert calls[4 + 6 * (block - 1) : 10 + 6 * (block - 1)] == [
+                ("fsync", results),
+                ("fsync", spare),
+                ("link", live),
+                ("replace", spare),
+                ("replace", live),
+                ("fsync", directory),
+            ]
+            spare, live = live, spare
+        assert live == ck.stat().st_ino
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "ck.json", "ck.json.lock", "res.jsonl"
+        ]
 
     def test_trimmed_results_fsynced_before_replace(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
@@ -425,6 +507,40 @@ class TestScan:
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             ["ck.json", "ck.json.lock", "res.jsonl", "clean.json", "clean.json.lock", "clean.jsonl"]
         )
+
+    @pytest.mark.parametrize("steps_done", [0, 1, 2, 3], ids=["1-2", "2-3", "3-4", "4-5"])
+    def test_crash_inside_checkpoint_write_resumes_cleanly(self, tmp_path, monkeypatch, steps_done):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        _crash_in_third_write(monkeypatch, steps_done)
+        with pytest.raises(_Crash):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        monkeypatch.undo()
+        # the live name holds a whole checkpoint, the new one once step 3 renamed it in
+        assert load_checkpoint(str(ck)).last_completed == (301 if steps_done >= 2 else 201)
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        _assert_same_as_an_uninterrupted_scan(tmp_path, ck, out)
+
+    def test_stale_spare_and_old_are_reused_or_removed(self, tmp_path):
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        # what a killed scan can leave: a spare longer than any checkpoint, and .old
+        (tmp_path / "ck.json.tmp").write_text("x" * 10_000)
+        (tmp_path / "ck.json.old").write_text("{not json")
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        _assert_same_as_an_uninterrupted_scan(tmp_path, ck, out)
+
+    def test_without_hard_links_the_plain_rename_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        def no_link(src, dst):
+            raise OSError(errno.EPERM, "hard links not supported", src)
+
+        monkeypatch.setattr(os, "link", no_link)
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "res.jsonl"
+        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        monkeypatch.undo()
+        _assert_same_as_an_uninterrupted_scan(tmp_path, ck, out)
 
     def test_completed_scan_is_idempotent(self, tmp_path):
         path = tmp_path / "ck.json"
