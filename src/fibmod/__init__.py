@@ -59,7 +59,6 @@ from .wss import (
     WssRecord,
     cofactor_mod,
     enumerate_self_square,
-    legendre5,
     load_checkpoint,
     odd_self_square_check,
     scan_wss,

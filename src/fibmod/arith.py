@@ -1,27 +1,39 @@
 """Exact integer arithmetic: 2-adic valuation, primality, factoring, sieving.
 
-Everything here is pure and deterministic. Python integers are arbitrary
-precision, so modular products are exact without double-width tricks; the
-primality test uses a fixed witness set that is deterministic for all
-inputs below 2**64, which is also the domain of factorize and
-primes_in_range.
+Everything here is deterministic. Python integers are arbitrary
+precision, so modular products are exact without double-width tricks.
+is_prime runs the strong (Miller-Rabin) test with the smallest published
+witness set that is deterministic for the size of n, up to Sinclair's seven
+bases, which cover every n below 2**64; 2**64 also bounds the domain of
+factorize and primes_in_range.
 
 factorize proves each factor once, while it finds it, and returns its
 result without a second check.  primes_in_range sieves a window with base
 primes no larger than the window is wide, so its memory is O(window); a
-survivor the base primes cannot vouch for is proved by is_prime.
+survivor the base primes cannot vouch for is proved by is_prime.  The
+primes a window proved that way are remembered, so that is_prime answers
+for them without a second proof: a scan asks again for each of them at
+prime_period's gate, and forgets them once its block is checked.  That set
+is the module's one piece of state, and it holds only proven primes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
 # Witnesses proven deterministic for every n < 2**64 (Sinclair's base set).
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _TWO64 = 1 << 64
+
+# The primes is_prime proved for the last window primes_in_range could not
+# sieve whole, until the next such window or until the scan that sieved it
+# clears it.  Cleared and refilled in place, never rebound, so that every
+# binding of it stays the same object.
+_WINDOW_PROVEN: set[int] = set()
 
 # Trial division strips every prime factor <= _TRIAL_LIMIT before Pollard rho
 # takes over; numbers below _TRIAL_LIMIT**2 are therefore fully factored by
@@ -41,19 +53,31 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
     if n >= _TWO64:
         raise ValueError("is_prime is deterministic only below 2**64")
+    if n in _WINDOW_PROVEN:
+        return True
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no factor up to 37, so none up to its square root
+        return True
+    # Each set is deterministic below its bound, the least composite that is
+    # a strong pseudoprime to all of its bases (Jaeschke, "On strong
+    # pseudoprimes to several bases", Math. Comp. 61 (1993)).
+    if n < 4_759_123_141:  # 48781 * 97561
+        return _strong_test(n, (2, 7, 61))
+    if n < 1_122_004_669_633:  # 611557 * 1834669
+        return _strong_test(n, (2, 13, 23, 1662803))
+    return _strong_test(n, _SINCLAIR_BASES)
+
+
+def _strong_test(n: int, bases: tuple[int, ...]) -> bool:
+    """Whether odd n, larger than every base, is a strong probable prime to each."""
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -174,7 +198,13 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     The base primes reach base = min(isqrt(hi), hi - lo + 1), so memory is
     O(hi - lo) however large hi is.  A survivor below (base + 1)**2 is prime
     by the sieve; a larger one, left only when the window is narrower than
-    isqrt(hi), must also pass is_prime.
+    isqrt(hi), must also pass is_prime.  The primes proved that way replace
+    the previous window's in _WINDOW_PROVEN; a window sieved whole leaves it
+    as it was.  So after the call returns, the set still holds the window's
+    proved primes (about width / ln(hi) ints) until the next such window,
+    or until the caller clears it, as a scan does after each block.  The
+    returned list never reads that set, so a concurrent caller can cost a
+    second proof, never a prime.
     """
     if hi >= _TWO64:
         raise ValueError("primes_in_range supports hi < 2**64")
@@ -190,7 +220,11 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     proven = (base + 1) ** 2
     if hi < proven:
         return primes
-    return [n for n in primes if n < proven or is_prime(n)]
+    sieved = bisect_left(primes, proven)
+    _WINDOW_PROVEN.clear()
+    proved = [n for n in primes[sieved:] if is_prime(n)]
+    _WINDOW_PROVEN.update(proved)
+    return primes[:sieved] + proved
 
 
 def sieve_upto(n: int) -> list[int]:

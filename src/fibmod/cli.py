@@ -12,7 +12,8 @@ With --json, exactly one JSON document (the CommandResult: command, inputs,
 output, elapsed_ms) is written to stdout and any human-readable text goes
 to stderr.  Exit codes: 0 success, 1 usage, 2 I/O, a checkpoint in use by
 another scan, or a dead worker process (re-running the same scan resumes
-from its checkpoint), 3 WSS hit found, 4 theorem/criterion anomaly.
+from its checkpoint), 3 WSS hit found, 4 theorem/criterion anomaly, 130
+interrupted (SIGINT; a scan resumes from its checkpoint too).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_WSS_HIT = 3
 EXIT_ANOMALY = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 CHECKPOINT_DIR_ENV = "FIBMOD_CHECKPOINT_DIR"
 
@@ -228,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnomalyError as exc:
         print(f"fibmod: ANOMALY: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    except KeyboardInterrupt:
+        print("fibmod: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -29,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 
-from .arith import factorize, is_prime, primes_in_range, two_adic_split
+from .arith import _WINDOW_PROVEN, factorize, primes_in_range, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
 from .pisano import _legendre5, pisano_fast, prime_period, prime_power_period
@@ -83,13 +84,6 @@ class ScanCheckpoint:
     hits: tuple[WssRecord, ...]
     anomaly_count: int
     wall_time_seconds: float
-
-
-def legendre5(p: int) -> int:
-    """Legendre symbol (p/5): 0 at p = 5, +1 for p = +-1, -1 for p = +-2 mod 5."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _legendre5(p)
 
 
 def wss_check(p: int) -> WssRecord:
@@ -187,7 +181,9 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
 
 def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[WssRecord]]:
     lo, hi = bounds
-    return hi, [wss_check(p) for p in primes_in_range(lo, hi)]
+    records = [wss_check(p) for p in primes_in_range(lo, hi)]
+    _WINDOW_PROVEN.clear()  # its proofs served this block's gate; keep none past it
+    return hi, records
 
 
 def _in_order(pool, blocks, depth: int):
@@ -381,8 +377,11 @@ def _init_worker(parent: int, fd: int, lock: os.stat_result | None) -> None:
     It closes a forked worker's copy of the scan lock, which a worker
     orphaned by a killed scan would hold, refusing every later run.  And it
     ends the worker once the scan is gone: a worker waiting for its next
-    block would otherwise wait forever, reparented to init.
+    block would otherwise wait forever, reparented to init.  A worker
+    ignores SIGINT: Ctrl-C reaches the whole process group, and the scan
+    alone handles it, shutting its pool down after the blocks in flight.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     with suppress(OSError):  # an unforked worker has no copy
         if os.path.samestat(os.fstat(fd), lock):
             os.close(fd)

@@ -181,45 +181,61 @@ def _largest_prime_upto(n: int) -> int:
     return n
 
 
+_WIDTHS = (1, 2, 3, 97, 1000, 3000)
+_TOPS = (10**9, 10**12, 10**15, 10**18, 2**63, 2**64)
+_SQUARED_PRIMES = (997, 1009, 999983, 1000003, _largest_prime_upto(math.isqrt(2**63 - 1)))
+
+
+def _windows_near(top):
+    for width in _WIDTHS:
+        ends = (top - 1, top - 7919) if top in (2**63, 2**64) else (top - 1, top + width, top + 7919)
+        for hi in ends:
+            yield hi - width + 1, hi
+
+
+def _windows_around_square(q):
+    # q*q has no factor below q: a window narrower than q leaves it to is_prime
+    square = q * q
+    for below, above in [(0, 0), (1, 0), (0, 1), (48, 48), (q // 2, q // 2), (q, q), (q - 1, 0)]:
+        lo, hi = square - below, square + above
+        if hi - lo < 3000 or hi <= 10**12:  # a wide window only where the sieve oracle reaches
+            yield lo, hi
+
+
+def _windows_straddling_the_proven_bound():
+    # base = width < isqrt(hi), so (width + 1)**2 lies inside the window
+    for width in _WIDTHS:
+        bound = (width + 1) ** 2
+        for shift in (0, 1, width // 2, width - 1):
+            lo = bound - shift
+            yield lo, lo + width - 1
+
+
 class TestWindowSieve:
     """primes_in_range's base primes reach min(isqrt(hi), width); larger survivors are proved."""
 
-    WIDTHS = (1, 2, 3, 97, 1000, 3000)
-
-    @pytest.mark.parametrize("top", [10**9, 10**12, 10**15, 10**18, 2**63, 2**64])
+    @pytest.mark.parametrize("top", _TOPS)
     def test_windows_near_magnitude(self, top):
-        for width in self.WIDTHS:
-            ends = (top - 1, top - 7919) if top in (2**63, 2**64) else (top - 1, top + width, top + 7919)
-            for hi in ends:
-                lo = hi - width + 1
-                assert primes_in_range(lo, hi) == _oracle(lo, hi), (lo, hi)
+        for lo, hi in _windows_near(top):
+            assert primes_in_range(lo, hi) == _oracle(lo, hi), (lo, hi)
 
-    @pytest.mark.parametrize(
-        "q", [997, 1009, 999983, 1000003, _largest_prime_upto(math.isqrt(2**63 - 1))]
-    )
+    @pytest.mark.parametrize("q", _SQUARED_PRIMES)
     def test_windows_around_a_prime_square(self, q):
-        # q*q has no factor below q: a window narrower than q leaves it to is_prime
-        square = q * q
-        for below, above in [(0, 0), (1, 0), (0, 1), (48, 48), (q // 2, q // 2), (q, q), (q - 1, 0)]:
-            lo, hi = square - below, square + above
-            if hi - lo < 3000 or hi <= 10**12:  # a wide window only where the sieve oracle reaches
-                got = primes_in_range(lo, hi)
-                assert square not in got
-                assert got == _oracle(lo, hi), (lo, hi)
+        for lo, hi in _windows_around_square(q):
+            got = primes_in_range(lo, hi)
+            assert q * q not in got
+            assert got == _oracle(lo, hi), (lo, hi)
 
     def test_windows_straddling_the_proven_bound(self):
-        # base = width < isqrt(hi), so (width + 1)**2 lies inside the window
-        for width in self.WIDTHS:
-            bound = (width + 1) ** 2
-            for shift in (0, 1, width // 2, width - 1):
-                lo = bound - shift
-                hi = lo + width - 1
-                assert min(math.isqrt(hi), width) == width
-                assert primes_in_range(lo, hi) == _oracle(lo, hi), (lo, hi)
+        for lo, hi in _windows_straddling_the_proven_bound():
+            assert min(math.isqrt(hi), hi - lo + 1) == hi - lo + 1
+            assert primes_in_range(lo, hi) == _oracle(lo, hi), (lo, hi)
 
     def test_full_sieve_makes_no_primality_call(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or True)
+        real = arith.is_prime
+        # answer truly: the primes a window proves are remembered by is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
         assert len(sieve_upto(10**5)) == 9592
         root = math.isqrt(10**9 + 31622)
         assert primes_in_range(10**9, 10**9 + root - 1) == primes_between(10**9, 10**9 + root - 1)
@@ -257,3 +273,127 @@ class TestWindowSieve:
         got = json.loads(done.stdout)
         assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
         assert len(got) == 232
+
+
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+# (bound, bases): each bound is the least composite that is a strong
+# pseudoprime to every base of its set (Jaeschke, Math. Comp. 61 (1993))
+_TIERS = (
+    (48781 * 97561, (2, 7, 61)),
+    (611557 * 1834669, (2, 13, 23, 1662803)),
+)
+
+# The least strong pseudoprime to 2, 3, 5, 7 and 11 (Jaeschke, 1993): above
+# the last tier's bound, so is_prime must reject it with Sinclair's bases.
+_PSEUDOPRIME_TO_2_3_5_7_11 = 6763 * 10627 * 29947
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    """The strong test for odd n > 2, written here apart from arith."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _seven_base_is_prime(n: int) -> bool:
+    """Trial division to 37, then all of Sinclair's bases, whatever the size of n."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    return _strong_probable_prime(n, _SINCLAIR_BASES)
+
+
+class TestWitnessTiers:
+    """is_prime takes the smallest witness set proven for the size of n."""
+
+    @pytest.mark.parametrize("bound,bases", _TIERS)
+    def test_each_bound_fools_exactly_its_own_set(self, bound, bases):
+        assert [_strong_probable_prime(bound, other) for _, other in _TIERS] == [
+            other == bases for _, other in _TIERS
+        ]
+        assert not _strong_probable_prime(bound, _SINCLAIR_BASES)
+        assert is_prime(bound) is False
+
+    def test_a_pseudoprime_past_the_last_tier_is_rejected(self):
+        n = _PSEUDOPRIME_TO_2_3_5_7_11
+        assert n > max(bound for bound, _ in _TIERS)
+        assert _strong_probable_prime(n, (2, 3, 5, 7, 11))
+        assert not any(_strong_probable_prime(n, bases) for _, bases in _TIERS)
+        assert is_prime(n) is False
+
+    @pytest.mark.parametrize("bound", [bound for bound, _ in _TIERS] + [_PSEUDOPRIME_TO_2_3_5_7_11])
+    def test_agrees_with_seven_bases_around_each_bound(self, bound):
+        for n in range(bound - 2 * 10**4, bound + 2 * 10**4 + 1):
+            assert is_prime(n) == _seven_base_is_prime(n), n
+
+    def test_agrees_with_seven_bases_on_the_window_sieve_windows(self):
+        windows = [
+            *(w for top in _TOPS for w in _windows_near(top)),
+            *(w for q in _SQUARED_PRIMES for w in _windows_around_square(q)),
+            *_windows_straddling_the_proven_bound(),
+        ]
+        checked = 0
+        for lo, hi in windows:
+            if hi - lo < 3000:  # the wide windows around a square hold ~10**6 numbers
+                for n in range(lo, min(hi + 1, 2**64)):
+                    assert is_prime(n) == _seven_base_is_prime(n), n
+                checked += hi - lo + 1
+        assert checked > 70_000
+
+
+class TestWindowMemo:
+    """primes_in_range remembers the primes its last window proved, and only those."""
+
+    @pytest.mark.parametrize("lo,hi", [(10**9, 10**9 + 999), (10**12, 10**12 + 2000), (2**63 - 3000, 2**63)])
+    def test_the_set_holds_the_window_proved_primes_and_composites_stay_composite(self, lo, hi):
+        memo = arith._WINDOW_PROVEN
+        primes = primes_in_range(lo, hi)
+        assert arith._WINDOW_PROVEN is memo
+        assert memo == set(primes)
+        for n in range(lo, hi + 1):
+            assert is_prime(n) == _seven_base_is_prime(n), n
+
+    def test_a_new_window_replaces_the_last(self):
+        primes_in_range(10**12, 10**12 + 2000)
+        primes = primes_in_range(10**15, 10**15 + 2000)
+        assert arith._WINDOW_PROVEN == set(primes)
+
+    def test_a_full_sieve_window_adds_nothing(self):
+        memo = arith._WINDOW_PROVEN
+        before = set(primes_in_range(10**12, 10**12 + 2000))
+        assert memo == before
+        assert len(sieve_upto(10**5)) == 9592
+        root = math.isqrt(10**9 + 31622)
+        assert primes_in_range(10**9, 10**9 + root - 1)
+        assert arith._WINDOW_PROVEN is memo and memo == before
+
+    def test_a_direct_call_keeps_only_its_window_proved_primes(self):
+        # what stays alive after the call: the window's proved primes, no more
+        lo, hi = 10**15, 10**15 + 9999
+        primes = primes_in_range(lo, hi)
+        assert len(arith._WINDOW_PROVEN) == len(primes) < (hi - lo + 1) // 30
+        primes_in_range(10**6, 10**6 + 99)  # base 100, so it proves survivors too
+        assert arith._WINDOW_PROVEN == set(primes_between(10**6, 10**6 + 99))
+
+    def test_survivors_the_sieve_proved_stay_out(self):
+        # base = width = 100, so survivors below 101**2 are prime by the sieve alone
+        lo, hi = 10150, 10249
+        assert primes_in_range(lo, hi) == primes_between(lo, hi)
+        assert arith._WINDOW_PROVEN == {p for p in primes_between(lo, hi) if p >= 101**2}
+        assert min(arith._WINDOW_PROVEN) > 101**2 > lo

@@ -14,7 +14,9 @@ import tracemalloc
 import pytest
 
 import fibmod.wss as wss_module
+from fibmod.arith import sieve_upto
 from fibmod.cli import main
+from fibmod.errors import CheckpointError
 from fibmod.wss import load_checkpoint
 
 from helpers import fib_upto
@@ -58,6 +60,32 @@ def report_and_wait(bounds):
 wss._scan_block = report_and_wait
 sys.exit(main(sys.argv[2:]))
 """
+
+
+# a --jobs 2 scan of [2, 3001] in three blocks whose workers record their pid
+# in argv[1]; the first two blocks take 0.2 s each and the last 1 s, so that
+# once two blocks are checkpointed one worker is idle and the other busy
+_SLOW_SCAN = """
+import os, sys, time
+import fibmod.wss as wss
+from fibmod.cli import main
+
+scan_block = wss._scan_block
+
+def report_and_scan(bounds):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(1 if bounds[0] > 2000 else 0.2)
+    return scan_block(bounds)
+
+wss._scan_block = report_and_scan
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _note_block(blocks_dir, bounds):
+    # stands in for wss._scan_block: records which blocks a scan visits
+    open(os.path.join(blocks_dir, str(bounds[0])), "w").close()
+    return _real_scan_block(bounds)
 
 
 def _alive(pid):
@@ -318,6 +346,53 @@ class TestWssScanCommand:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
         assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
+
+    def test_sigint_stops_the_scan_with_one_line(self, capsys, tmp_path, monkeypatch):
+        pids_dir, blocks_dir = tmp_path / "pids", tmp_path / "blocks"
+        pids_dir.mkdir()
+        blocks_dir.mkdir()
+        ck, out = tmp_path / "ck.json", tmp_path / "results.jsonl"
+        argv = ["wss-scan", "--from", "2", "--to", "3001", "--block-size", "1000",
+                "--jobs", "2", "--checkpoint", str(ck), "--out", str(out)]
+        src = str(pathlib.Path(wss_module.__file__).parents[1])
+        scan = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_SCAN, str(pids_dir), *argv],
+            env={"PYTHONPATH": src},
+            stderr=subprocess.PIPE,
+            start_new_session=True,  # its own process group, as a shell job has
+        )
+        workers, done = [], 0
+        try:
+            deadline = time.monotonic() + 30
+            while (len(workers) < 2 or done < 2001) and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = [int(name) for name in os.listdir(pids_dir)]
+                with contextlib.suppress(CheckpointError):
+                    done = load_checkpoint(str(ck)).last_completed
+            assert len(workers) == 2 and done == 2001, (workers, done)
+            os.killpg(scan.pid, signal.SIGINT)  # Ctrl-C: the scan and both workers
+            _, err = scan.communicate(timeout=30)
+            assert scan.returncode == 130
+            assert err.decode().splitlines() == ["fibmod: interrupted"]
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            scan.kill()
+            scan.wait(timeout=10)
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
+        assert load_checkpoint(str(ck)).last_completed == 2001
+        # the same command again resumes after the checkpointed blocks
+        monkeypatch.setattr(wss_module, "_scan_block", functools.partial(_note_block, str(blocks_dir)))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert [int(name) for name in os.listdir(blocks_dir)] == [2002]
+        assert load_checkpoint(str(ck)).last_completed == 3001
+        assert [json.loads(line)["p"] for line in out.read_text().splitlines()] == sieve_upto(3001)
 
     def test_hit_exit_code(self, capsys, tmp_path, monkeypatch):
         # force a synthetic hit so the dedicated exit code path is exercised

@@ -3,20 +3,22 @@ import errno
 import json
 import os
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Executor, Future
 
 import pytest
 
 import fibmod.wss as wss_module
+from fibmod import arith
 from fibmod.arith import sieve_upto, two_adic_split
 from fibmod.errors import CheckpointError
 from fibmod.fib import fib_pair_mod
-from fibmod.pisano import pisano_fast
+from fibmod.pisano import pisano_fast, prime_period
 from fibmod.wss import (
     cofactor_mod,
     enumerate_self_square,
-    legendre5,
     load_checkpoint,
     odd_self_square_check,
     scan_wss,
@@ -25,24 +27,26 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import fib_upto
+from helpers import fib_upto, primes_between
 
 
 class TestLegendre5:
+    """The legendre5 field of a WssRecord: chi = (p/5)."""
+
     @pytest.mark.parametrize("p,chi", [(5, 0), (11, 1), (7, -1), (2, -1), (19, 1)])
     def test_examples(self, p, chi):
-        assert legendre5(p) == chi
+        assert wss_check(p).legendre5 == chi
 
     def test_quadratic_residue_meaning(self):
         residues = {x * x % 5 for x in range(1, 5)}  # {1, 4}
         for p in sieve_upto(1000):
             if p == 5:
                 continue
-            assert legendre5(p) == (1 if p % 5 in residues else -1)
+            assert wss_check(p).legendre5 == (1 if p % 5 in residues else -1)
 
     def test_composite_rejected(self):
-        with pytest.raises(ValueError):
-            legendre5(15)
+        with pytest.raises(ValueError, match="15 is not prime"):
+            wss_check(15)
 
 
 class TestWssCheck:
@@ -573,3 +577,47 @@ class TestScan:
             scan_wss(10, 2)
         with pytest.raises(ValueError):
             scan_wss(2, 10, workers=0)
+
+
+class TestScanProvesEachPrimeOnce:
+    """The sieve's proof of a scanned prime serves prime_period's gate too."""
+
+    def test_a_scanned_prime_is_proved_once(self, monkeypatch, tmp_path):
+        proofs = Counter()
+        real = arith._strong_test
+
+        def counting(n, bases):
+            passed = real(n, bases)
+            proofs[n] += passed
+            return passed
+
+        monkeypatch.setattr(arith, "_strong_test", counting)
+        prime_period.cache_clear()  # so that the gate runs for every prime
+        lo, hi = 10**12, 10**12 + 3 * 10**4 - 1  # three blocks narrower than isqrt(hi)
+        out = tmp_path / "results.jsonl"
+        scan_wss(lo, hi, results_path=str(out))
+        scanned = [json.loads(line)["p"] for line in out.read_text().splitlines()]
+        assert scanned == primes_between(lo, hi)
+        assert {p: proofs[p] for p in scanned} == dict.fromkeys(scanned, 1)
+        # the rest prove the large factors of each period bound p - chi
+        assert sum(proofs.values()) < 2 * len(scanned)
+
+    def test_a_scan_block_leaves_no_proof_behind(self, tmp_path):
+        arith._WINDOW_PROVEN.update(primes_between(10**9, 10**9 + 999))
+        hi, records = wss_module._scan_block((10**12, 10**12 + 2000))
+        assert [r.p for r in records] == primes_between(10**12, 10**12 + 2000)
+        assert arith._WINDOW_PROVEN == set()
+        scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
+        assert arith._WINDOW_PROVEN == set()
+
+    def test_the_scan_rebinds_no_module_global(self, tmp_path):
+        # the benchmark's traced run requires every fibmod binding back as it was
+        def bindings():
+            modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "fibmod"]
+            return {(m.__name__, k): v for m in modules for k, v in vars(m).items()}
+
+        before = bindings()
+        scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
+        after = bindings()
+        assert after.keys() == before.keys()
+        assert [key for key, value in before.items() if after[key] is not value] == []
