@@ -21,12 +21,19 @@ every prime factor forces goodness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arith import factorize, is_prime, two_adic_split
 from .errors import AnomalyError
 from .fib import matrix_pow_mod
-from .pisano import pisano_fast, prime_period, profile, rank_of_apparition, zero_count
+from .pisano import (
+    _period_from_factors,
+    _prime_zero_count,
+    _profile_with_period,
+    pisano_fast,
+    prime_period,
+    rank_of_apparition,
+)
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,13 @@ def is_good_direct(m: int) -> bool:
         raise ValueError(f"classification starts at m = 2, got {m}")
     if m % 2 == 0:
         return False
-    gamma = pisano_fast(m)
-    if gamma % 2 == 1:
-        return False  # no half period exists
-    return matrix_pow_mod(gamma // 2, m).is_negative_identity
+    return _half_period_is_negative_identity(m, pisano_fast(m))
+
+
+def _half_period_is_negative_identity(m: int, gamma: int) -> bool:
+    """The defining test for odd m of period gamma: P^(gamma/2) == -Id mod m."""
+    # an odd period has no half period
+    return gamma % 2 == 0 and matrix_pow_mod(gamma // 2, m).is_negative_identity
 
 
 def is_good_prime(p: int) -> bool:
@@ -79,60 +89,57 @@ def is_good_prime(p: int) -> bool:
     return prime_period(p) % 4 == 0  # prime_period rejects non-primes
 
 
-def _prime_entries(m: int) -> tuple[GoodPrimeEntry, ...]:
-    entries = []
-    for p, e in factorize(m).factors:
-        prof = profile(p)
-        entries.append(
-            GoodPrimeEntry(
-                p=p,
-                e=e,
-                gamma_p=prof.gamma,
-                two_adic=two_adic_split(prof.gamma)[0],
-                good_prime=(p != 2 and prof.gamma % 4 == 0),
-                upsilon_p=prof.upsilon,
-            )
-        )
-    return tuple(entries)
+def _prime_entry(p: int, e: int) -> GoodPrimeEntry:
+    gamma_p = prime_period(p)
+    return GoodPrimeEntry(
+        p=p,
+        e=e,
+        gamma_p=gamma_p,
+        two_adic=two_adic_split(gamma_p)[0],
+        good_prime=(p != 2 and gamma_p % 4 == 0),
+        upsilon_p=_prime_zero_count(p),
+    )
 
 
 def is_good_fast(m: int) -> GoodnessReport:
     """Goodness from the factorization criterion, with per-prime evidence."""
-    if m < 2:
-        raise ValueError(f"classification starts at m = 2, got {m}")
-    entries = _prime_entries(m)
-    is_odd = m % 2 == 1
-    ks = {entry.two_adic for entry in entries}
-    good = is_odd and all(entry.good_prime for entry in entries) and len(ks) == 1
-    prof = profile(m)
-    return GoodnessReport(
-        m=m,
-        is_odd=is_odd,
-        gamma=prof.gamma,
-        prime_entries=entries,
-        is_good=good,
-        upsilon_m=prof.upsilon,
-        method="fast",
-    )
+    return goodness_report(m, "fast")
 
 
 def goodness_report(m: int, method: str = "both") -> GoodnessReport:
     """Report via the chosen route; "both" cross-checks fast against direct.
 
-    A disagreement between the routes would falsify the classification
-    criterion and raises AnomalyError.
+    One factorization of m yields the per-prime entries and the period, and
+    the direct route tests that period.  A disagreement between the routes
+    would falsify the classification criterion and raises AnomalyError.
     """
     if method not in ("direct", "fast", "both"):
         raise ValueError(f"unknown method {method!r}")
-    report = is_good_fast(m)
-    if method == "fast":
-        return report
-    direct = is_good_direct(m)
-    if method == "both" and direct != report.is_good:
-        raise AnomalyError(
-            f"goodness routes disagree at m={m}: direct={direct}, fast={report.is_good}"
-        )
-    return replace(report, is_good=direct, method=method)
+    if m < 2:
+        raise ValueError(f"classification starts at m = 2, got {m}")
+    factors = factorize(m).factors
+    entries = tuple(_prime_entry(p, e) for p, e in factors)
+    gamma = _period_from_factors(factors)
+    upsilon_m = _profile_with_period(m, gamma).upsilon  # raises if gamma is no period
+    is_odd = m % 2 == 1
+    ks = {entry.two_adic for entry in entries}
+    good = is_odd and all(entry.good_prime for entry in entries) and len(ks) == 1
+    if method != "fast":
+        direct = is_odd and _half_period_is_negative_identity(m, gamma)
+        if method == "both" and direct != good:
+            raise AnomalyError(
+                f"goodness routes disagree at m={m}: direct={direct}, fast={good}"
+            )
+        good = direct
+    return GoodnessReport(
+        m=m,
+        is_odd=is_odd,
+        gamma=gamma,
+        prime_entries=entries,
+        is_good=good,
+        upsilon_m=upsilon_m,
+        method=method,
+    )
 
 
 def zero_count_odd(m: int) -> int:
@@ -145,7 +152,7 @@ def zero_count_odd(m: int) -> int:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"zero_count_odd needs odd m >= 3, got {m}")
     factors = factorize(m).factors
-    per_prime = [zero_count(p) for p, _ in factors]
+    per_prime = [_prime_zero_count(p) for p, _ in factors]
     case_value = per_prime[0] if len(set(per_prime)) == 1 else 2
     t = math.lcm(*[rank_of_apparition(p**e) for p, e in factors])
     lattice_value = pisano_fast(m) // t
@@ -187,8 +194,7 @@ def zero_count_period_pattern(p: int) -> str:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"pattern check needs an odd prime, got {p}")
-    prof = profile(p)
-    upsilon, k = prof.upsilon, two_adic_split(prof.gamma)[0]
+    upsilon, k = _prime_zero_count(p), two_adic_split(prime_period(p))[0]
     if upsilon == 1 and k == 1:
         return "v1_pattern"
     if upsilon == 2 and k >= 3:

@@ -38,6 +38,8 @@ _LIFTING_SEARCH_BOUND = 8
 
 # Entries per memoized function: bounded so a long scan keeps flat memory, and
 # small, as a bounded lru_cache entry costs about 56 B more than an unbounded one.
+# _prime_zero_count holds a small int per prime, ~92 B an entry (1.4 MiB full);
+# a PisanoProfile per prime would take ~4.1 MiB.
 _CACHE_SIZE = 1 << 14
 
 
@@ -143,12 +145,18 @@ def prime_power_period(p: int, e: int) -> int:
     return gamma_p if e == 1 else p ** max(0, e - lifting_exponent(p)) * gamma_p
 
 
+def _period_from_factors(factors: tuple[tuple[int, int], ...]) -> int:
+    """Period of the modulus with these (prime, exponent) factors: the lcm of
+    its prime-power periods."""
+    return math.lcm(*[prime_power_period(p, e) for p, e in factors])
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
         raise ValueError(f"pisano_fast requires m >= 2, got {m}")
-    return math.lcm(*[prime_power_period(p, e) for p, e in factorize(m).factors])
+    return _period_from_factors(factorize(m).factors)
 
 
 def profile(m: int) -> PisanoProfile:
@@ -157,7 +165,12 @@ def profile(m: int) -> PisanoProfile:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if m == 1:
         return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
-    gamma = pisano_fast(m)
+    return _profile_with_period(m, pisano_fast(m))
+
+
+def _profile_with_period(m: int, gamma: int) -> PisanoProfile:
+    """Profile of m >= 2 from gamma, its period by the fast route; raises
+    AnomalyError when gamma is not a period of m."""
     # u_t == 0 mod m exactly when the rank divides t, and period/rank is 1, 2
     # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0;
     # there P^(period/z) = b*I with b = u_{period/z + 1}, so P^period = b^z * I
@@ -169,6 +182,12 @@ def profile(m: int) -> PisanoProfile:
                                    f"P^{gamma} = {pow(b, upsilon, m)}*I mod m")
             return PisanoProfile(m=m, gamma=gamma, alpha=gamma // upsilon, upsilon=upsilon)
     raise AnomalyError(f"fast period {gamma} of m={m} is not a period: u_{gamma} != 0 mod m")
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _prime_zero_count(p: int) -> int:
+    """Zero count of a prime, read once per prime at prime_period(p)."""
+    return _profile_with_period(p, prime_period(p)).upsilon
 
 
 def rank_of_apparition(m: int) -> int:

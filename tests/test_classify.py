@@ -1,7 +1,14 @@
+import contextlib
+import sys
+from dataclasses import asdict
+from unittest import mock
+
 import pytest
 
-from fibmod.arith import sieve_upto, two_adic_split
+from fibmod.arith import factorize, sieve_upto, two_adic_split
 from fibmod.classify import (
+    GoodnessReport,
+    GoodPrimeEntry,
     goodness_report,
     is_good_direct,
     is_good_fast,
@@ -10,7 +17,7 @@ from fibmod.classify import (
     zero_count_odd,
     zero_count_period_pattern,
 )
-from fibmod.pisano import prime_period, zero_count, zero_count_direct
+from fibmod.pisano import prime_period, profile, zero_count, zero_count_direct
 
 from helpers import zero_scan
 
@@ -112,6 +119,53 @@ class TestGoodnessReport:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             goodness_report(5, method="magic")
+
+    def test_factors_each_modulus_once_and_no_prime_factor(self):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factorize(n)
+
+        # from 21 on: 6 and 20 are the bounds prime_period factors for p = 2 and 5
+        moduli = [*range(21, 1000), *range(2_000_000, 2_000_300)]
+        with contextlib.ExitStack() as stack:
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "fibmod" and getattr(module, "factorize", None) is factorize:
+                    stack.enter_context(mock.patch.object(module, "factorize", counting))
+            for m in moduli:
+                calls.clear()
+                goodness_report(m, "both")
+                assert calls.count(m) == 1, (m, calls)
+                # a prime m is factored once, as m; no other prime factor is factored
+                assert not {p for p, _ in factorize(m).factors if p != m} & set(calls), (m, calls)
+
+    @pytest.mark.parametrize("method", ["fast", "direct", "both"])
+    def test_equals_the_report_built_from_public_pieces(self, method):
+        for m in [*range(2, 3001), *range(2_000_000, 2_000_300)]:
+            assert asdict(goodness_report(m, method)) == _report_from_public_pieces(m, method), m
+
+
+def _report_from_public_pieces(m, method):
+    """goodness_report(m, method) as a dict, from a full profile per prime
+    factor, profile(m) and is_good_direct(m)."""
+    entries = []
+    for p, e in factorize(m).factors:
+        prof = profile(p)
+        entries.append(GoodPrimeEntry(
+            p=p, e=e, gamma_p=prof.gamma, two_adic=two_adic_split(prof.gamma)[0],
+            good_prime=(p != 2 and prof.gamma % 4 == 0), upsilon_p=prof.upsilon,
+        ))
+    is_odd = m % 2 == 1
+    fast = (is_odd and all(entry.good_prime for entry in entries)
+            and len({entry.two_adic for entry in entries}) == 1)
+    direct = is_good_direct(m)
+    assert fast == direct, m
+    prof = profile(m)
+    return asdict(GoodnessReport(
+        m=m, is_odd=is_odd, gamma=prof.gamma, prime_entries=tuple(entries),
+        is_good=fast if method == "fast" else direct, upsilon_m=prof.upsilon, method=method,
+    ))
 
 
 class TestZeroCountOdd:

@@ -218,7 +218,8 @@ class TestGoodCommand:
     def test_route_disagreement_exits_4(self, capsys, monkeypatch):
         import fibmod.classify as classify_module
 
-        monkeypatch.setattr(classify_module, "is_good_direct", lambda m: True)
+        # goodness_report runs the direct route's half-period test on the fast period
+        monkeypatch.setattr(classify_module, "_half_period_is_negative_identity", lambda m, gamma: True)
         code, _, err = run(capsys, "good", "21", "--method", "both")
         assert code == 4
         assert "ANOMALY" in err

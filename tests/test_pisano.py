@@ -272,5 +272,5 @@ def test_period_layer_rejects_non_primes(function, p):
 
 def test_memo_caches_are_bounded():
     # a scan memoizes every prime it meets; an unbounded cache grows with the range
-    for function in (prime_period, lifting_exponent, pisano_fast):
+    for function in (prime_period, lifting_exponent, pisano_fast, pisano_module._prime_zero_count):
         assert function.cache_info().maxsize is not None
