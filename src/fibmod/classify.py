@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, two_adic_split
+from .arith import factorize, two_adic_split
 from .errors import AnomalyError
 from .fib import matrix_pow_mod
 from .pisano import (
@@ -32,7 +32,7 @@ from .pisano import (
     _profile_with_period,
     pisano_fast,
     prime_period,
-    rank_of_apparition,
+    prime_power_period,
 )
 
 
@@ -147,15 +147,16 @@ def zero_count_odd(m: int) -> int:
 
     Case formula: the shared per-prime zero count when all agree, else 2.
     Cross-checked against period(m) / lcm of the prime-power ranks; the two
-    must match, and both equal the scanned count.
+    must match, and both equal the scanned count.  Both read the one
+    factorization of m: each prime power's rank comes from its lifted period.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"zero_count_odd needs odd m >= 3, got {m}")
     factors = factorize(m).factors
     per_prime = [_prime_zero_count(p) for p, _ in factors]
     case_value = per_prime[0] if len(set(per_prime)) == 1 else 2
-    t = math.lcm(*[rank_of_apparition(p**e) for p, e in factors])
-    lattice_value = pisano_fast(m) // t
+    ranks = [_profile_with_period(p**e, prime_power_period(p, e)).alpha for p, e in factors]
+    lattice_value = _period_from_factors(factors) // math.lcm(*ranks)
     if case_value != lattice_value:
         raise AnomalyError(
             f"zero-count formulas disagree at m={m}: "
@@ -192,8 +193,9 @@ def zero_count_period_pattern(p: int) -> str:
     zero count 1 -> 2 || period; 2 -> 8 | period; 4 -> 4 || period.
     Returns the pattern label; a violation raises AnomalyError.
     """
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise ValueError(f"pattern check needs an odd prime, got {p}")
+    # _prime_zero_count reaches prime_period first, which rejects a non-prime
     upsilon, k = _prime_zero_count(p), two_adic_split(prime_period(p))[0]
     if upsilon == 1 and k == 1:
         return "v1_pattern"

@@ -36,10 +36,12 @@ _PERIOD_BOUND_FACTOR = 6
 # never silently truncated.
 _LIFTING_SEARCH_BOUND = 8
 
-# Entries per memoized function: bounded so a long scan keeps flat memory, and
-# small, as a bounded lru_cache entry costs about 56 B more than an unbounded one.
-# _prime_zero_count holds a small int per prime, ~92 B an entry (1.4 MiB full);
-# a PisanoProfile per prime would take ~4.1 MiB.
+# Entries per per-prime memo (prime_period, lifting_exponent, _prime_zero_count):
+# bounded so a long scan keeps flat memory, and small, as a bounded lru_cache
+# entry costs about 56 B more than an unbounded one.  _prime_zero_count holds a
+# small int per prime, ~92 B an entry (1.4 MiB full); a PisanoProfile per prime
+# would take ~4.1 MiB.  Per-modulus values are not memoized: each is computed
+# from its caller's one factorization of the modulus.
 _CACHE_SIZE = 1 << 14
 
 
@@ -151,7 +153,6 @@ def _period_from_factors(factors: tuple[tuple[int, int], ...]) -> int:
     return math.lcm(*[prime_power_period(p, e) for p, e in factors])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:

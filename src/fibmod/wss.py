@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from .arith import _WINDOW_PROVEN, factorize, primes_in_range, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
-from .pisano import _legendre5, pisano_fast, prime_period, prime_power_period
+from .pisano import _legendre5, _period_from_factors, pisano_fast, prime_period, prime_power_period
 
 DEFAULT_BLOCK_SIZE = 10_000
 _ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its scan is alive
@@ -158,21 +158,19 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
     """Verify m^2 does not divide u_{period(m)} for odd m >= 3.
 
     Also confirms the per-prime-power ingredient: p^2e does not divide
-    u_{period(p^e)} for each prime power in m.
+    u_{period(p^e)} for each prime power in m.  Both read the one
+    factorization of m.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"odd self-square check needs odd m >= 3, got {m}")
-    record = self_square_test(m)
+    factors = factorize(m).factors
+    gamma = _period_from_factors(factors)
+    residue = fib_pair_mod(gamma, m * m)[0]
     entries = tuple(
-        (p, e, fib_pair_mod(prime_power_period(p, e), p ** (2 * e))[0] != 0)
-        for p, e in factorize(m).factors
+        (p, e, fib_pair_mod(prime_power_period(p, e), p ** (2 * e))[0] != 0) for p, e in factors
     )
     return OddSelfSquareReport(
-        m=m,
-        gamma=record.gamma,
-        residue_mod_m2=record.residue_mod_m2,
-        ok=not record.divisible,
-        prime_power_ok=entries,
+        m=m, gamma=gamma, residue_mod_m2=residue, ok=residue != 0, prime_power_ok=entries
     )
 
 
@@ -205,12 +203,6 @@ def _fsync_directory(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _replace_durably(tmp: str, path: str) -> None:
-    """os.replace, then fsync the directory, so that the rename survives a crash."""
-    os.replace(tmp, path)
-    _fsync_directory(path)
 
 
 def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
@@ -252,10 +244,10 @@ def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
     try:
         os.link(path, old)
     except OSError:
-        _replace_durably(spare, path)
-        return
-    os.replace(spare, path)
-    os.replace(old, spare)
+        os.replace(spare, path)
+    else:
+        os.replace(spare, path)
+        os.replace(old, spare)
     _fsync_directory(path)
 
 
@@ -318,36 +310,34 @@ def _append_results(path: str, records: list[WssRecord]) -> None:
 
 
 def _trim_results(path: str, last_completed: int) -> None:
-    """Drop result lines beyond the checkpointed frontier (re-scanned on resume).
+    """Cut the result lines beyond the checkpointed frontier (re-scanned on resume).
 
-    The file is streamed, not held in memory.  A final fragment without a
-    newline is a torn append, which lies past the frontier, and is dropped.
-    Any other unreadable line raises CheckpointError: dropping it would
-    lose a prime that the resumed scan never visits again.
+    The file is cut in place, at its first line past the frontier, so a
+    resume writes no copy and needs no free disk for one; the file is
+    streamed, not held in memory.  A final fragment without a newline is a
+    torn append, which lies past the frontier, and is cut.  Every complete
+    line is parsed, and an unreadable one raises CheckpointError: cutting it
+    would lose a prime that the resumed scan never visits again.
     """
-    if not os.path.exists(path):
-        return
-    tmp = path + ".tmp"
     try:
-        with open(path, "rb") as src, open(tmp, "wb") as dst:
-            for number, line in enumerate(src, 1):
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    keep = json.loads(line)["p"] <= last_completed
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CheckpointError(
-                        f"results file {path} line {number} is unreadable: {exc}"
-                    ) from exc
-                if keep:
-                    dst.write(line)
-            dst.flush()
-            os.fsync(dst.fileno())
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    _replace_durably(tmp, path)
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        size, past = 0, False
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                past |= json.loads(line)["p"] > last_completed
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointError(
+                    f"results file {path} line {number} is unreadable: {exc}"
+                ) from exc
+            if not past:
+                size += len(line)
+        fh.truncate(size)
+        os.fsync(fh.fileno())
 
 
 @contextmanager

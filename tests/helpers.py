@@ -2,11 +2,33 @@
 
 Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
-shares none of their structure.
+shares none of their structure.  factorize_calls records how often the
+library factors, not what it computes.
 """
 
+import contextlib
+import sys
 from functools import lru_cache
 from math import isqrt
+from unittest import mock
+
+from fibmod.arith import factorize
+
+
+@contextlib.contextmanager
+def factorize_calls():
+    """Log the argument of every factorize call made through a fibmod module."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fibmod" and getattr(module, "factorize", None) is factorize:
+                stack.enter_context(mock.patch.object(module, "factorize", counting))
+        yield calls
 
 
 def fib_upto(n: int) -> list[int]:

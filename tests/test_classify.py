@@ -1,7 +1,4 @@
-import contextlib
-import sys
 from dataclasses import asdict
-from unittest import mock
 
 import pytest
 
@@ -17,9 +14,16 @@ from fibmod.classify import (
     zero_count_odd,
     zero_count_period_pattern,
 )
-from fibmod.pisano import prime_period, profile, zero_count, zero_count_direct
+from fibmod.pisano import (
+    _prime_zero_count,
+    lifting_exponent,
+    prime_period,
+    profile,
+    zero_count,
+    zero_count_direct,
+)
 
-from helpers import zero_scan
+from helpers import factorize_calls, zero_scan
 
 ODD_PRIMES = [p for p in sieve_upto(3000) if p != 2]
 
@@ -121,18 +125,9 @@ class TestGoodnessReport:
             goodness_report(5, method="magic")
 
     def test_factors_each_modulus_once_and_no_prime_factor(self):
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return factorize(n)
-
         # from 21 on: 6 and 20 are the bounds prime_period factors for p = 2 and 5
         moduli = [*range(21, 1000), *range(2_000_000, 2_000_300)]
-        with contextlib.ExitStack() as stack:
-            for name, module in list(sys.modules.items()):
-                if name.split(".")[0] == "fibmod" and getattr(module, "factorize", None) is factorize:
-                    stack.enter_context(mock.patch.object(module, "factorize", counting))
+        with factorize_calls() as calls:
             for m in moduli:
                 calls.clear()
                 goodness_report(m, "both")
@@ -180,6 +175,18 @@ class TestZeroCountOdd:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             zero_count_odd(6)
+
+    def test_factors_each_modulus_once_and_no_prime_power(self):
+        for memo in (prime_period, lifting_exponent, _prime_zero_count):
+            memo.cache_clear()
+        with factorize_calls() as calls:
+            for m in range(2_000_001, 2_001_000, 2):
+                calls.clear()
+                zero_count_odd(m)
+                assert calls.count(m) == 1, (m, calls)
+                # prime_period factors only the (even) period bound of a new prime
+                powers = {p**e for p, e in factorize(m).factors} - {m}
+                assert not powers & set(calls), (m, calls)
 
 
 class TestPeriodDivisorClass:

@@ -5,7 +5,7 @@ import pytest
 
 import fibmod.pisano as pisano_module
 from fibmod.arith import sieve_upto
-from fibmod.classify import is_good_prime, period_divisor_class
+from fibmod.classify import is_good_prime, period_divisor_class, zero_count_period_pattern
 from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import (
@@ -22,7 +22,7 @@ from fibmod.pisano import (
 )
 from fibmod.wss import wss_check
 
-from helpers import fib_upto, pisano_scan, rank_scan, zero_scan
+from helpers import factorize_calls, fib_upto, pisano_scan, rank_scan, zero_scan
 
 
 class TestPisanoDirect:
@@ -216,15 +216,13 @@ class TestProfile:
                 assert prime_period(p) % 2 == 0
 
     def test_rank_does_not_factor_the_period(self):
-        for m in range(2, 3000):
-            pisano_fast(m)  # warm: factorize is then reached only through the rank
-
-        def refuse(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        with mock.patch.object(pisano_module, "factorize", refuse):
+        for p in sieve_upto(3000):
+            prime_period(p)  # warm the per-prime memo: only m is then left to factor
+        with factorize_calls() as calls:
             for m in range(2, 3000):
+                calls.clear()
                 prof = profile(m)
+                assert calls == [m], (m, calls)
                 assert (prof.gamma, prof.alpha, prof.upsilon) == (
                     pisano_scan(m), rank_scan(m), zero_scan(m)
                 ), m
@@ -258,9 +256,9 @@ class TestProfile:
 @pytest.mark.parametrize(
     "function",
     [prime_period, lambda p: prime_power_period(p, 1), wss_check, period_divisor_class,
-     is_good_prime],
+     is_good_prime, zero_count_period_pattern],
     ids=["prime_period", "prime_power_period", "wss_check", "period_divisor_class",
-         "is_good_prime"],
+         "is_good_prime", "zero_count_period_pattern"],
 )
 @pytest.mark.parametrize("p", [0, 1, -7, 9, 91, 2**64 + 1])
 def test_period_layer_rejects_non_primes(function, p):
@@ -272,5 +270,7 @@ def test_period_layer_rejects_non_primes(function, p):
 
 def test_memo_caches_are_bounded():
     # a scan memoizes every prime it meets; an unbounded cache grows with the range
-    for function in (prime_period, lifting_exponent, pisano_fast, pisano_module._prime_zero_count):
+    for function in (prime_period, lifting_exponent, pisano_module._prime_zero_count):
         assert function.cache_info().maxsize is not None
+    # only per-prime facts are memoized: a period of m is computed from its factorization
+    assert not hasattr(pisano_fast, "cache_info")

@@ -1,6 +1,8 @@
-"""Smoke test of tools/kernel_ratio.py, the per-prime kernel report."""
+"""Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, and of
+tools/bench_pairs.py, the paired benchmark report."""
 
 import ast
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import fibmod
 from helpers import primes_between
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
+PAIRS = TOOL.with_name("bench_pairs.py")
 
 
 def test_kernel_ratio_imports_only_the_stdlib_and_fibmod():
@@ -39,3 +42,40 @@ def test_kernel_ratio_at_1e5():
     assert float(ratio) > 1
     # the window is sieved whole, so the only proof is the gate's, with the bases {2, 7, 61}
     assert pows == "3.00"
+
+
+def test_bench_pairs_imports_only_the_stdlib():
+    tree = ast.parse(PAIRS.read_text(encoding="utf-8"))
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert roots <= set(sys.stdlib_module_names)
+
+
+def _summary(wall_s, throughput, correct=True, failed=0):
+    metrics = {"wall_s": {"value": wall_s}, "throughput_per_s": {"value": throughput}}
+    return {"correct": correct, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_on_canned_numbers():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    metrics = [
+        {"name": "wall_s", "better": "lower", "bound": 0.24},
+        {"name": "throughput_per_s", "better": "higher", "bound": 0.24},
+    ]
+    parent = [_summary(w, t) for w, t in [(1.0, 10), (1.1, 10), (1.2, 10), (1.3, 10)]]
+    change = [_summary(w, t) for w, t in [(1.0, 11), (1.5, 12), (1.6, 9), (1.7, 13)]]
+    lines, ok = tool.summarize(metrics, parent, change)
+    assert ok
+    assert lines[0].split() == ["metric", "parent", "change", "ratio", "parent_iqr", "wins"]
+    # medians 1.15 -> 1.55 is 35% worse; the tie in the first pair counts for neither side
+    assert lines[1].split() == ["wall_s", "1.15", "1.55", "1.348", "0.25", "0/4", "WORSE", "(bound", "24%)"]
+    assert lines[2].split() == ["throughput_per_s", "10", "11.5", "1.150", "0", "3/4"]
+    assert len(lines) == 3
+    change[2] = _summary(1.6, 9, failed=1)
+    lines, ok = tool.summarize(metrics, parent, change)
+    assert not ok and lines[-1] == "1 run(s) not correct or with failed items"
+    parent[0] = _summary(1.0, 10, correct=False)
+    assert tool.summarize(metrics, parent, change)[1] is False

@@ -12,7 +12,7 @@ import pytest
 
 import fibmod.wss as wss_module
 from fibmod import arith
-from fibmod.arith import sieve_upto, two_adic_split
+from fibmod.arith import factorize, sieve_upto, two_adic_split
 from fibmod.errors import CheckpointError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import pisano_fast, prime_period
@@ -27,7 +27,7 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import fib_upto, primes_between
+from helpers import factorize_calls, fib_upto, primes_between
 
 
 class TestLegendre5:
@@ -184,6 +184,17 @@ class TestOddSelfSquare:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             odd_self_square_check(6)
+
+    def test_factors_each_modulus_once_and_no_prime_power(self):
+        with factorize_calls() as calls:
+            for m in range(3, 2001, 2):
+                calls.clear()
+                report = odd_self_square_check(m)
+                assert calls.count(m) == 1, (m, calls)
+                powers = {p**e for p, e in factorize(m).factors} - {m}
+                assert not powers & set(calls), (m, calls)
+                record = self_square_test(m)
+                assert (report.gamma, report.residue_mod_m2) == (record.gamma, record.residue_mod_m2)
 
 
 def _normalized(path):
@@ -471,17 +482,30 @@ class TestScan:
             "ck.json", "ck.json.lock", "res.jsonl"
         ]
 
-    def test_trimmed_results_fsynced_before_replace(self, tmp_path, monkeypatch):
+    def test_trimmed_results_cut_in_place_then_fsynced(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
         scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
+        kept, results = out.stat().st_size, out.stat().st_ino
+        # a line past the frontier (101), then a torn one: the resume cuts both
+        with out.open("a") as fh:
+            fh.write('{"p": 103, "legendre5": -1, "index": 104, "residue": 1, "is_wss": false}\n')
+            fh.write('{"p": 107, "legendre5": -1, "ind')
         calls = _record_fsync_and_replace(monkeypatch)
+        logged_fsync, seen = os.fsync, []
+
+        def fsync(fd):
+            seen.append((os.fstat(fd).st_size, sorted(path.name for path in tmp_path.iterdir())))
+            logged_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
         scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
-        # the resume first trims the results: the trimmed copy reaches the disk,
-        # is renamed over the results file, then the directory is fsynced
-        fsync_tmp, rename, fsync_dir = calls[:3]
-        assert rename == ("replace", fsync_tmp[1]) == ("replace", out.stat().st_ino)
-        assert fsync_dir == ("fsync", tmp_path.stat().st_ino)
+        # the cut reaches the disk on the results file's own inode, before the
+        # block appends to it: no copy, no rename, no other file
+        assert calls[:2] == [("fsync", results), ("fsync", results)]
+        assert seen[0] == (kept, ["ck.json", "ck.json.lock", "res.jsonl"])
+        assert seen[1][0] > kept
+        assert out.stat().st_ino == results
 
     def test_crash_between_results_and_checkpoint_resumes_cleanly(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"

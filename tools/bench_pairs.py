@@ -1,0 +1,91 @@
+"""Alternated benchmark pairs of a parent checkout and a changed one.
+
+Runs `python3 -m compileall -q src` in both checkouts, so neither times a
+stale or missing bytecode cache.  Then, for each seed, runs
+`benchmarks/run.py --trace 0` once in each checkout, alternating which runs
+first.  For each end-to-end metric of BENCHMARK.json it prints both medians,
+change/parent, the parent's interquartile range and the pairs the change
+wins (ties count for neither side), and WORSE where the change's median is
+worse than the parent's by more than the metric's bound, as a fraction of
+the parent's median.  Exits 1 if a run is not correct or has failed items.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 301-310
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+
+def run(checkout: str, workload: str, seed: int) -> dict:
+    """The summary that benchmarks/run.py prints as its last line, at the
+    run length the benchmark sets."""
+    done = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        sys.exit(f"{checkout} seed {seed}: run.py exited {done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
+    """Report lines for paired runs (parent[i] with change[i]), and whether
+    every run was correct with no failed items."""
+    lines = [f"{'metric':<20} {'parent':>11} {'change':>11} {'ratio':>7} {'parent_iqr':>11} {'wins':>6}"]
+    for spec in metrics:
+        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in zip(parent, change)]
+        before = statistics.median(p for p, _ in pairs)
+        after = statistics.median(c for _, c in pairs)
+        wins = sum(sign * (p - c) > 0 for p, c in pairs)
+        worse = sign * (after - before) > spec["bound"] * before
+        spread = iqr([p for p, _ in pairs])
+        lines.append(
+            f"{name:<20} {before:>11.4g} {after:>11.4g} {after / before:>7.3f} {spread:>11.3g} "
+            f"{f'{wins}/{len(pairs)}':>6}" + (f"  WORSE (bound {spec['bound']:.0%})" if worse else "")
+        )
+    bad = [r for r in parent + change if not r["correct"] or r["failed"] > 0]
+    if bad:
+        lines.append(f"{len(bad)} run(s) not correct or with failed items")
+    return lines, not bad
+
+
+def seeds(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seeds, required=True, help="S or FIRST-LAST")
+    args = parser.parse_args(argv)
+    checkouts = (args.parent, args.change)
+    for checkout in checkouts:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
+    runs = ([], [])
+    for i, seed in enumerate(args.seeds):
+        for side in ((0, 1), (1, 0))[i % 2]:
+            runs[side].append(run(checkouts[side], args.workload, seed))
+            print(f"seed {seed} {('parent', 'change')[side]}: {json.dumps(runs[side][-1])}", file=sys.stderr)
+    benchmark = json.loads((pathlib.Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    lines, ok = summarize(benchmark["end_to_end"], *runs)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
