@@ -55,6 +55,18 @@ def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
+def _doublings(pair: tuple[int, int], k: int, m: int) -> list[tuple[int, int]]:
+    """The pairs at n, 2n, ..., 2^k n mod m, from pair = (u_n, u_{n+1}) mod m,
+    by fib_pair_mod's doubling step; the doublings of one ladder serve every
+    index of a chain of halvings."""
+    pairs = [pair]
+    a, b = pair
+    for _ in range(k):
+        a, b = a * (2 * b - a) % m, (a * a + b * b) % m
+        pairs.append((a, b))
+    return pairs
+
+
 @dataclass(frozen=True)
 class FibMatrix:
     """P^n over Z/m, stored as its three distinct entries.

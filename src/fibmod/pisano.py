@@ -13,8 +13,11 @@ Two independent routes compute all three.  The direct route
 fast route (profile) factors m, lifts each prime period to the prime power
 by one rule for every prime, 2 included, takes the lcm, and reads the zero
 count, hence the rank, from which of u_{period/4}, u_{period/2}, u_{period}
-is the first zero mod m.  verify holds all three fast values against the
-direct scan, as do the tests.
+is the first zero mod m.  Those indices are one fast-doubling ladder mod m
+at the period over 2^k (k = min(2, v_2(period))) and its k doublings; in
+the same way prime_period reads its premise and every halving of its bound
+from one ladder's doublings.  verify holds all three fast values against
+the direct scan, as do the tests.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, two_adic_split
 from .errors import AnomalyError
-from .fib import fib_pair_mod
+from .fib import _doublings, fib_pair_mod
 
 # period(m) <= 6*m for every m, with equality exactly at m = 2 * 5^k;
 # the direct scan treats exceeding this bound as an impossible state.
@@ -101,18 +104,26 @@ def prime_period(p: int) -> int:
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
     2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
     reduction over the factors of that bound (p = 2 and p = 5 included).
+    The premise and the halvings read one ladder at the bound's odd part and
+    its doublings; each odd prime factor's test is a ladder of its own.
     It is the period layer's one primality check.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     chi = _legendre5(p)
     t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
-    if fib_pair_mod(t, p) != (0, 1):
+    # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd
+    # and its v doublings: the premise reads the last, and the period's 2-part
+    # is the first i where P^(odd * 2^i) is the identity
+    v, odd = two_adic_split(t)
+    pairs = _doublings(fib_pair_mod(odd, p), v, p)
+    if pairs[v] != (0, 1):
         raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
+    gamma = odd << pairs.index((0, 1))
     for q, _ in factorize(t).factors:
-        while t % q == 0 and fib_pair_mod(t // q, p) == (0, 1):
-            t //= q
-    return t
+        while q != 2 and gamma % q == 0 and fib_pair_mod(gamma // q, p) == (0, 1):
+            gamma //= q
+    return gamma
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -173,16 +184,19 @@ def _profile_with_period(m: int, gamma: int) -> PisanoProfile:
     """Profile of m >= 2 from gamma, its period by the fast route; raises
     AnomalyError when gamma is not a period of m."""
     # u_t == 0 mod m exactly when the rank divides t, and period/rank is 1, 2
-    # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0;
-    # there P^(period/z) = b*I with b = u_{period/z + 1}, so P^period = b^z * I
-    for upsilon in (z for z in (4, 2, 1) if gamma % z == 0):
-        u, b = fib_pair_mod(gamma // upsilon, m)
-        if u == 0:
-            if pow(b, upsilon, m) != 1:
-                raise AnomalyError(f"fast period {gamma} of m={m} is not a period: "
-                                   f"P^{gamma} = {pow(b, upsilon, m)}*I mod m")
-            return PisanoProfile(m=m, gamma=gamma, alpha=gamma // upsilon, upsilon=upsilon)
-    raise AnomalyError(f"fast period {gamma} of m={m} is not a period: u_{gamma} != 0 mod m")
+    # or 4 (Vinson), so the zero count is the first z with u_{period/z} == 0.
+    # One ladder at period/2^k and its k doublings read all three indices.
+    # With u_n == 0, P^n = u_{n+1} * I, so the pair at the period itself says
+    # whether it is a period
+    k = min(2, two_adic_split(gamma)[0])
+    pairs = _doublings(fib_pair_mod(gamma >> k, m), k, m)
+    u, b = pairs[k]
+    if u != 0:
+        raise AnomalyError(f"fast period {gamma} of m={m} is not a period: u_{gamma} != 0 mod m")
+    if b != 1:
+        raise AnomalyError(f"fast period {gamma} of m={m} is not a period: P^{gamma} = {b}*I mod m")
+    upsilon = 1 << (k - next(i for i, pair in enumerate(pairs) if pair[0] == 0))
+    return PisanoProfile(m=m, gamma=gamma, alpha=gamma // upsilon, upsilon=upsilon)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
-shares none of their structure.  factorize_calls records how often the
-library factors, not what it computes.
+shares none of their structure.  binding_calls records how often the
+library calls one of its functions, not what it computes.
 """
 
 import contextlib
@@ -16,19 +16,42 @@ from fibmod.arith import factorize
 
 
 @contextlib.contextmanager
-def factorize_calls():
-    """Log the argument of every factorize call made through a fibmod module."""
+def binding_calls(function):
+    """Log the arguments of every call of function made through a fibmod
+    module's binding of it: one argument as itself, several as a tuple."""
     calls = []
+    name = function.__name__
 
-    def counting(n):
-        calls.append(n)
-        return factorize(n)
+    def counting(*args):
+        calls.append(args[0] if len(args) == 1 else args)
+        return function(*args)
 
     with contextlib.ExitStack() as stack:
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "fibmod" and getattr(module, "factorize", None) is factorize:
-                stack.enter_context(mock.patch.object(module, "factorize", counting))
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "fibmod" and getattr(module, name, None) is function:
+                stack.enter_context(mock.patch.object(module, name, counting))
         yield calls
+
+
+def factorize_calls():
+    """Log the argument of every factorize call made through a fibmod module."""
+    return binding_calls(factorize)
+
+
+def odd_prime_tests(p: int, gamma: int) -> int:
+    """Halving tests an order reduction of the period bound t of the prime p
+    to its period gamma makes at the odd primes q of t: with q^e
+    exactly dividing t and q^v exactly dividing gamma, e - v successful
+    tests, then one failing test when q still divides what is left."""
+    t = {1: p - 1, 4: p - 1, 2: 2 * (p + 1), 3: 2 * (p + 1), 0: 4 * p}[p % 5]
+    tests = 0
+    for q, e in factorize(t).factors:
+        if q != 2:
+            v = 0
+            while gamma % q ** (v + 1) == 0:
+                v += 1
+            tests += e - v + (v > 0)
+    return tests
 
 
 def fib_upto(n: int) -> list[int]:

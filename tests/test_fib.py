@@ -179,6 +179,17 @@ def test_pair_agrees_with_matrix_route(n, m):
 
 
 @settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(0, 10**6),
+    k=st.integers(0, 6),
+    m=st.one_of(st.just(1), st.integers(2, 10**9), st.integers(10**24, 10**30)),
+)
+def test_doublings_match_the_ladder(n, k, m):
+    pairs = fib_module._doublings(fib_pair_mod(n, m), k, m)
+    assert pairs == [fib_pair_mod(n << i, m) for i in range(k + 1)]
+
+
+@settings(deadline=None, max_examples=200)
 @given(n=st.integers(1, 1499), m=st.integers(1, 10**9))
 def test_doubling_identity_holds(n, m):
     assert doubling_rhs(n, m) == fib_pair_mod(2 * n, m)[0]

@@ -22,7 +22,16 @@ from fibmod.pisano import (
 )
 from fibmod.wss import wss_check
 
-from helpers import factorize_calls, fib_upto, pisano_scan, rank_scan, zero_scan
+from helpers import (
+    binding_calls,
+    factorize_calls,
+    fib_upto,
+    odd_prime_tests,
+    pisano_scan,
+    primes_between,
+    rank_scan,
+    zero_scan,
+)
 
 
 class TestPisanoDirect:
@@ -75,6 +84,29 @@ class TestPrimePeriod:
     def test_matches_direct(self):
         for p in sieve_upto(2000):
             assert prime_period(p) == pisano_direct(p), p
+
+    def test_premise_that_fails_is_an_anomaly(self):
+        # with chi taken as 1, the bound of 7 is 6, and P^6 != I mod 7
+        prime_period.cache_clear()
+        try:
+            with mock.patch.object(pisano_module, "_legendre5", lambda p: 1):
+                with pytest.raises(AnomalyError) as info:
+                    prime_period(7)
+        finally:
+            prime_period.cache_clear()
+        assert str(info.value) == "order reduction premise fails: predicate false at 6"
+
+    def test_one_ladder_plus_one_per_odd_prime_test(self):
+        # the premise and the halvings by 2 read one ladder's doublings
+        prime_period.cache_clear()
+        try:
+            with binding_calls(fib_pair_mod) as calls:
+                for p in primes_between(10**6, 10**6 + 10**4 - 1):
+                    calls.clear()
+                    gamma = prime_period(p)
+                    assert len(calls) == 1 + odd_prime_tests(p, gamma), (p, calls)
+        finally:
+            prime_period.cache_clear()
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +271,27 @@ class TestProfile:
         with mock.patch.object(pisano_module, "pisano_fast", lambda m: 5 if m == 5 else real(m)):
             with pytest.raises(AnomalyError, match=r"fast period 5 of m=5 .* 3\*I"):
                 profile(5)
+
+    @pytest.mark.parametrize("m,gamma,detail", [
+        (3, 4, "P^4 = 2*I mod m"),  # u_4 == 0 mod 3, and u_5 == 2
+        (7, 8, "P^8 = 6*I mod m"),  # u_8 == 0 mod 7, and u_9 == 6
+        (10, 7, "u_7 != 0 mod m"),
+    ])
+    def test_false_period_anomaly_texts(self, m, gamma, detail):
+        with pytest.raises(AnomalyError) as info:
+            pisano_module._profile_with_period(m, gamma)
+        assert str(info.value) == f"fast period {gamma} of m={m} is not a period: {detail}"
+
+    def test_one_ladder_per_modulus(self):
+        # the zero count reads period/4, period/2 and period from one ladder's doublings
+        moduli = [*range(2, 3000), *range(2_000_000, 2_000_300)]
+        periods = [pisano_fast(m) for m in moduli]
+        with binding_calls(fib_pair_mod) as calls:
+            for m, gamma in zip(moduli, periods):
+                calls.clear()
+                prof = pisano_module._profile_with_period(m, gamma)
+                assert len(calls) == 1, (m, calls)
+                assert prof.gamma == gamma == prof.alpha * prof.upsilon, m
 
     @pytest.mark.parametrize("m", [
         *(2**k for k in range(1, 17)),

@@ -8,8 +8,9 @@ import subprocess
 import sys
 
 import fibmod
+from fibmod.pisano import pisano_direct
 
-from helpers import primes_between
+from helpers import odd_prime_tests, primes_between
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
 PAIRS = TOOL.with_name("bench_pairs.py")
@@ -34,10 +35,15 @@ def test_kernel_ratio_at_1e5():
     )
     assert done.returncode == 0, done.stderr
     header, row = done.stdout.splitlines()
-    assert header.split()[2:] == ["primes", "kernel", "us", "ladder", "us", "ratio", "MR", "pow/p"]
-    magnitude, primes, kernel_us, ladder_us, ratio, pows = row.split()
+    assert header.split()[2:] == ["primes", "kernel", "us", "ladder", "us", "ratio", "MR", "pow/p", "ladders/p"]
+    magnitude, primes, kernel_us, ladder_us, ratio, pows, ladders = row.split()
     assert magnitude == "1e5"
-    assert int(primes) == len(primes_between(10**5, 10**5 + 999))
+    window = primes_between(10**5, 10**5 + 999)
+    assert int(primes) == len(window)
+    # per prime: wss_check's two criteria mod p^2, then prime_period's one
+    # ladder for its premise and halvings, and one per odd-prime test
+    want = sum(3 + odd_prime_tests(p, pisano_direct(p)) for p in window) / len(window)
+    assert ladders == f"{want:.2f}"
     assert float(kernel_us) > float(ladder_us) > 0
     assert float(ratio) > 1
     # the window is sieved whole, so the only proof is the gate's, with the bases {2, 7, 61}

@@ -4,7 +4,8 @@ Over the primes of [M, M + width), for each magnitude M: the kernel (the
 scan's block, the window's sieve plus wss_check of each prime, with
 prime_period's cache cleared),
 the bare ladder u_{p - chi} mod p^2, their ratio (each time the best of
---repeat runs), and the Miller-Rabin modular exponentiations per prime.
+--repeat runs), and, from one untimed kernel run, the Miller-Rabin modular
+exponentiations and the fib_pair_mod ladders per prime.
 
     PYTHONPATH=src python3 tools/kernel_ratio.py [--width W] [--repeat R] [M ...]
 """
@@ -13,7 +14,7 @@ import argparse
 import builtins
 import timeit
 
-from fibmod import arith
+from fibmod import arith, pisano, wss
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import _legendre5, prime_period
 from fibmod.wss import _scan_block
@@ -29,14 +30,21 @@ def ladder(primes: list[int]) -> None:
         fib_pair_mod(p - _legendre5(p), p * p)
 
 
-def exponentiations(lo: int, hi: int) -> int:
-    calls = []  # arith's pow calls, all Miller-Rabin's: a global pow shadows the builtin
-    arith.pow = lambda *args: calls.append(args) or builtins.pow(*args)
+def counts(lo: int, hi: int) -> tuple[int, int]:
+    """Miller-Rabin exponentiations and fib_pair_mod ladders in one kernel run."""
+    pows, ladders = [], []
+    # arith's pow calls are all Miller-Rabin's: a global pow shadows the builtin
+    arith.pow = lambda *args: pows.append(args) or builtins.pow(*args)
+    # the kernel's ladders: prime_period's through pisano, wss_check's through wss
+    for module in (pisano, wss):
+        module.fib_pair_mod = lambda *args: ladders.append(args) or fib_pair_mod(*args)
     try:
         kernel(lo, hi)
     finally:
         del arith.pow
-    return len(calls)
+        for module in (pisano, wss):
+            module.fib_pair_mod = fib_pair_mod
+    return len(pows), len(ladders)
 
 
 def main() -> None:
@@ -45,15 +53,16 @@ def main() -> None:
     parser.add_argument("--width", type=int, default=10**4)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    print(f"{'p ~':>6} {'primes':>7} {'kernel us':>10} {'ladder us':>10} {'ratio':>6} {'MR pow/p':>9}")
+    print(f"{'p ~':>6} {'primes':>7} {'kernel us':>10} {'ladder us':>10} {'ratio':>6} {'MR pow/p':>9} "
+          f"{'ladders/p':>10}")
     for text in args.magnitudes:
         lo = int(float(text))
         hi = lo + args.width - 1
         primes = arith.primes_in_range(lo, hi)
         k, b = (min(timeit.repeat(fn, number=1, repeat=args.repeat)) / len(primes) * 1e6
                 for fn in (lambda: kernel(lo, hi), lambda: ladder(primes)))
-        pows = exponentiations(lo, hi) / len(primes)
-        print(f"{text:>6} {len(primes):>7} {k:>10.1f} {b:>10.1f} {k / b:>6.1f} {pows:>9.2f}")
+        pows, ladders = (count / len(primes) for count in counts(lo, hi))
+        print(f"{text:>6} {len(primes):>7} {k:>10.1f} {b:>10.1f} {k / b:>6.1f} {pows:>9.2f} {ladders:>10.2f}")
 
 
 if __name__ == "__main__":
