@@ -11,7 +11,6 @@ Wall-Sun-Sun prime scanner.
 from types import ModuleType as _ModuleType
 
 from .arith import (
-    Factorization,
     factorize,
     is_prime,
     primes_in_range,

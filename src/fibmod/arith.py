@@ -7,12 +7,13 @@ witness set that is deterministic for the size of n, up to Sinclair's seven
 bases, which cover every n below 2**64; 2**64 also bounds the domain of
 factorize and primes_in_range.
 
-factorize proves each factor once, while it finds it, and returns its
-result without a second check.  primes_in_range sieves a window with base
-primes no larger than the window is wide, so its memory is O(window); a
-survivor the base primes cannot vouch for is proved by is_prime.  The
-primes a window proved that way are remembered, so that is_prime answers
-for them without a second proof: a scan asks again for each of them at
+factorize returns the (prime, exponent) pairs of n as a tuple sorted by
+prime.  It proves each factor once, while it finds it, and checks the
+result no further.  primes_in_range sieves a window with base primes no
+larger than the window is wide, so its memory is O(window); a survivor
+the base primes cannot vouch for is proved by is_prime.  The primes a
+window proved that way are remembered, so that is_prime answers for them
+without a second proof: a scan asks again for each of them at
 prime_period's gate, and forgets them once its block is checked.  That set
 is the module's one piece of state, and it holds only proven primes.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 
 # Witnesses proven deterministic for every n < 2**64 (Sinclair's base set).
@@ -90,45 +90,6 @@ def _strong_test(n: int, bases: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n: ordered tuple of (prime, exponent) pairs.
-
-    Construction verifies the defining invariants: primes strictly
-    increasing, exponents >= 1, every base prime, product equal to n.
-    factorize, which proves them as it goes, builds its result with
-    _proven instead.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"factorization target must be >= 2, got {self.n}")
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev:
-                raise ValueError("prime factors must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be >= 1")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, expected {self.n}")
-
-    @classmethod
-    def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
-        """A Factorization whose invariants the caller has proved: no re-check."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
-        return self
-
-
 def _rho_factor(n: int) -> int:
     """Nontrivial factor of odd composite n via Brent's cycle variant.
 
@@ -162,13 +123,15 @@ def _rho_factor(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-def factorize(n: int) -> Factorization:
-    """Factor 2 <= n < 2**64: trial division, then verified Pollard rho."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of 2 <= n < 2**64, primes ascending.
+
+    Trial division, then verified Pollard rho.
+    """
     if n < 2:
         raise ValueError(f"cannot factorize {n}")
     if n >= _TWO64:
         raise ValueError("factorize supports n < 2**64")
-    target = n
     counts: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -189,7 +152,7 @@ def factorize(n: int) -> Factorization:
         d = _rho_factor(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization._proven(target, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

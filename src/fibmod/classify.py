@@ -117,7 +117,7 @@ def goodness_report(m: int, method: str = "both") -> GoodnessReport:
         raise ValueError(f"unknown method {method!r}")
     if m < 2:
         raise ValueError(f"classification starts at m = 2, got {m}")
-    factors = factorize(m).factors
+    factors = factorize(m)
     entries = tuple(_prime_entry(p, e) for p, e in factors)
     gamma = _period_from_factors(factors)
     upsilon_m = _profile_with_period(m, gamma).upsilon  # raises if gamma is no period
@@ -152,7 +152,7 @@ def zero_count_odd(m: int) -> int:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"zero_count_odd needs odd m >= 3, got {m}")
-    factors = factorize(m).factors
+    factors = factorize(m)
     per_prime = [_prime_zero_count(p) for p, _ in factors]
     case_value = per_prime[0] if len(set(per_prime)) == 1 else 2
     ranks = [_profile_with_period(p**e, prime_power_period(p, e)).alpha for p, e in factors]

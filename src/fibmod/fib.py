@@ -82,11 +82,6 @@ class FibMatrix:
     u_next: int
 
     @property
-    def is_identity(self) -> bool:
-        m = self.modulus
-        return (self.u_prev, self.u_cur, self.u_next) == (1 % m, 0, 1 % m)
-
-    @property
     def is_negative_identity(self) -> bool:
         m = self.modulus
         minus_one = (m - 1) % m

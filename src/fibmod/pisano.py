@@ -120,7 +120,7 @@ def prime_period(p: int) -> int:
     if pairs[v] != (0, 1):
         raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
     gamma = odd << pairs.index((0, 1))
-    for q, _ in factorize(t).factors:
+    for q, _ in factorize(t):
         while q != 2 and gamma % q == 0 and fib_pair_mod(gamma // q, p) == (0, 1):
             gamma //= q
     return gamma
@@ -168,7 +168,7 @@ def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
         raise ValueError(f"pisano_fast requires m >= 2, got {m}")
-    return _period_from_factors(factorize(m).factors)
+    return _period_from_factors(factorize(m))
 
 
 def profile(m: int) -> PisanoProfile:

@@ -163,7 +163,7 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"odd self-square check needs odd m >= 3, got {m}")
-    factors = factorize(m).factors
+    factors = factorize(m)
     gamma = _period_from_factors(factors)
     residue = fib_pair_mod(gamma, m * m)[0]
     entries = tuple(
@@ -317,12 +317,16 @@ def _trim_results(path: str, last_completed: int) -> None:
     streamed, not held in memory.  A final fragment without a newline is a
     torn append, which lies past the frontier, and is cut.  Every complete
     line is parsed, and an unreadable one raises CheckpointError: cutting it
-    would lose a prime that the resumed scan never visits again.
+    would lose a prime that the resumed scan never visits again.  So does a
+    missing file, which would lack every line up to the frontier.
     """
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
-        return
+        raise CheckpointError(
+            f"results file {path} is missing the lines up to the checkpoint's "
+            f"frontier {last_completed}"
+        ) from None
     with fh:
         size, past = 0, False
         for number, line in enumerate(fh, 1):
@@ -361,7 +365,7 @@ def _scan_lock(path: str):
                 os.remove(path + ".tmp")
 
 
-def _init_worker(parent: int, fd: int, lock: os.stat_result | None) -> None:
+def _init_worker(parent: int, fd: int, lock: os.stat_result) -> None:
     """Pool initializer: tie a worker's life to its scan's.
 
     It closes a forked worker's copy of the scan lock, which a worker
@@ -388,18 +392,16 @@ def scan_wss(
     lo: int,
     hi: int,
     workers: int = 1,
-    checkpoint_path: str | None = None,
+    *,
+    checkpoint_path: str,
     results_path: str | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    max_blocks: int | None = None,
 ) -> ScanCheckpoint:
     """Test every prime in [lo, hi] for the Wall-Sun-Sun property.
 
     Progress is checkpointed after every completed block; a scan pointed at
-    an existing checkpoint for the same range resumes where it left off.
-    max_blocks bounds the number of blocks processed in this call (the scan
-    can be continued later), which is also how interruption is simulated in
-    tests.
+    an existing checkpoint for the same range resumes where it left off, and
+    then its results file, if it names one, must hold the lines up to there.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
@@ -410,15 +412,13 @@ def scan_wss(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if max_blocks is not None and max_blocks < 1:
-        raise ValueError(f"max_blocks must be >= 1, got {max_blocks}")
 
-    with _scan_lock(checkpoint_path) if checkpoint_path else nullcontext() as lock:
+    with _scan_lock(checkpoint_path) as lock:
         start = lo
         hits: list[WssRecord] = []
         anomalies = 0
         prev_wall = 0.0
-        if checkpoint_path and os.path.exists(checkpoint_path):
+        if os.path.exists(checkpoint_path):
             previous = load_checkpoint(checkpoint_path)
             if (previous.range_lo, previous.range_hi) != (lo, hi):
                 raise CheckpointError(
@@ -438,13 +438,15 @@ def scan_wss(
             open(results_path, "w", encoding="utf-8").close()
 
         began = time.perf_counter()
-        # a range slice is lazy: blocks are made as the scan reaches them
-        starts = range(start, hi + 1, block_size)[:max_blocks]
+        # a range is lazy: blocks are made as the scan reaches them
+        starts = range(start, hi + 1, block_size)
         blocks = ((s, min(s + block_size - 1, hi)) for s in starts)
 
-        parallel = workers > 1 and len(starts) > 1
-        held = (lock.fileno(), os.fstat(lock.fileno())) if lock else (-1, None)
-        pool_args = {"initializer": _init_worker, "initargs": (os.getpid(), *held)}
+        # a forked pool starts all its workers at once: no more than there are blocks
+        workers = min(workers, len(starts))
+        parallel = workers > 1
+        held = (os.getpid(), lock.fileno(), os.fstat(lock.fileno()))
+        pool_args = {"initializer": _init_worker, "initargs": held}
         with ProcessPoolExecutor(workers, **pool_args) if parallel else nullcontext() as pool:
             # both iterators yield in block order: merged output is worker-count invariant
             scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)
@@ -461,6 +463,5 @@ def scan_wss(
                     anomaly_count=anomalies,
                     wall_time_seconds=prev_wall + (time.perf_counter() - began),
                 )
-                if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, ck)
+                _write_checkpoint(checkpoint_path, ck)
         return ck

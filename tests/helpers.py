@@ -3,7 +3,8 @@
 Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
 shares none of their structure.  binding_calls records how often the
-library calls one of its functions, not what it computes.
+library calls one of its functions, not what it computes, and
+interrupted_scan stops a real scan between two of its blocks.
 """
 
 import contextlib
@@ -12,6 +13,9 @@ from functools import lru_cache
 from math import isqrt
 from unittest import mock
 
+import pytest
+
+import fibmod.wss as wss_module
 from fibmod.arith import factorize
 
 
@@ -38,6 +42,30 @@ def factorize_calls():
     return binding_calls(factorize)
 
 
+class ScanStopped(Exception):
+    """Raised by interrupted_scan's checkpoint writer to stop its scan."""
+
+
+def interrupted_scan(lo, hi, *, blocks, **options):
+    """Run scan_wss(lo, hi, **options) and stop it, as Ctrl-C between two
+    blocks would, once it has checkpointed blocks blocks; return the last
+    checkpoint it wrote."""
+    real_write = wss_module._write_checkpoint
+    written = []
+
+    def write(path, checkpoint):
+        real_write(path, checkpoint)
+        written.append(checkpoint)
+        if len(written) == blocks:
+            raise ScanStopped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wss_module, "_write_checkpoint", write)
+        with pytest.raises(ScanStopped):
+            wss_module.scan_wss(lo, hi, **options)
+    return written[-1]
+
+
 def odd_prime_tests(p: int, gamma: int) -> int:
     """Halving tests an order reduction of the period bound t of the prime p
     to its period gamma makes at the odd primes q of t: with q^e
@@ -45,7 +73,7 @@ def odd_prime_tests(p: int, gamma: int) -> int:
     tests, then one failing test when q still divides what is left."""
     t = {1: p - 1, 4: p - 1, 2: 2 * (p + 1), 3: 2 * (p + 1), 0: 4 * p}[p % 5]
     tests = 0
-    for q, e in factorize(t).factors:
+    for q, e in factorize(t):
         if q != 2:
             v = 0
             while gamma % q ** (v + 1) == 0:

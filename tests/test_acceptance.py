@@ -20,7 +20,7 @@ from fibmod.wss import (
     two_power_valuation_check,
 )
 
-from helpers import fib_upto
+from helpers import fib_upto, interrupted_scan
 
 
 @contextmanager
@@ -137,7 +137,7 @@ def test_criterion_06_zero_count_patterns_and_good_structure():
 def test_criterion_07_odd_composite_zero_count_formulas():
     with criterion(7, "odd-composite zero count: case formula == rank-lattice == scan"):
         for m in range(3, 10_001, 2):
-            factors = factorize(m).factors
+            factors = factorize(m)
             if len(factors) == 1 and factors[0][1] == 1:
                 continue  # prime, not composite
             # zero_count_odd raises AnomalyError if its two formulas disagree
@@ -203,8 +203,8 @@ def test_criterion_12_scan_determinism(tmp_path):
         for workers in (1, 2):
             path = tmp_path / f"resumed-w{workers}.json"
             cut = rng.randint(1, 9)  # blocks before the "interruption"
-            partial = scan_wss(
-                2, 100_000, workers=workers, checkpoint_path=str(path), max_blocks=cut
+            partial = interrupted_scan(
+                2, 100_000, blocks=cut, workers=workers, checkpoint_path=str(path)
             )
             assert partial.last_completed < 100_000
             scan_wss(2, 100_000, workers=workers, checkpoint_path=str(path))

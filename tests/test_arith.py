@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fibmod import arith
 from fibmod.arith import (
-    Factorization,
     factorize,
     is_prime,
     primes_in_range,
@@ -76,14 +75,13 @@ class TestFactorize:
         ],
     )
     def test_examples(self, n, factors):
-        assert factorize(n).factors == factors
+        assert factorize(n) == factors
 
     def test_recomposition_and_order(self):
         for n in range(2, 3000):
-            fact = factorize(n)
             prod = 1
             prev = 1
-            for p, e in fact.factors:
+            for p, e in factorize(n):
                 assert p > prev and e >= 1
                 assert is_prime_trial(p)
                 prev = p
@@ -93,7 +91,7 @@ class TestFactorize:
     def test_rho_path_on_semiprime(self):
         p, q = 1_000_003, 1_000_033
         assert is_prime_trial(p) and is_prime_trial(q)
-        assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
     def test_deterministic(self):
         n = 614_889_782_588_491_410  # product of the primes up to 47
@@ -102,8 +100,8 @@ class TestFactorize:
     def test_rho_on_64bit_semiprime(self):
         # both primes verified by trial division when this value was frozen
         p, q = 2147483659, 2147483693
-        assert factorize(p * q).factors == ((p, 1), (q, 1))
-        assert factorize(p * p).factors == ((p, 2),)
+        assert factorize(p * q) == ((p, 1), (q, 1))
+        assert factorize(p * p) == ((p, 2),)
 
     def test_rejects_small(self):
         for n in (-1, 0, 1):
@@ -113,7 +111,11 @@ class TestFactorize:
     def test_full_validation_accepts_every_result(self):
         rng = random.Random(20070401)
         for n in [*range(2, 5001), *(rng.randrange(2, 2**64) for _ in range(2000))]:
-            assert factorize(n) == Factorization(n, factorize(n).factors), n
+            factors = factorize(n)
+            bases = [p for p, _ in factors]
+            assert bases == sorted(set(bases)), n  # strictly increasing
+            assert all(e >= 1 and is_prime(p) for p, e in factors), n
+            assert math.prod(p**e for p, e in factors) == n, n
 
     def test_result_is_not_proved_twice(self, monkeypatch):
         calls = []
@@ -125,16 +127,8 @@ class TestFactorize:
 
         monkeypatch.setattr(arith, "is_prime", counting)
         # trial division finds 2 and 3; the cofactor 999983 < 1000**2 is prime by construction
-        assert factorize(2**10 * 3**5 * 999983).factors == ((2, 10), (3, 5), (999983, 1))
+        assert factorize(2**10 * 3**5 * 999983) == ((2, 10), (3, 5), (999983, 1))
         assert calls == []
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            Factorization(12, ((2, 2),))  # product mismatch
-        with pytest.raises(ValueError):
-            Factorization(12, ((3, 1), (2, 2)))  # wrong order
-        with pytest.raises(ValueError):
-            Factorization(16, ((4, 2),))  # non-prime base
 
 
 @settings(deadline=None, max_examples=200)

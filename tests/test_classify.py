@@ -133,7 +133,7 @@ class TestGoodnessReport:
                 goodness_report(m, "both")
                 assert calls.count(m) == 1, (m, calls)
                 # a prime m is factored once, as m; no other prime factor is factored
-                assert not {p for p, _ in factorize(m).factors if p != m} & set(calls), (m, calls)
+                assert not {p for p, _ in factorize(m) if p != m} & set(calls), (m, calls)
 
     @pytest.mark.parametrize("method", ["fast", "direct", "both"])
     def test_equals_the_report_built_from_public_pieces(self, method):
@@ -145,7 +145,7 @@ def _report_from_public_pieces(m, method):
     """goodness_report(m, method) as a dict, from a full profile per prime
     factor, profile(m) and is_good_direct(m)."""
     entries = []
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m):
         prof = profile(p)
         entries.append(GoodPrimeEntry(
             p=p, e=e, gamma_p=prof.gamma, two_adic=two_adic_split(prof.gamma)[0],
@@ -185,7 +185,7 @@ class TestZeroCountOdd:
                 zero_count_odd(m)
                 assert calls.count(m) == 1, (m, calls)
                 # prime_period factors only the (even) period bound of a new prime
-                powers = {p**e for p, e in factorize(m).factors} - {m}
+                powers = {p**e for p, e in factorize(m)} - {m}
                 assert not powers & set(calls), (m, calls)
 
 

@@ -19,7 +19,7 @@ from fibmod.cli import main
 from fibmod.errors import CheckpointError
 from fibmod.wss import load_checkpoint
 
-from helpers import fib_upto
+from helpers import fib_upto, interrupted_scan
 
 _TEST_PID = os.getpid()
 _real_scan_block = wss_module._scan_block
@@ -269,10 +269,8 @@ class TestWssScanCommand:
         assert (tmp_path / "wss-scan-2-100.checkpoint.json").exists()
 
     def test_resume_from_partial_checkpoint(self, capsys, tmp_path):
-        from fibmod.wss import scan_wss
-
         partial = tmp_path / "partial.json"
-        scan_wss(2, 500, checkpoint_path=str(partial), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(partial), block_size=100)
         code, doc, _ = run_json(
             capsys, "wss-scan", "--from", "2", "--to", "500",
             "--checkpoint", str(partial), "--block-size", "100", "--json",
@@ -288,10 +286,8 @@ class TestWssScanCommand:
         assert _normalized(partial) == _normalized(fresh)
 
     def test_checkpoint_in_use_exits_2_and_touches_nothing(self, capsys, tmp_path):
-        from fibmod.wss import scan_wss
-
         ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
-        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         before = ck.read_bytes(), out.read_bytes()
         argv = ("wss-scan", "--from", "2", "--to", "500", "--block-size", "100",
                 "--checkpoint", str(ck), "--out", str(out))
@@ -304,6 +300,21 @@ class TestWssScanCommand:
         # once the other scan lets go, the same command resumes
         assert run(capsys, *argv)[0] == 0
         assert load_checkpoint(str(ck)).last_completed == 500
+
+    def test_resume_without_its_results_file_exits_2_and_touches_nothing(self, capsys, tmp_path):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), block_size=100)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(
+            capsys, "wss-scan", "--from", "2", "--to", "500", "--block-size", "100",
+            "--checkpoint", str(ck), "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err == (
+            f"fibmod: checkpoint error: results file {out} is missing the lines "
+            "up to the checkpoint's frontier 201\n"
+        )
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_workers_do_not_hold_the_lock(self, capsys, tmp_path, monkeypatch):
         # a worker orphaned by a killed scan would otherwise refuse every rerun

@@ -27,7 +27,7 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import factorize_calls, fib_upto, primes_between
+from helpers import factorize_calls, fib_upto, interrupted_scan, primes_between
 
 
 class TestLegendre5:
@@ -191,7 +191,7 @@ class TestOddSelfSquare:
                 calls.clear()
                 report = odd_self_square_check(m)
                 assert calls.count(m) == 1, (m, calls)
-                powers = {p**e for p, e in factorize(m).factors} - {m}
+                powers = {p**e for p, e in factorize(m)} - {m}
                 assert not powers & set(calls), (m, calls)
                 record = self_square_test(m)
                 assert (report.gamma, report.residue_mod_m2) == (record.gamma, record.residue_mod_m2)
@@ -204,12 +204,14 @@ def _normalized(path):
 
 class _CountingExecutor(Executor):
     """Synchronous stand-in for ProcessPoolExecutor.  It runs each call at
-    submit time and records the most futures ever submitted and not yet
-    consumed (their result taken)."""
+    submit time and records the workers it was asked for and the most
+    futures ever submitted and not yet consumed (their result taken)."""
 
     peak = 0
+    max_workers = 0
 
     def __init__(self, max_workers, **pool_options):
+        _CountingExecutor.max_workers = max_workers
         self.waiting = 0
 
     def submit(self, fn, *args):
@@ -327,7 +329,7 @@ class TestScan:
 
     def test_results_file_schema(self, tmp_path):
         out = tmp_path / "results.jsonl"
-        scan_wss(2, 50, results_path=str(out))
+        scan_wss(2, 50, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
         lines = out.read_text().splitlines()
         assert len(lines) == len(sieve_upto(50))
         for line in lines:
@@ -361,7 +363,7 @@ class TestScan:
         scan_wss(2, 2000, checkpoint_path=str(base), block_size=250)
 
         resumed = tmp_path / "resumed.json"
-        partial = scan_wss(2, 2000, checkpoint_path=str(resumed), block_size=250, max_blocks=3)
+        partial = interrupted_scan(2, 2000, blocks=3, checkpoint_path=str(resumed), block_size=250)
         assert partial.last_completed == 751
         final = scan_wss(2, 2000, checkpoint_path=str(resumed), block_size=250)
         assert final.last_completed == 2000
@@ -377,7 +379,7 @@ class TestScan:
     def test_resume_trims_results(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         # fake an orphan line past the checkpointed frontier (crash between
         # results append and checkpoint write)
         with out.open("a") as fh:
@@ -391,7 +393,7 @@ class TestScan:
     def test_corrupt_results_line_refuses_resume(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         lines = out.read_text().splitlines(keepends=True)
         lines[3] = "{not json\n"
         out.write_text("".join(lines))
@@ -404,7 +406,7 @@ class TestScan:
     def test_torn_last_line_resumes_cleanly(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         # a crash part-way through appending the next block's first line
         with out.open("a") as fh:
             fh.write('{"p": 211, "legendre5": 1, "ind')
@@ -413,6 +415,17 @@ class TestScan:
         clean_out = tmp_path / "clean.jsonl"
         scan_wss(2, 500, checkpoint_path=str(tmp_path / "c2.json"), results_path=str(clean_out))
         assert out.read_bytes() == clean_out.read_bytes()
+
+    def test_resume_refuses_a_missing_results_file(self, tmp_path):
+        # a new file would lack every line up to the checkpoint's frontier
+        ck = tmp_path / "ck.json"
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), block_size=100)
+        before = ck.read_bytes()
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 201"):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert ck.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "ck.json.lock"]
 
     def test_out_of_domain_range_rejected_up_front(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -423,15 +436,16 @@ class TestScan:
 
     def test_fresh_scan_starts_results_empty(self, tmp_path):
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 100, results_path=str(out))
-        scan_wss(2, 100, results_path=str(out))
+        scan_wss(2, 100, checkpoint_path=str(tmp_path / "c1.json"), results_path=str(out))
+        scan_wss(2, 100, checkpoint_path=str(tmp_path / "c2.json"), results_path=str(out))
         assert len(out.read_text().splitlines()) == len(sieve_upto(100)) == 25
 
-    def test_blocks_are_made_lazily(self):
+    def test_blocks_are_made_lazily(self, tmp_path):
         # a list of every block of [2, 300000] would hold 3e5 tuples
         tracemalloc.start()
         try:
-            scan_wss(2, 300_000, block_size=1, max_blocks=1)
+            ck = str(tmp_path / "ck.json")
+            interrupted_scan(2, 300_000, blocks=1, checkpoint_path=ck, block_size=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,6 +460,13 @@ class TestScan:
         scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
         assert 0 < _CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
         assert _normalized(pooled) == _normalized(serial)
+
+    def test_a_pool_starts_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
+        # a forked pool starts every worker it is given at its first submit
+        monkeypatch.setattr(_CountingExecutor, "max_workers", 0)
+        monkeypatch.setattr(wss_module, "ProcessPoolExecutor", _CountingExecutor)
+        scan_wss(2, 300, workers=64, checkpoint_path=str(tmp_path / "ck.json"), block_size=100)
+        assert _CountingExecutor.max_workers == 3
 
     def test_results_and_checkpoint_fsynced_before_replace(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
@@ -485,7 +506,7 @@ class TestScan:
     def test_trimmed_results_cut_in_place_then_fsynced(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
+        interrupted_scan(2, 300, blocks=1, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         kept, results = out.stat().st_size, out.stat().st_ino
         # a line past the frontier (101), then a torn one: the resume cuts both
         with out.open("a") as fh:
@@ -499,7 +520,7 @@ class TestScan:
             logged_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=1)
+        interrupted_scan(2, 300, blocks=1, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         # the cut reaches the disk on the results file's own inode, before the
         # block appends to it: no copy, no rename, no other file
         assert calls[:2] == [("fsync", results), ("fsync", results)]
@@ -552,7 +573,7 @@ class TestScan:
     def test_stale_spare_and_old_are_reused_or_removed(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100, max_blocks=2)
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         # what a killed scan can leave: a spare longer than any checkpoint, and .old
         (tmp_path / "ck.json.tmp").write_text("x" * 10_000)
         (tmp_path / "ck.json.old").write_text("{not json")
@@ -594,13 +615,15 @@ class TestScan:
         with pytest.raises(CheckpointError):
             scan_wss(2, 200, checkpoint_path=str(path))
 
-    def test_invalid_bounds_rejected(self):
+    def test_invalid_bounds_rejected(self, tmp_path):
+        ck = str(tmp_path / "ck.json")
         with pytest.raises(ValueError):
-            scan_wss(1, 10)
+            scan_wss(1, 10, checkpoint_path=ck)
         with pytest.raises(ValueError):
-            scan_wss(10, 2)
+            scan_wss(10, 2, checkpoint_path=ck)
         with pytest.raises(ValueError):
-            scan_wss(2, 10, workers=0)
+            scan_wss(2, 10, workers=0, checkpoint_path=ck)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScanProvesEachPrimeOnce:
@@ -619,7 +642,7 @@ class TestScanProvesEachPrimeOnce:
         prime_period.cache_clear()  # so that the gate runs for every prime
         lo, hi = 10**12, 10**12 + 3 * 10**4 - 1  # three blocks narrower than isqrt(hi)
         out = tmp_path / "results.jsonl"
-        scan_wss(lo, hi, results_path=str(out))
+        scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
         scanned = [json.loads(line)["p"] for line in out.read_text().splitlines()]
         assert scanned == primes_between(lo, hi)
         assert {p: proofs[p] for p in scanned} == dict.fromkeys(scanned, 1)
