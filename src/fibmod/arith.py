@@ -11,11 +11,15 @@ factorize returns the (prime, exponent) pairs of n as a tuple sorted by
 prime.  It proves each factor once, while it finds it, and checks the
 result no further.  primes_in_range sieves a window with base primes no
 larger than the window is wide, so its memory is O(window); a survivor
-the base primes cannot vouch for is proved by is_prime.  The primes a
-window proved that way are remembered, so that is_prime answers for them
-without a second proof: a scan asks again for each of them at
-prime_period's gate, and forgets them once its block is checked.  That set
-is the module's one piece of state, and it holds only proven primes.
+the base primes cannot vouch for is proved by is_prime.
+
+The module's one piece of state is the block store, _BLOCK_STORE, a dict
+keyed by the primes of the scan block being checked.  A scan fills it from
+its block's primes_in_range, whose every entry is proven, and clears it
+once the block is checked, so is_prime answers for those primes without a
+second proof (prime_period's gate asks for each).  Its values belong to
+pisano: the factors of each prime's period bound, from one strike pass
+over the block, and a chi = +1 prime's square root of 5 mod p^2.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ _SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _TWO64 = 1 << 64
 
-# The primes is_prime proved for the last window primes_in_range could not
-# sieve whole, until the next such window or until the scan that sieved it
-# clears it.  Cleared and refilled in place, never rebound, so that every
-# binding of it stays the same object.
-_WINDOW_PROVEN: set[int] = set()
+# The scan block's primes, each mapped to pisano's facts about it: the
+# factors of its period bound and, for chi = +1, its root of 5 mod p^2 (None
+# otherwise).  Its keys are proven primes.  Filled and cleared in place by
+# the scan, one block at a time, never rebound, so that every binding of it
+# stays the same object.
+_BLOCK_STORE: dict[int, tuple[tuple[tuple[int, int], ...], int | None]] = {}
 
 # Trial division strips every prime factor <= _TRIAL_LIMIT before Pollard rho
 # takes over; numbers below _TRIAL_LIMIT**2 are therefore fully factored by
@@ -53,7 +58,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
     if n >= _TWO64:
         raise ValueError("is_prime is deterministic only below 2**64")
-    if n in _WINDOW_PROVEN:
+    if n in _BLOCK_STORE:
         return True
     if n < 2:
         return False
@@ -139,20 +144,31 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    # Trial division stops early only at a prime; otherwise the survivor, and
-    # every part rho splits from it, has no factor <= _TRIAL_LIMIT.  So a part
-    # below _TRIAL_LIMIT**2 is prime, and a larger one is proved prime by
-    # is_prime or split by rho: every counted factor is proven, once.
-    stack = [n] if n > 1 else []
+    # Trial division stops early only at a prime; otherwise the survivor has
+    # no factor <= _TRIAL_LIMIT, and so neither has any part rho splits from it
+    if n > 1:
+        counts.update(_rough_factors(n, _TRIAL_LIMIT))
+    return tuple(sorted(counts.items()))
+
+
+def _rough_factors(n: int, bound: int) -> dict[int, int]:
+    """The prime factors of n > 1, which has none <= bound, with exponents.
+
+    A part below (bound + 1)**2 is then prime; a larger one is proved prime
+    by is_prime or split by rho, so every counted factor is proven, once.
+    """
+    proven = (bound + 1) ** 2
+    counts: dict[int, int] = {}
+    stack = [n]
     while stack:
         m = stack.pop()
-        if m < _TRIAL_LIMIT**2 or is_prime(m):
+        if m < proven or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         d = _rho_factor(m)
         stack.append(d)
         stack.append(m // d)
-    return tuple(sorted(counts.items()))
+    return counts
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -161,13 +177,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     The base primes reach base = min(isqrt(hi), hi - lo + 1), so memory is
     O(hi - lo) however large hi is.  A survivor below (base + 1)**2 is prime
     by the sieve; a larger one, left only when the window is narrower than
-    isqrt(hi), must also pass is_prime.  The primes proved that way replace
-    the previous window's in _WINDOW_PROVEN; a window sieved whole leaves it
-    as it was.  So after the call returns, the set still holds the window's
-    proved primes (about width / ln(hi) ints) until the next such window,
-    or until the caller clears it, as a scan does after each block.  The
-    returned list never reads that set, so a concurrent caller can cost a
-    second proof, never a prime.
+    isqrt(hi), must also pass is_prime.  So every returned prime is proven.
     """
     if hi >= _TWO64:
         raise ValueError("primes_in_range supports hi < 2**64")
@@ -180,14 +190,8 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         start = max(p * p, lo + (-lo) % p)  # first multiple of p to strike
         flags[start - lo :: p] = bytes((hi - start) // p + 1)
     primes = list(compress(range(lo, hi + 1), flags))
-    proven = (base + 1) ** 2
-    if hi < proven:
-        return primes
-    sieved = bisect_left(primes, proven)
-    _WINDOW_PROVEN.clear()
-    proved = [n for n in primes[sieved:] if is_prime(n)]
-    _WINDOW_PROVEN.update(proved)
-    return primes[:sieved] + proved
+    sieved = bisect_left(primes, (base + 1) ** 2)
+    return primes[:sieved] + [n for n in primes[sieved:] if is_prime(n)]
 
 
 def sieve_upto(n: int) -> list[int]:

@@ -18,15 +18,34 @@ at the period over 2^k (k = min(2, v_2(period))) and its k doublings; in
 the same way prime_period reads its premise and every halving of its bound
 from one ladder's doublings.  verify holds all three fast values against
 the direct scan, as do the tests.
+
+A prime p with chi = (p/5) = +1 takes no ladder: 5 has a square root s mod
+p, found deterministically (one pow for p = 3 mod 4, Atkin's formula for
+p = 5 mod 8, Tonelli-Shanks with the least non-residue for p = 1 mod 8)
+and lifted to p^2 by one Hensel step.  P then has the eigenvalues
+phi = (1 + s)/2 and psi = -1/phi, so period(p) = lcm(ord_p(phi), 2), found
+by order reduction with builtin pow, and u_n = (phi^n - psi^n)/s mod p^2
+gives the Wall-Sun-Sun index residue u_{p-1} mod p^2 from x = phi^(p-1):
+(x - 1/x)/s.  Primes with chi = -1, and 2 and 5, keep the ladders.
+
+Every prime's period is reduced over the factors of its bound t.  A scan
+block gets them for all its primes from one strike pass
+(_bound_factor_sieve): the odd primes up to a bound B strike the block's
+neighbours p - chi, and only a cofactor of at least (B + 1)^2 goes to
+is_prime and rho.  The factors, and each chi = +1 prime's root of 5, sit in
+arith's block store while the block is checked; a prime outside a scan
+block factors its bound with factorize.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 
-from .arith import factorize, is_prime, two_adic_split
+from .arith import _BLOCK_STORE, _rough_factors, factorize, is_prime, sieve_upto, two_adic_split
 from .errors import AnomalyError
 from .fib import _doublings, fib_pair_mod
 
@@ -46,6 +65,13 @@ _LIFTING_SEARCH_BOUND = 8
 # would take ~4.1 MiB.  Per-modulus values are not memoized: each is computed
 # from its caller's one factorization of the modulus.
 _CACHE_SIZE = 1 << 14
+
+# The odd primes up to this bound strike a scan block's period bounds; the
+# pass is capped at the isqrt of the block's largest neighbour, where every
+# cofactor is 1 or a prime.  At p ~ 1e12, 2^16 strikes a block of 1e4 in
+# ~0.4 of factorize's time, and 2^17 in ~0.3, but its list raises a
+# process's peak RSS by ~2.3 MiB against ~0.75.
+_SIEVE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,15 +129,20 @@ def prime_period(p: int) -> int:
 
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
     2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
-    reduction over the factors of that bound (p = 2 and p = 5 included).
-    The premise and the halvings read one ladder at the bound's odd part and
-    its doublings; each odd prime factor's test is a ladder of its own.
+    reduction over the factors of that bound (p = 2 and p = 5 included),
+    read from the scan block's store or from factorize.  For chi = 1 the
+    reduction runs on the eigenvalue phi with builtin pow.  Otherwise the
+    premise and the halvings read one ladder at the bound's odd part and
+    its doublings, and each odd prime factor's test is a ladder of its own.
     It is the period layer's one primality check.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     chi = _legendre5(p)
     t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
+    factors, root = _BLOCK_STORE.get(p) or (factorize(t), None)
+    if chi == 1:
+        return _eigen_period(p, factors, _root5(p) if root is None else root)
     # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd
     # and its v doublings: the premise reads the last, and the period's 2-part
     # is the first i where P^(odd * 2^i) is the identity
@@ -120,10 +151,175 @@ def prime_period(p: int) -> int:
     if pairs[v] != (0, 1):
         raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
     gamma = odd << pairs.index((0, 1))
-    for q, _ in factorize(t):
+    for q, _ in factors:
         while q != 2 and gamma % q == 0 and fib_pair_mod(gamma // q, p) == (0, 1):
             gamma //= q
     return gamma
+
+
+def _eigen_period(p: int, factors: tuple[tuple[int, int], ...], s: int) -> int:
+    """Period of a chi = +1 prime p from s, a square root of 5 mod p, and
+    the factors of its bound p - 1.
+
+    P has the eigenvalues phi = (1 + s)/2 and psi = -1/phi in F_p, so
+    P^n = I exactly when phi^n = 1 and n is even: the period is the least
+    even n with phi^n = 1.
+    """
+    phi = (1 + s) * ((p + 1) // 2) % p
+    # as for the ladder, phi^(odd * 2^i) for i = 0, 1, ... are one pow and
+    # squarings, and phi^(p - 1) = 1 (Fermat) ends them by i = v_2(p - 1)
+    i, odd = 0, two_adic_split(p - 1)[1]
+    x = pow(phi, odd, p)
+    while x != 1:
+        x, i = x * x % p, i + 1
+    gamma = odd << max(1, i)
+    for q, _ in factors:
+        while q != 2 and gamma % q == 0 and pow(phi, gamma // q, p) == 1:
+            gamma //= q
+    return gamma
+
+
+def _root5(p: int) -> int:
+    """s with s^2 == 5 mod p^2, for a prime p with chi = +1: a root mod p,
+    lifted by one Hensel step, and checked.
+
+    5 is a square mod p exactly when P^(p-1) = I mod p, so a root that
+    fails mod p is the premise of p's order reduction failing.
+    """
+    s = _sqrt5_mod_p(p)
+    if s * s % p != 5:
+        raise AnomalyError(f"order reduction premise fails: predicate false at {p - 1}")
+    s += (5 - s * s) // p * pow(2 * s, -1, p) % p * p
+    if (s * s - 5) % (p * p):
+        raise AnomalyError(f"Hensel lift fails: {s}^2 != 5 mod {p}^2")
+    return s
+
+
+def _sqrt5_mod_p(p: int) -> int:
+    """A square root of 5 mod a prime p > 5 with chi = +1, deterministically:
+    one pow for p = 3 mod 4, Atkin's formula for p = 5 mod 8, and
+    Tonelli-Shanks with the least quadratic non-residue for p = 1 mod 8.
+    For a p where 5 is no square, a value whose square is not 5."""
+    if p % 4 == 3:
+        return pow(5, (p + 1) // 4, p)
+    if p % 8 == 5:
+        v = pow(10, (p - 5) // 8, p)
+        return 5 * v * (10 * v * v - 1) % p
+    m, q = two_adic_split(p - 1)
+    z = next(n for n in count(3) if _jacobi(n, p) == -1)  # 2 is a square mod p = 1 mod 8
+    c = pow(z, q, p)
+    u = pow(5, (q - 1) // 2, p)
+    r, t = 5 * u % p, 5 * u * u % p  # 5^((q+1)/2) and 5^q
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1 and i < m:
+            t2, i = t2 * t2 % p, i + 1
+        if i == m:  # t has order 2^m: 5 is no square mod p
+            break
+        b = c
+        for _ in range(m - i - 1):
+            b = b * b % p
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _index_residue(p: int) -> int:
+    """u_{p-1} mod p^2 for a prime p with chi = +1, without a ladder.
+
+    With s^2 == 5 mod p^2, u_n == (phi^n - psi^n)/s mod p^2, and
+    psi^n = phi^-n for even n; so with x = phi^(p-1) mod p^2 the residue is
+    (x - 1/x)/s = (x^2 - 1)/(x*s).
+    """
+    facts = _BLOCK_STORE.get(p)
+    s = _root5(p) if facts is None else facts[1]
+    p2 = p * p
+    x = pow((1 + s) * ((p2 + 1) // 2), p - 1, p2)
+    return (x * x - 1) * pow(x * s, -1, p2) % p2
+
+
+@lru_cache(maxsize=1)
+def _odd_base_primes(limit: int) -> list[int]:
+    """The odd primes up to limit, built on first use.  A scan asks for the
+    same limit, a power of 2, for as long as its blocks' bound stays below
+    it, and a low range keeps a short list."""
+    return sieve_upto(limit)[1:]
+
+
+def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """factorize(t) of the period bound t of each prime but 5 of a scan
+    block's sorted primes, by one strike pass.
+
+    t is the neighbour n = p - chi, doubled when chi = -1, so t's odd part is
+    n's.  The odd primes up to B = min(_SIEVE_LIMIT, isqrt(max n)) strike the
+    neighbours; a cofactor left below (B + 1)^2 is 1 or a prime, and a
+    larger one goes to is_prime and rho.  Two primes two apart can share a
+    neighbour (17 + 1 = 19 - 1) with different bounds (36, 18), so each
+    result is keyed by its prime and takes its own power of 2.
+    """
+    neighbours = {p: (p - chi, chi) for p in primes if (chi := _legendre5(p))}
+    if not neighbours:
+        return {}
+    lo, hi = primes[0] - 1, primes[-1] + 1
+    bound = min(_SIEVE_LIMIT, math.isqrt(hi))
+    splits = {n: two_adic_split(n) for n, _ in neighbours.values()}
+    rest = {n: odd for n, (_, odd) in splits.items()}
+    found: dict[int, list[tuple[int, int]]] = {n: [] for n in rest}
+    marks = bytearray(hi - lo + 1)
+    for n in rest:
+        marks[n - lo] = 1
+    base = _odd_base_primes(min(_SIEVE_LIMIT, 1 << bound.bit_length()))
+    width = len(marks)
+    wide = bisect_right(base, min(bound, width))
+    # (q, offset) of each neighbour a base prime divides, q ascending; a q
+    # wider than the block has at most one multiple in it
+    hits = [
+        (q, i)
+        for q in base[:wide]
+        for first in [(-lo) % q]
+        for i in compress(range(first, width, q), marks[first::q])
+    ]
+    hits += [
+        (q, i) for q in base[wide : bisect_right(base, bound)] if (i := (-lo) % q) < width and marks[i]
+    ]
+    for q, i in hits:
+        n = lo + i
+        m, e = rest[n] // q, 1
+        while m % q == 0:
+            m, e = m // q, e + 1
+        rest[n] = m
+        found[n].append((q, e))
+    for n, m in rest.items():
+        if m > 1:
+            found[n].extend(sorted(_rough_factors(m, bound).items()))
+    return {
+        p: ((2, splits[n][0] + (chi == -1)), *found[n]) for p, (n, chi) in neighbours.items()
+    }
+
+
+def _block_facts(primes: list[int]) -> dict[int, tuple[tuple[tuple[int, int], ...], int | None]]:
+    """The block store's entries for a scan block's primes: each prime's
+    period-bound factors and, for chi = +1, its root of 5 mod p^2."""
+    return {
+        p: (factors, _root5(p) if _legendre5(p) == 1 else None)
+        for p, factors in _bound_factor_sieve(primes).items()
+    }
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -3,7 +3,11 @@
 A prime p is a Wall-Sun-Sun prime when p^2 divides u_{p - (p/5)}, where
 (p/5) is the Legendre symbol; equivalently p^2 | u_{period(p)}.  No such
 prime is known.  Every check here evaluates *both* criteria and records
-whether they agree — the equivalence is audited, not assumed.
+whether they agree — the equivalence is audited, not assumed.  The two
+come from two algorithms where they can: the period criterion is always a
+fast-doubling ladder mod p^2, and for (p/5) = +1 the index criterion is
+pisano's eigenvalue route, (x - 1/x)/s with s^2 == 5 and x = phi^(p-1)
+mod p^2; for (p/5) = -1, and at 2 and 5, it is a ladder too.
 
 The companion question for composite moduli: m^2 | u_{period(m)} is
 conjectured (equivalently to WSS non-existence) to hold only for m = 6 and
@@ -14,7 +18,10 @@ to worker processes.  Results are merged in ascending block order, and one
 process, holding a flock on <checkpoint>.lock, writes the checkpoint, so
 scans are deterministic and resumable: identical ranges yield byte-identical
 checkpoints (modulo wall time) regardless of worker count or interruption
-pattern.  chi = (p/5) and every period come from pisano.
+pattern.  chi = (p/5) and every period come from pisano.  Each block
+fills arith's block store from its sieve, with the factors of every
+prime's period bound and each (p/5) = +1 prime's root of 5, and clears it
+once its primes are checked.
 """
 
 from __future__ import annotations
@@ -30,10 +37,18 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 
-from .arith import _WINDOW_PROVEN, factorize, primes_in_range, two_adic_split
+from .arith import _BLOCK_STORE, factorize, primes_in_range, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
-from .pisano import _legendre5, _period_from_factors, pisano_fast, prime_period, prime_power_period
+from .pisano import (
+    _block_facts,
+    _index_residue,
+    _legendre5,
+    _period_from_factors,
+    pisano_fast,
+    prime_period,
+    prime_power_period,
+)
 
 DEFAULT_BLOCK_SIZE = 10_000
 _ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its scan is alive
@@ -92,7 +107,9 @@ def wss_check(p: int) -> WssRecord:
     chi = _legendre5(p)
     index = p - chi
     p2 = p * p
-    residue_index = fib_pair_mod(index, p2)[0]
+    # two algorithms for the two criteria: for chi = +1 the index residue
+    # comes from the eigenvalue route, the period's residue from a ladder
+    residue_index = _index_residue(p) if chi == 1 else fib_pair_mod(index, p2)[0]
     residue_gamma = fib_pair_mod(gamma, p2)[0]
     return WssRecord(
         p=p,
@@ -179,8 +196,12 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
 
 def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[WssRecord]]:
     lo, hi = bounds
-    records = [wss_check(p) for p in primes_in_range(lo, hi)]
-    _WINDOW_PROVEN.clear()  # its proofs served this block's gate; keep none past it
+    primes = primes_in_range(lo, hi)
+    try:
+        _BLOCK_STORE.update(_block_facts(primes))
+        records = [wss_check(p) for p in primes]
+    finally:
+        _BLOCK_STORE.clear()  # its facts served this block; keep none past it
     return hi, records
 
 
@@ -323,10 +344,7 @@ def _trim_results(path: str, last_completed: int) -> None:
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
-        raise CheckpointError(
-            f"results file {path} is missing the lines up to the checkpoint's "
-            f"frontier {last_completed}"
-        ) from None
+        raise _missing_results(path, last_completed) from None
     with fh:
         size, past = 0, False
         for number, line in enumerate(fh, 1):
@@ -342,6 +360,12 @@ def _trim_results(path: str, last_completed: int) -> None:
                 size += len(line)
         fh.truncate(size)
         os.fsync(fh.fileno())
+
+
+def _missing_results(path: str, frontier: int) -> CheckpointError:
+    return CheckpointError(
+        f"results file {path} is missing the lines up to the checkpoint's frontier {frontier}"
+    )
 
 
 @contextmanager
@@ -400,8 +424,9 @@ def scan_wss(
     """Test every prime in [lo, hi] for the Wall-Sun-Sun property.
 
     Progress is checkpointed after every completed block; a scan pointed at
-    an existing checkpoint for the same range resumes where it left off, and
-    then its results file, if it names one, must hold the lines up to there.
+    an existing checkpoint for the same range resumes where it left off, or
+    returns it if it is complete, and then its results file, if it names
+    one, must exist and hold the lines up to there.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
@@ -426,6 +451,8 @@ def scan_wss(
                     f"[{previous.range_lo}, {previous.range_hi}], not [{lo}, {hi}]"
                 )
             if previous.last_completed >= hi:
+                if results_path and not os.path.exists(results_path):
+                    raise _missing_results(results_path, hi)
                 return previous
             start = previous.last_completed + 1
             hits = list(previous.hits)

@@ -5,6 +5,8 @@ trial division — so the library's fast paths are checked against code that
 shares none of their structure.  binding_calls records how often the
 library calls one of its functions, not what it computes, and
 interrupted_scan stops a real scan between two of its blocks.
+ladder_prime_period is the order reduction of the ladder route, which the
+eigenvalue route of chi = +1 primes must match.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import pytest
 
 import fibmod.wss as wss_module
 from fibmod.arith import factorize
+from fibmod.fib import matrix_pow_mod
 
 
 @contextlib.contextmanager
@@ -66,20 +69,47 @@ def interrupted_scan(lo, hi, *, blocks, **options):
     return written[-1]
 
 
+def period_bound(p: int) -> int:
+    """The bound t that the period of a prime p divides, from p mod 5:
+    p - 1, 2(p + 1) or 4p for (p/5) = 1, -1, 0."""
+    return {1: p - 1, 4: p - 1, 2: 2 * (p + 1), 3: 2 * (p + 1), 0: 4 * p}[p % 5]
+
+
 def odd_prime_tests(p: int, gamma: int) -> int:
     """Halving tests an order reduction of the period bound t of the prime p
     to its period gamma makes at the odd primes q of t: with q^e
     exactly dividing t and q^v exactly dividing gamma, e - v successful
     tests, then one failing test when q still divides what is left."""
-    t = {1: p - 1, 4: p - 1, 2: 2 * (p + 1), 3: 2 * (p + 1), 0: 4 * p}[p % 5]
     tests = 0
-    for q, e in factorize(t):
+    for q, e in factorize(period_bound(p)):
         if q != 2:
             v = 0
             while gamma % q ** (v + 1) == 0:
                 v += 1
             tests += e - v + (v > 0)
     return tests
+
+
+def route_pows(p: int, gamma: int) -> int:
+    """Builtin pow calls prime_period makes for a prime p with chi = +1 and
+    period gamma: the square root of 5 mod p (the least non-residue's power
+    and 5's for p = 1 mod 8, one pow otherwise), its Hensel lift, phi to the
+    bound's odd part, then one per odd-prime test."""
+    return (2 if p % 8 == 1 else 1) + 2 + odd_prime_tests(p, gamma)
+
+
+def ladder_prime_period(p: int) -> int:
+    """Period of a prime p by order reduction over the factors of its bound
+    t, each test a matrix power mod p: the ladder route, with no eigenvalue
+    and no square root of 5."""
+    gamma = period_bound(p)
+    for q, _ in factorize(gamma):
+        while gamma % q == 0:
+            power = matrix_pow_mod(gamma // q, p)
+            if (power.u_prev, power.u_cur, power.u_next) != (1, 0, 1):
+                break
+            gamma //= q
+    return gamma
 
 
 def fib_upto(n: int) -> list[int]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import (
     factorize,
@@ -228,7 +229,6 @@ class TestWindowSieve:
     def test_full_sieve_makes_no_primality_call(self, monkeypatch):
         calls = []
         real = arith.is_prime
-        # answer truly: the primes a window proves are remembered by is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
         assert len(sieve_upto(10**5)) == 9592
         root = math.isqrt(10**9 + 31622)
@@ -351,43 +351,77 @@ class TestWitnessTiers:
         assert checked > 70_000
 
 
+def _store_during_block(lo, hi):
+    """The block store as each wss_check of the scan block [lo, hi] sees it:
+    (the store object, its keys), with wss_check a stand-in that checks nothing."""
+    seen = []
+
+    def record(p):
+        seen.append((arith._BLOCK_STORE, set(arith._BLOCK_STORE)))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wss_module, "wss_check", record)
+        wss_module._scan_block((lo, hi))
+    return seen
+
+
 class TestWindowMemo:
-    """primes_in_range remembers the primes its last window proved, and only those."""
+    """The block store holds one scan block's proven primes while the block is
+    checked, and only those; primes_in_range alone stores nothing."""
 
     @pytest.mark.parametrize("lo,hi", [(10**9, 10**9 + 999), (10**12, 10**12 + 2000), (2**63 - 3000, 2**63)])
-    def test_the_set_holds_the_window_proved_primes_and_composites_stay_composite(self, lo, hi):
-        memo = arith._WINDOW_PROVEN
+    def test_the_set_holds_the_window_proved_primes_and_composites_stay_composite(self, lo, hi, monkeypatch):
+        store = arith._BLOCK_STORE
         primes = primes_in_range(lo, hi)
-        assert arith._WINDOW_PROVEN is memo
-        assert memo == set(primes)
-        for n in range(lo, hi + 1):
-            assert is_prime(n) == _seven_base_is_prime(n), n
+        assert arith._BLOCK_STORE is store and store == {}
+        keys, verdicts = [], []
+
+        def check(p):
+            keys.append(set(store))
+            if not verdicts:  # is_prime over the whole window, while the store is full
+                verdicts.extend(is_prime(n) for n in range(lo, hi + 1))
+
+        monkeypatch.setattr(wss_module, "wss_check", check)
+        wss_module._scan_block((lo, hi))
+        assert arith._BLOCK_STORE is store and store == {}
+        assert keys == [set(primes)] * len(primes)
+        assert verdicts == [_seven_base_is_prime(n) for n in range(lo, hi + 1)]
 
     def test_a_new_window_replaces_the_last(self):
-        primes_in_range(10**12, 10**12 + 2000)
-        primes = primes_in_range(10**15, 10**15 + 2000)
-        assert arith._WINDOW_PROVEN == set(primes)
+        first = _store_during_block(10**12, 10**12 + 2000)
+        second = _store_during_block(10**15, 10**15 + 2000)
+        assert {frozenset(keys) for _, keys in first} == {frozenset(primes_in_range(10**12, 10**12 + 2000))}
+        assert {frozenset(keys) for _, keys in second} == {frozenset(primes_in_range(10**15, 10**15 + 2000))}
+        assert {id(store) for store, _ in first + second} == {id(arith._BLOCK_STORE)}
+        assert arith._BLOCK_STORE == {}
 
     def test_a_full_sieve_window_adds_nothing(self):
-        memo = arith._WINDOW_PROVEN
-        before = set(primes_in_range(10**12, 10**12 + 2000))
-        assert memo == before
+        # nor does a narrower one: only a scan block fills the store
+        store = arith._BLOCK_STORE
         assert len(sieve_upto(10**5)) == 9592
         root = math.isqrt(10**9 + 31622)
         assert primes_in_range(10**9, 10**9 + root - 1)
-        assert arith._WINDOW_PROVEN is memo and memo == before
+        assert primes_in_range(10**12, 10**12 + 2000)
+        assert arith._BLOCK_STORE is store and store == {}
 
     def test_a_direct_call_keeps_only_its_window_proved_primes(self):
-        # what stays alive after the call: the window's proved primes, no more
+        # what stays alive while a block is checked: its primes' entries, no more
         lo, hi = 10**15, 10**15 + 9999
         primes = primes_in_range(lo, hi)
-        assert len(arith._WINDOW_PROVEN) == len(primes) < (hi - lo + 1) // 30
-        primes_in_range(10**6, 10**6 + 99)  # base 100, so it proves survivors too
-        assert arith._WINDOW_PROVEN == set(primes_between(10**6, 10**6 + 99))
+        seen = _store_during_block(lo, hi)
+        assert [keys for _, keys in seen] == [set(primes)] * len(primes)
+        assert len(primes) < (hi - lo + 1) // 30
+        # 5 is the one prime the store leaves out: its bound 20 factors at once
+        assert [keys for _, keys in _store_during_block(2, 100)] == [set(sieve_upto(100)) - {5}] * 25
+        assert arith._BLOCK_STORE == {}
 
-    def test_survivors_the_sieve_proved_stay_out(self):
+    def test_survivors_the_sieve_proved_stay_out(self, monkeypatch):
         # base = width = 100, so survivors below 101**2 are prime by the sieve alone
+        calls = []
+        real = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
         lo, hi = 10150, 10249
         assert primes_in_range(lo, hi) == primes_between(lo, hi)
-        assert arith._WINDOW_PROVEN == {p for p in primes_between(lo, hi) if p >= 101**2}
-        assert min(arith._WINDOW_PROVEN) > 101**2 > lo
+        # the one composite survivor is 101**2, which no base prime strikes
+        assert calls == [101**2] + [p for p in primes_between(lo, hi) if p > 101**2]
+        assert min(calls) == 101**2 > lo

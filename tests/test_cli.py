@@ -316,6 +316,21 @@ class TestWssScanCommand:
         )
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    def test_finished_scan_without_its_results_file_exits_2_and_touches_nothing(self, capsys, tmp_path):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        code, _, err = run(capsys, "wss-scan", "--from", "2", "--to", "300", "--checkpoint", str(ck))
+        assert code == 0, err
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(
+            capsys, "wss-scan", "--from", "2", "--to", "300", "--checkpoint", str(ck), "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err == (
+            f"fibmod: checkpoint error: results file {out} is missing the lines "
+            "up to the checkpoint's frontier 300\n"
+        )
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_workers_do_not_hold_the_lock(self, capsys, tmp_path, monkeypatch):
         # a worker orphaned by a killed scan would otherwise refuse every rerun
         ck = tmp_path / "ck.json"

@@ -1,10 +1,14 @@
 import contextlib
+import math
+from collections import Counter
 from unittest import mock
 
 import pytest
 
 import fibmod.pisano as pisano_module
-from fibmod.arith import sieve_upto
+import fibmod.wss as wss_module
+from fibmod import arith
+from fibmod.arith import factorize, is_prime, primes_in_range, sieve_upto, two_adic_split
 from fibmod.classify import is_good_prime, period_divisor_class, zero_count_period_pattern
 from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod
@@ -26,12 +30,18 @@ from helpers import (
     binding_calls,
     factorize_calls,
     fib_upto,
+    ladder_prime_period,
     odd_prime_tests,
+    period_bound,
     pisano_scan,
     primes_between,
     rank_scan,
+    route_pows,
     zero_scan,
 )
+
+# chi = +1 primes p = 1 mod 8 whose p - 1 has a large 2-part, for Tonelli-Shanks
+_LARGE_TWO_PARTS = {5767169: 19, 104857601: 22, 469762049: 26}
 
 
 class TestPisanoDirect:
@@ -96,21 +106,161 @@ class TestPrimePeriod:
             prime_period.cache_clear()
         assert str(info.value) == "order reduction premise fails: predicate false at 6"
 
-    def test_one_ladder_plus_one_per_odd_prime_test(self):
-        # the premise and the halvings by 2 read one ladder's doublings
+    def test_one_ladder_plus_one_per_odd_prime_test(self, monkeypatch):
+        # chi = -1: the premise and the halvings by 2 read one ladder's
+        # doublings, and each odd-prime test is a ladder; chi = +1: no ladder,
+        # and builtin pow for the root of 5, its lift, phi^odd and each test
+        pows = []
+        monkeypatch.setattr(pisano_module, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
+        routes = Counter()
         prime_period.cache_clear()
         try:
             with binding_calls(fib_pair_mod) as calls:
                 for p in primes_between(10**6, 10**6 + 10**4 - 1):
                     calls.clear()
+                    pows.clear()
                     gamma = prime_period(p)
-                    assert len(calls) == 1 + odd_prime_tests(p, gamma), (p, calls)
+                    if p % 5 in (1, 4):
+                        routes[p % 8 == 1] += 1
+                        assert (len(calls), len(pows)) == (0, route_pows(p, gamma)), (p, calls, pows)
+                    else:
+                        routes[None] += 1
+                        assert (len(calls), len(pows)) == (1 + odd_prime_tests(p, gamma), 0), (p, calls, pows)
         finally:
             prime_period.cache_clear()
+        assert min(routes[None], routes[True], routes[False]) > 50
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             prime_period(10)
+
+
+class TestEigenRoute:
+    """chi = +1 primes: the period and the index residue from a square root of
+    5, held against the ladders."""
+
+    def test_period_and_index_residue_match_the_ladders(self):
+        chi_plus = [p for p in sieve_upto(10**5) if p % 5 in (1, 4)]
+        prime_period.cache_clear()
+        try:
+            for p in chi_plus:
+                assert prime_period(p) == ladder_prime_period(p), p
+                assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+        finally:
+            prime_period.cache_clear()
+        assert len(chi_plus) > 4500
+
+    @pytest.mark.parametrize("lo", [10**7, 10**9, 10**12])
+    def test_windows_match_the_ladders_in_and_out_of_a_scan_block(self, lo):
+        hi = lo + 10**4 - 1
+        primes = primes_between(lo, hi)
+        prime_period.cache_clear()
+        try:
+            _, records = wss_module._scan_block((lo, hi))  # the store's factors and roots
+            assert [r.p for r in records] == primes
+            for r in records:
+                p, p2 = r.p, r.p * r.p
+                assert r.residue_fib_index_mod_p2 == fib_pair_mod(r.index, p2)[0], p
+                assert r.residue_fib_gamma_mod_p2 == fib_pair_mod(ladder_prime_period(p), p2)[0], p
+            prime_period.cache_clear()
+            for p in primes:  # factorize and a fresh root, outside a block
+                assert prime_period(p) == ladder_prime_period(p), p
+                if p % 5 in (1, 4):
+                    assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+        finally:
+            prime_period.cache_clear()
+
+    def test_every_square_root_branch(self):
+        for p, v in _LARGE_TWO_PARTS.items():
+            assert is_prime(p) and p % 5 in (1, 4) and two_adic_split(p - 1)[0] == v
+        primes = [p for p in sieve_upto(3000) if p % 5 in (1, 4)] + list(_LARGE_TWO_PARTS)
+        # one pow for p = 3 mod 4, Atkin for p = 5 mod 8, Tonelli-Shanks for p = 1 mod 8
+        assert {p % 4 if p % 4 == 3 else p % 8 for p in primes} == {3, 5, 1}
+        prime_period.cache_clear()
+        try:
+            for p in primes:
+                s = pisano_module._sqrt5_mod_p(p)
+                assert s * s % p == 5, p
+                root = pisano_module._root5(p)
+                assert (root * root - 5) % (p * p) == 0 and root % p == s, p
+                assert prime_period(p) == ladder_prime_period(p), p
+                assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+        finally:
+            prime_period.cache_clear()
+
+    def test_a_wrong_root_is_an_anomaly(self, monkeypatch):
+        real = pisano_module._sqrt5_mod_p
+        monkeypatch.setattr(pisano_module, "_sqrt5_mod_p", lambda p: (real(p) + 1) % p)
+        prime_period.cache_clear()
+        try:
+            with pytest.raises(AnomalyError, match="^order reduction premise fails: predicate false at 28$"):
+                prime_period(29)
+            with pytest.raises(AnomalyError):
+                wss_check(29)
+            with pytest.raises(AnomalyError):
+                wss_module._scan_block((20, 40))
+            assert arith._BLOCK_STORE == {}
+            # a root right mod p but lifted wrong: an inverse off by one
+            monkeypatch.setattr(pisano_module, "_sqrt5_mod_p", real)
+            monkeypatch.setattr(
+                pisano_module, "pow", lambda *args: pow(*args) + (args[1] == -1), raising=False
+            )
+            with pytest.raises(AnomalyError, match="^Hensel lift fails: "):
+                prime_period(29)
+            with pytest.raises(AnomalyError, match="^Hensel lift fails: "):
+                wss_check(29)
+        finally:
+            prime_period.cache_clear()
+
+
+class TestBoundFactorSieve:
+    """A scan block's period bounds, factored by one strike pass."""
+
+    @pytest.mark.parametrize("lo,hi", [(2, 3000), (10**7, 10**7 + 9999), (10**9, 10**9 + 9999),
+                                       (10**12, 10**12 + 9999)])
+    def test_matches_factorize(self, lo, hi):
+        primes = primes_in_range(lo, hi)
+        assert pisano_module._bound_factor_sieve(primes) == {p: factorize(period_bound(p)) for p in primes if p != 5}
+
+    def test_twin_primes_keep_their_own_bounds(self):
+        # 17 (chi = -1, bound 36) and 19 (chi = +1, bound 18) share the neighbour 18
+        assert pisano_module._bound_factor_sieve([17, 19]) == {17: ((2, 2), (3, 2)), 19: ((2, 1), (3, 2))}
+        lo = 10**12
+        primes = primes_between(lo, lo + 9999)
+        p = next(p for p in primes if p + 2 in primes and p % 5 == 2)
+        sieved = pisano_module._bound_factor_sieve(primes)
+        assert period_bound(p) == 2 * (p + 1) and period_bound(p + 2) == p + 1
+        assert sieved[p] == factorize(2 * (p + 1)) != sieved[p + 2] == factorize(p + 1)
+
+    def test_a_composite_cofactor_goes_through_rho(self, monkeypatch):
+        lo, hi = 10**12, 10**12 + 9999
+        primes = primes_in_range(lo, hi)
+        limit = pisano_module._SIEVE_LIMIT
+        assert limit < math.isqrt(hi + 1)
+
+        def cofactor(p):
+            return math.prod(q**e for q, e in factorize(period_bound(p)) if q > limit)
+
+        p = next(p for p in primes if len([q for q, _ in factorize(period_bound(p)) if q > limit]) > 1)
+        rough, want = cofactor(p), factorize(period_bound(p))
+        assert not is_prime(rough) and rough >= (limit + 1) ** 2
+        splits, proofs = [], []
+        rho, real_is_prime = arith._rho_factor, arith.is_prime
+        monkeypatch.setattr(arith, "_rho_factor", lambda n: splits.append(n) or rho(n))
+        monkeypatch.setattr(arith, "is_prime", lambda n: proofs.append(n) or real_is_prime(n))
+        assert pisano_module._bound_factor_sieve(primes)[p] == want
+        assert rough in splits
+        # only a cofactor of at least (B + 1)^2 is proved or split
+        assert min(splits + proofs) >= (limit + 1) ** 2
+
+    def test_cofactors_need_no_proof_below_the_isqrt_cap(self, monkeypatch):
+        # at 1e7, B = isqrt(largest neighbour), so every cofactor is 1 or a prime
+        calls = []
+        primes = primes_between(10**7, 10**7 + 9999)
+        want = {p: factorize(period_bound(p)) for p in primes}
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n))
+        assert pisano_module._bound_factor_sieve(primes) == want
+        assert calls == []
 
 
 class TestLiftingExponent:

@@ -10,7 +10,7 @@ import sys
 import fibmod
 from fibmod.pisano import pisano_direct
 
-from helpers import odd_prime_tests, primes_between
+from helpers import odd_prime_tests, primes_between, route_pows
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
 PAIRS = TOOL.with_name("bench_pairs.py")
@@ -35,19 +35,28 @@ def test_kernel_ratio_at_1e5():
     )
     assert done.returncode == 0, done.stderr
     header, row = done.stdout.splitlines()
-    assert header.split()[2:] == ["primes", "kernel", "us", "ladder", "us", "ratio", "MR", "pow/p", "ladders/p"]
-    magnitude, primes, kernel_us, ladder_us, ratio, pows, ladders = row.split()
+    assert header.split()[2:] == [
+        "primes", "kernel", "us", "ladder", "us", "ratio", "MR", "pow/p", "route", "pow/p", "ladders/p"
+    ]
+    magnitude, primes, kernel_us, ladder_us, ratio, pows, route, ladders = row.split()
     assert magnitude == "1e5"
     window = primes_between(10**5, 10**5 + 999)
     assert int(primes) == len(window)
-    # per prime: wss_check's two criteria mod p^2, then prime_period's one
-    # ladder for its premise and halvings, and one per odd-prime test
-    want = sum(3 + odd_prime_tests(p, pisano_direct(p)) for p in window) / len(window)
+    plus = [p for p in window if p % 5 in (1, 4)]
+    # per prime: wss_check's gamma criterion mod p^2; for chi = -1 its index
+    # criterion too, then prime_period's one ladder for its premise and
+    # halvings, and one per odd-prime test
+    want = sum(1 if p in plus else 3 + odd_prime_tests(p, pisano_direct(p)) for p in window) / len(window)
     assert ladders == f"{want:.2f}"
+    # for chi = +1: prime_period's root, lift and order reduction, then the
+    # index residue's phi^(p-1) mod p^2 and one inverse
+    want = sum(route_pows(p, pisano_direct(p)) + 2 for p in plus) / len(window)
+    assert route == f"{want:.2f}"
     assert float(kernel_us) > float(ladder_us) > 0
     assert float(ratio) > 1
-    # the window is sieved whole, so the only proof is the gate's, with the bases {2, 7, 61}
-    assert pows == "3.00"
+    # the window is sieved whole and the gate finds each prime in the block
+    # store; at B = isqrt(hi + 1) every cofactor of a period bound is 1 or prime
+    assert pows == "0.00"
 
 
 def test_bench_pairs_imports_only_the_stdlib():

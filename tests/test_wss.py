@@ -427,6 +427,17 @@ class TestScan:
         assert ck.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "ck.json.lock"]
 
+    def test_a_finished_scan_refuses_a_missing_results_file(self, tmp_path):
+        # a complete checkpoint returns at once, but not without its results
+        ck = tmp_path / "ck.json"
+        scan_wss(2, 300, checkpoint_path=str(ck))
+        before = ck.read_bytes()
+        out = tmp_path / "res.jsonl"
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 300$"):
+            scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out))
+        assert ck.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "ck.json.lock"]
+
     def test_out_of_domain_range_rejected_up_front(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
@@ -650,12 +661,48 @@ class TestScanProvesEachPrimeOnce:
         assert sum(proofs.values()) < 2 * len(scanned)
 
     def test_a_scan_block_leaves_no_proof_behind(self, tmp_path):
-        arith._WINDOW_PROVEN.update(primes_between(10**9, 10**9 + 999))
+        store = arith._BLOCK_STORE
+        store.update(dict.fromkeys(primes_between(10**9, 10**9 + 999), ((), None)))
         hi, records = wss_module._scan_block((10**12, 10**12 + 2000))
         assert [r.p for r in records] == primes_between(10**12, 10**12 + 2000)
-        assert arith._WINDOW_PROVEN == set()
+        assert arith._BLOCK_STORE is store and store == {}
         scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
-        assert arith._WINDOW_PROVEN == set()
+        assert arith._BLOCK_STORE is store and store == {}
+        # nor does a block whose check raises
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wss_module, "wss_check", lambda p: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                wss_module._scan_block((10**12, 10**12 + 2000))
+        assert arith._BLOCK_STORE is store and store == {}
+
+    def test_each_block_fills_and_empties_the_one_store(self, tmp_path, monkeypatch):
+        # wss_check sees its block's primes, and nothing else, in the same store;
+        # after each block, and after the scan, the store is empty
+        store = arith._BLOCK_STORE
+        real_scan_block = wss_module._scan_block
+        blocks = []
+
+        def scan_block(bounds):
+            seen = []
+            real_check = wss_module.wss_check
+            wss_module.wss_check = lambda p: seen.append((arith._BLOCK_STORE is store, set(store))) or real_check(p)
+            try:
+                scanned = real_scan_block(bounds)
+            finally:
+                wss_module.wss_check = real_check
+            blocks.append((bounds, seen, arith._BLOCK_STORE is store, dict(store)))
+            return scanned
+
+        monkeypatch.setattr(wss_module, "_scan_block", scan_block)
+        lo, hi = 10**9, 10**9 + 3999
+        scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"),
+                 results_path=str(tmp_path / "res.jsonl"), block_size=1000)
+        assert [bounds for bounds, *_ in blocks] == [(s, s + 999) for s in range(lo, hi, 1000)]
+        for (b_lo, b_hi), seen, same, after in blocks:
+            primes = set(primes_between(b_lo, b_hi))
+            assert seen == [(True, primes)] * len(primes)
+            assert same and after == {}
+        assert arith._BLOCK_STORE is store and store == {}
 
     def test_the_scan_rebinds_no_module_global(self, tmp_path):
         # the benchmark's traced run requires every fibmod binding back as it was
