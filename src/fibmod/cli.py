@@ -11,9 +11,10 @@ Commands:
 With --json, exactly one JSON document (the CommandResult: command, inputs,
 output, elapsed_ms) is written to stdout and any human-readable text goes
 to stderr.  Exit codes: 0 success, 1 usage, 2 I/O, a checkpoint in use by
-another scan, or a dead worker process (re-running the same scan resumes
-from its checkpoint), 3 WSS hit found, 4 theorem/criterion anomaly, 130
-interrupted (SIGINT; a scan resumes from its checkpoint too).
+another scan, or a dead worker process of wss-scan or verify (re-running
+the same scan resumes from its checkpoint), 3 WSS hit found, 4
+theorem/criterion anomaly, 130 interrupted (SIGINT; a scan resumes from its
+checkpoint too).
 """
 
 from __future__ import annotations

@@ -4,12 +4,20 @@ Each suite runs a family of checks over bounded ranges and reports one
 PropertyResult per property, carrying counterexamples when a check fails.
 The CLI exposes them via `fibmod verify`; they are the same statements the
 test suite pins down, packaged for ad-hoc, larger-range runs.
+
+The brute-force direct scans, nearly all of a run's time, run on forked
+worker processes, one per CPU this process may use and no more than there
+are chunks of moduli to scan; the fast routes they audit run here, in the
+calling process, and share no cache with them.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 from . import classify, pisano, wss
 from .arith import sieve_upto
@@ -22,10 +30,12 @@ from .fib import (
     matrix_pow_mod,
     subtraction_rhs,
 )
+from .pool import in_order, worker_pool
 
 SUITE_NAMES = ("identities", "pisano", "classify", "wss", "all")
 
 _MODULUS_POOL = (2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 25, 36, 97, 144, 1000, 999983, 10**9 + 7)
+_DIRECT_CHUNK = 64  # moduli per worker call of the direct scans
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,23 @@ class _Property:
             checked=self.checked,
             failures=tuple(self.failures),
         )
+
+
+def _profile_chunk(moduli) -> list[pisano.PisanoProfile]:
+    return [pisano.profile_direct(m) for m in moduli]
+
+
+@contextmanager
+def _direct_profiles(moduli):
+    """Each of moduli with its direct profile, in their order, scanned on
+    worker processes in contiguous chunks of _DIRECT_CHUNK moduli."""
+    starts = range(0, len(moduli), _DIRECT_CHUNK)
+    chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
+    # a forked pool starts all its workers at once: no more than there are chunks
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
+    with worker_pool(workers) as pool:
+        scans = chain.from_iterable(in_order(pool, _profile_chunk, chunks, 2 * workers))
+        yield zip(moduli, scans, strict=True)
 
 
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:
@@ -138,17 +165,18 @@ def suite_pisano(
     )]
     routes, structure, stable, two_powers, even_period, neighbors = props
 
-    for m in range(2, max_value + 1):
-        prof = pisano.profile(m)
-        direct = pisano.profile_direct(m)
-        if zero_counts is not None:
-            zero_counts[m] = direct.upsilon
-        routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
-        structure.check(
-            prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
-            and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
-            f"m={m} profile={prof} direct={direct}",
-        )
+    moduli = range(2, max_value + 1)
+    with _direct_profiles(moduli) as scans:
+        for m, direct in scans:
+            prof = pisano.profile(m)
+            if zero_counts is not None:
+                zero_counts[m] = direct.upsilon
+            routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
+            structure.check(
+                prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
+                and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
+                f"m={m} profile={prof} direct={direct}",
+            )
 
     for p in sieve_upto(min(499, max_value)):
         if p == 2:
@@ -181,7 +209,8 @@ def suite_classify(
     """Goodness criteria, zero-count patterns, and divisor classes.
 
     The odd-composite zero-count formula is checked against a direct scan:
-    the one suite_pisano filled zero_counts from, or else its own.
+    the one suite_pisano filled zero_counts from, or else its own, of the
+    odd composites alone.
     """
     props = [_Property(name) for name in (
         "fast-goodness-equals-direct",
@@ -195,7 +224,13 @@ def suite_classify(
     )]
     routes, even, powers, pattern, structure, force, formula, covers = props
 
-    direct_zero_count = pisano.zero_count_direct if zero_counts is None else zero_counts.__getitem__
+    if zero_counts is None:
+        primes = set(sieve_upto(max_value))
+        composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
+        zero_counts = bytearray(max_value + 1)
+        with _direct_profiles(composites) as scans:
+            for m, direct in scans:
+                zero_counts[m] = direct.upsilon
     good_odd = set()  # odd m the direct route calls good, reused for prime powers
     for m in range(3, max_value + 1, 2):
         report = classify.is_good_fast(m)
@@ -219,7 +254,7 @@ def suite_classify(
         except AnomalyError as exc:
             formula.check(False, str(exc))
             continue
-        formula.check(value == direct_zero_count(m), f"m={m} value={value}")
+        formula.check(value == zero_counts[m], f"m={m} value={value}")
 
     for m in range(2, min(2000, max_value) + 1, 2):
         even.check(not classify.is_good_direct(m), f"m={m}")

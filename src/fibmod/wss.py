@@ -29,11 +29,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import signal
-import threading
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 
@@ -49,9 +45,9 @@ from .pisano import (
     prime_period,
     prime_power_period,
 )
+from .pool import in_order, worker_pool
 
 DEFAULT_BLOCK_SIZE = 10_000
-_ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its scan is alive
 
 
 @dataclass(frozen=True)
@@ -203,18 +199,6 @@ def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[WssRecord]]:
     finally:
         _BLOCK_STORE.clear()  # its facts served this block; keep none past it
     return hi, records
-
-
-def _in_order(pool, blocks, depth: int):
-    """Scanned blocks in block order, like pool.map, but with at most depth
-    blocks submitted and not yet merged, so memory does not grow with the range."""
-    pending = deque()
-    for bounds in blocks:
-        pending.append(pool.submit(_scan_block, bounds))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def _fsync_directory(path: str) -> None:
@@ -389,29 +373,6 @@ def _scan_lock(path: str):
                 os.remove(path + ".tmp")
 
 
-def _init_worker(parent: int, fd: int, lock: os.stat_result) -> None:
-    """Pool initializer: tie a worker's life to its scan's.
-
-    It closes a forked worker's copy of the scan lock, which a worker
-    orphaned by a killed scan would hold, refusing every later run.  And it
-    ends the worker once the scan is gone: a worker waiting for its next
-    block would otherwise wait forever, reparented to init.  A worker
-    ignores SIGINT: Ctrl-C reaches the whole process group, and the scan
-    alone handles it, shutting its pool down after the blocks in flight.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    with suppress(OSError):  # an unforked worker has no copy
-        if os.path.samestat(os.fstat(fd), lock):
-            os.close(fd)
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(_ORPHAN_POLL_S)
-    os._exit(1)
-
-
 def scan_wss(
     lo: int,
     hi: int,
@@ -472,11 +433,12 @@ def scan_wss(
         # a forked pool starts all its workers at once: no more than there are blocks
         workers = min(workers, len(starts))
         parallel = workers > 1
-        held = (os.getpid(), lock.fileno(), os.fstat(lock.fileno()))
-        pool_args = {"initializer": _init_worker, "initargs": held}
-        with ProcessPoolExecutor(workers, **pool_args) if parallel else nullcontext() as pool:
+        with worker_pool(workers, lock) if parallel else nullcontext() as pool:
             # both iterators yield in block order: merged output is worker-count invariant
-            scanned = _in_order(pool, blocks, 2 * workers) if parallel else map(_scan_block, blocks)
+            scanned = (
+                in_order(pool, _scan_block, blocks, 2 * workers) if parallel
+                else map(_scan_block, blocks)
+            )
             for block_hi, records in scanned:
                 if results_path:
                     _append_results(results_path, records)

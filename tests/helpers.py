@@ -3,14 +3,16 @@
 Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
 shares none of their structure.  binding_calls records how often the
-library calls one of its functions, not what it computes, and
-interrupted_scan stops a real scan between two of its blocks.
+library calls one of its functions, not what it computes;
+interrupted_scan stops a real scan between two of its blocks; and
+CountingExecutor runs a process pool's calls in the calling process.
 ladder_prime_period is the order reduction of the ladder route, which the
 eigenvalue route of chi = +1 primes must match.
 """
 
 import contextlib
 import sys
+from concurrent.futures import Executor, Future
 from functools import lru_cache
 from math import isqrt
 from unittest import mock
@@ -20,6 +22,35 @@ import pytest
 import fibmod.wss as wss_module
 from fibmod.arith import factorize
 from fibmod.fib import matrix_pow_mod
+
+
+class CountingExecutor(Executor):
+    """Synchronous stand-in for ProcessPoolExecutor.  It runs each call at
+    submit time and records the workers it was asked for and the most
+    futures ever submitted and not yet consumed (their result taken)."""
+
+    peak = 0
+    max_workers = 0
+
+    def __init__(self, max_workers, **pool_options):
+        CountingExecutor.max_workers = max_workers
+        self.waiting = 0
+
+    def submit(self, fn, *args):
+        self.waiting += 1
+        CountingExecutor.peak = max(CountingExecutor.peak, self.waiting)
+        return _CountedFuture(self, fn(*args))
+
+
+class _CountedFuture(Future):
+    def __init__(self, executor, value):
+        super().__init__()
+        self.executor = executor
+        self.set_result(value)
+
+    def result(self, timeout=None):
+        self.executor.waiting -= 1
+        return super().result(timeout)
 
 
 @contextlib.contextmanager

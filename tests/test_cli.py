@@ -13,6 +13,7 @@ import tracemalloc
 
 import pytest
 
+import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod.arith import sieve_upto
 from fibmod.cli import main
@@ -23,6 +24,7 @@ from helpers import fib_upto, interrupted_scan
 
 _TEST_PID = os.getpid()
 _real_scan_block = wss_module._scan_block
+_real_profile_direct = pisano_module.profile_direct
 
 
 def _die_after_two_blocks(bounds):
@@ -32,6 +34,15 @@ def _die_after_two_blocks(bounds):
     if bounds[0] > 1000:
         os._exit(1)
     return _real_scan_block(bounds)
+
+
+def _die_past_m_1000(m):
+    # stands in for pisano.profile_direct inside verify's pool workers
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("expected to run in a worker process")
+    if m > 1000:
+        os._exit(1)
+    return _real_profile_direct(m)
 
 
 def _refuse_inherited_lock(lock_path, bounds):
@@ -79,6 +90,33 @@ def report_and_scan(bounds):
 
 wss._scan_block = report_and_scan
 sys.exit(main(sys.argv[2:]))
+"""
+
+
+# verify whose direct-scan workers each record their pid in argv[1] at
+# their first scan, and whose fast route takes argv[2] more seconds per
+# modulus: with a delay the workers wait idle for chunks, without one they
+# are busy; argv[3:] is the verify command line
+_REPORTING_VERIFY = """
+import os, sys, time
+import fibmod.pisano as pisano
+from fibmod.cli import main
+
+profile, profile_direct = pisano.profile, pisano.profile_direct
+delay = float(sys.argv[2])
+
+def report_and_scan(m):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "a").close()
+    return profile_direct(m)
+
+def slow_profile(m):
+    time.sleep(delay)
+    return profile(m)
+
+pisano.profile_direct = report_and_scan
+if delay:
+    pisano.profile = slow_profile
+sys.exit(main(sys.argv[3:]))
 """
 
 
@@ -517,6 +555,52 @@ class TestVerifyCommand:
         _, doc_b, _ = run_json(capsys, "verify", "--suite", "identities", "--max", "200",
                                "--seed", "7", "--json")
         assert doc_a["output"]["results"] == doc_b["output"]["results"]
+
+
+    @pytest.mark.parametrize("delay", ["0", "0.002"], ids=["busy-workers", "idle-workers"])
+    def test_sigint_stops_verify_and_its_workers_with_one_line(self, tmp_path, delay):
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        src = str(pathlib.Path(wss_module.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), delay,
+             "verify", "--suite", "all", "--max", "20000"],
+            env={"PYTHONPATH": src},
+            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, as a shell job has
+        )
+        # 313 chunks of moduli: one worker per usable CPU
+        want = len(os.sched_getaffinity(0))
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers) < want and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = [int(name) for name in os.listdir(pids_dir)]
+            assert len(workers) == want, workers
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C: verify and its workers
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 130
+            assert err.decode().splitlines() == ["fibmod: interrupted"]
+            deadline = time.monotonic() + 1
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
+
+    def test_dead_worker_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(pisano_module, "profile_direct", _die_past_m_1000)
+        code, out, err = run(capsys, "verify", "--suite", "pisano", "--max", "2000")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fibmod: worker process died: ")
 
 
 class TestUsage:

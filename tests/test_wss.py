@@ -6,10 +6,10 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Executor, Future
 
 import pytest
 
+import fibmod.pool as pool_module
 import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import factorize, sieve_upto, two_adic_split
@@ -27,7 +27,7 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import factorize_calls, fib_upto, interrupted_scan, primes_between
+from helpers import CountingExecutor, factorize_calls, fib_upto, interrupted_scan, primes_between
 
 
 class TestLegendre5:
@@ -200,35 +200,6 @@ class TestOddSelfSquare:
 def _normalized(path):
     text = path.read_text()
     return re.sub(r'"wall_time_seconds": [0-9.eE+-]+', '"wall_time_seconds": 0', text)
-
-
-class _CountingExecutor(Executor):
-    """Synchronous stand-in for ProcessPoolExecutor.  It runs each call at
-    submit time and records the workers it was asked for and the most
-    futures ever submitted and not yet consumed (their result taken)."""
-
-    peak = 0
-    max_workers = 0
-
-    def __init__(self, max_workers, **pool_options):
-        _CountingExecutor.max_workers = max_workers
-        self.waiting = 0
-
-    def submit(self, fn, *args):
-        self.waiting += 1
-        _CountingExecutor.peak = max(_CountingExecutor.peak, self.waiting)
-        return _CountedFuture(self, fn(*args))
-
-
-class _CountedFuture(Future):
-    def __init__(self, executor, value):
-        super().__init__()
-        self.executor = executor
-        self.set_result(value)
-
-    def result(self, timeout=None):
-        self.executor.waiting -= 1
-        return super().result(timeout)
 
 
 class _Crash(Exception):
@@ -465,19 +436,19 @@ class TestScan:
     def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch):
         serial = tmp_path / "serial.json"
         scan_wss(2, 3000, checkpoint_path=str(serial), block_size=100)
-        monkeypatch.setattr(_CountingExecutor, "peak", 0)
-        monkeypatch.setattr(wss_module, "ProcessPoolExecutor", _CountingExecutor)
+        monkeypatch.setattr(CountingExecutor, "peak", 0)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
         pooled = tmp_path / "pooled.json"
         scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
-        assert 0 < _CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
+        assert 0 < CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
         assert _normalized(pooled) == _normalized(serial)
 
     def test_a_pool_starts_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
         # a forked pool starts every worker it is given at its first submit
-        monkeypatch.setattr(_CountingExecutor, "max_workers", 0)
-        monkeypatch.setattr(wss_module, "ProcessPoolExecutor", _CountingExecutor)
+        monkeypatch.setattr(CountingExecutor, "max_workers", 0)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
         scan_wss(2, 300, workers=64, checkpoint_path=str(tmp_path / "ck.json"), block_size=100)
-        assert _CountingExecutor.max_workers == 3
+        assert CountingExecutor.max_workers == 3
 
     def test_results_and_checkpoint_fsynced_before_replace(self, tmp_path, monkeypatch):
         ck = tmp_path / "ck.json"

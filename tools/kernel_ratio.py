@@ -3,8 +3,10 @@
 Over the primes of [M, M + width), for each magnitude M: the kernel (the
 scan's block, the window's sieve plus wss_check of each prime, with
 prime_period's cache cleared),
-the bare ladder u_{p - chi} mod p^2, their ratio (each time the best of
---repeat runs), and, from one untimed kernel run, per prime: the
+the bare ladder u_{p - chi} mod p^2, each the best of --repeat runs, and
+their ratio: each repeat times the kernel and then the ladder, so that a
+drift in machine speed reaches both, and the ratio is the median of the
+repeats' ratios.  From one untimed kernel run, per prime: the
 Miller-Rabin modular exponentiations, the builtin pow calls of the chi = +1
 eigenvalue route (square root of 5, its lift, the order reduction and the
 index residue) and the fib_pair_mod ladders.
@@ -14,6 +16,7 @@ index residue) and the fib_pair_mod ladders.
 
 import argparse
 import builtins
+import statistics
 import timeit
 
 from fibmod import arith, pisano, wss
@@ -64,10 +67,12 @@ def main() -> None:
         lo = int(float(text))
         hi = lo + args.width - 1
         primes = arith.primes_in_range(lo, hi)
-        k, b = (min(timeit.repeat(fn, number=1, repeat=args.repeat)) / len(primes) * 1e6
-                for fn in (lambda: kernel(lo, hi), lambda: ladder(primes)))
+        runs = (lambda: kernel(lo, hi), lambda: ladder(primes))
+        pairs = [[timeit.timeit(fn, number=1) for fn in runs] for _ in range(args.repeat)]
+        k, b = (min(times) / len(primes) * 1e6 for times in zip(*pairs))
+        ratio = statistics.median(tk / tb for tk, tb in pairs)
         pows, route, ladders = (count / len(primes) for count in counts(lo, hi))
-        print(f"{text:>6} {len(primes):>7} {k:>10.1f} {b:>10.1f} {k / b:>6.1f} {pows:>9.2f} {route:>12.2f} "
+        print(f"{text:>6} {len(primes):>7} {k:>10.1f} {b:>10.1f} {ratio:>6.1f} {pows:>9.2f} {route:>12.2f} "
               f"{ladders:>10.2f}")
 
 
