@@ -15,7 +15,6 @@ can cross-check them against direct evaluation of the left-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 # Exact values are capped to bound memory/time; u_n has about 0.209*n digits.
 FIB_EXACT_CAP = 1_000_000
@@ -169,22 +168,18 @@ def _binomial_sum(k: int, n: int, mod: int, shift: int) -> int:
     the quotient u_{k*n} / u_k.  Arguments are checked by the public callers.
     """
     u_km1, u_k = fib_pair_mod(k - 1, mod)
-    # u_1 .. u_n mod mod
-    small = [0] * (n + 1)
-    a, b = 0, 1 % mod
-    for i in range(1, n + 1):
-        a, b = b, (a + b) % mod
-        small[i] = a
-    pow_k = [1 % mod]
-    pow_km1 = [1 % mod]
-    for _ in range(n):
-        pow_k.append(pow_k[-1] * u_k % mod)
+    pow_km1 = [1 % mod]  # u_{k-1}^j for j = 0 .. n-1
+    for _ in range(n - 1):
         pow_km1.append(pow_km1[-1] * u_km1 % mod)
+    # c steps exactly from C(n, i-1) to C(n, i); u_i, u_{i+1} and u_k^(i-shift)
+    # are carried from one i to the next
+    c = 1
+    u_i, u_next = 1 % mod, 1 % mod
+    pow_k = 1 % mod if shift else u_k
     total = 0
     for i in range(1, n + 1):
-        term = comb(n, i) % mod
-        term = term * small[i] % mod
-        term = term * pow_k[i - shift] % mod
-        term = term * pow_km1[n - i] % mod
-        total = (total + term) % mod
-    return total
+        c = c * (n - i + 1) // i
+        total += c % mod * u_i % mod * pow_k % mod * pow_km1[n - i]
+        u_i, u_next = u_next, (u_i + u_next) % mod
+        pow_k = pow_k * u_k % mod
+    return total % mod

@@ -8,16 +8,22 @@ test suite pins down, packaged for ad-hoc, larger-range runs.
 The brute-force direct scans, nearly all of a run's time, run on forked
 worker processes, one per CPU this process may use and no more than there
 are chunks of moduli to scan; the fast routes they audit run here, in the
-calling process, and share no cache with them.
+calling process, and share no cache with them.  A run opens one pool and
+queues every chunk on it at the start, so the workers scan while every
+check that needs no scan runs here; the checks against the scans run last.
+Each chunk comes back as one flat array of (m, gamma, alpha, upsilon), about
+32 B per modulus, and an early exit, Ctrl-C among them, cancels the chunks
+still queued.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from array import array
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 
 from . import classify, pisano, wss
 from .arith import sieve_upto
@@ -30,7 +36,7 @@ from .fib import (
     matrix_pow_mod,
     subtraction_rhs,
 )
-from .pool import in_order, worker_pool
+from .pool import worker_pool
 
 SUITE_NAMES = ("identities", "pisano", "classify", "wss", "all")
 
@@ -66,21 +72,44 @@ class _Property:
         )
 
 
-def _profile_chunk(moduli) -> list[pisano.PisanoProfile]:
-    return [pisano.profile_direct(m) for m in moduli]
+def _scan_chunk(moduli) -> array:
+    """The direct profile of each of moduli, flat as (m, gamma, alpha, upsilon):
+    an array comes back from a worker far smaller than PisanoProfile objects."""
+    flat = array("q")
+    for m in moduli:
+        prof = pisano.profile_direct(m)
+        flat.extend((prof.m, prof.gamma, prof.alpha, prof.upsilon))
+    return flat
+
+
+def _profiles(scanned: deque):
+    """The profiles of each scanned chunk's future, in chunk order; a chunk's
+    array is dropped once it is read."""
+    while scanned:
+        flat = scanned.popleft().result()
+        for i in range(0, len(flat), 4):
+            yield pisano.PisanoProfile(*flat[i : i + 4])
 
 
 @contextmanager
-def _direct_profiles(moduli):
-    """Each of moduli with its direct profile, in their order, scanned on
-    worker processes in contiguous chunks of _DIRECT_CHUNK moduli."""
+def _direct_scans(moduli):
+    """Each of moduli with its direct profile, in their order.
+
+    Every chunk of _DIRECT_CHUNK moduli is handed to a pool of worker
+    processes on entry, so the workers scan while the caller does the work
+    that needs no scan; the caller reads the scans last.
+    """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
-    chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
     # a forked pool starts all its workers at once: no more than there are chunks
     workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
     with worker_pool(workers) as pool:
-        scans = chain.from_iterable(in_order(pool, _profile_chunk, chunks, 2 * workers))
-        yield zip(moduli, scans, strict=True)
+        try:
+            scanned = deque(pool.submit(_scan_chunk, moduli[i : i + _DIRECT_CHUNK]) for i in starts)
+            yield zip(moduli, _profiles(scanned), strict=True)
+        except BaseException:
+            # the pool's exit would otherwise scan every queued chunk first
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:
@@ -155,6 +184,13 @@ def suite_pisano(
     zero_counts, of length max_value + 1, receives the zero count of every
     m that the direct scan finds, for suite_classify to reuse.
     """
+    with _direct_scans(range(2, max_value + 1)) as scans:
+        return _pisano_checks(max_value)(scans, zero_counts)
+
+
+def _pisano_checks(max_value: int):
+    """suite_pisano's checks that need no direct scan, run now; returns the
+    function that runs the rest, given the scans and zero_counts."""
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -164,19 +200,6 @@ def suite_pisano(
         "rank-neighbors-nonzero",
     )]
     routes, structure, stable, two_powers, even_period, neighbors = props
-
-    moduli = range(2, max_value + 1)
-    with _direct_profiles(moduli) as scans:
-        for m, direct in scans:
-            prof = pisano.profile(m)
-            if zero_counts is not None:
-                zero_counts[m] = direct.upsilon
-            routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
-            structure.check(
-                prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
-                and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
-                f"m={m} profile={prof} direct={direct}",
-            )
 
     for p in sieve_upto(min(499, max_value)):
         if p == 2:
@@ -200,7 +223,20 @@ def suite_pisano(
         after = fib_pair_mod(rank + 1, p)[0]
         neighbors.check(before != 0 and after != 0, f"p={p} rank={rank}")
 
-    return [prop.result() for prop in props]
+    def against(scans, zero_counts: bytearray | None) -> list[PropertyResult]:
+        for m, direct in scans:
+            prof = pisano.profile(m)
+            if zero_counts is not None:
+                zero_counts[m] = direct.upsilon
+            routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
+            structure.check(
+                prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
+                and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
+                f"m={m} profile={prof} direct={direct}",
+            )
+        return [prop.result() for prop in props]
+
+    return against
 
 
 def suite_classify(
@@ -212,6 +248,21 @@ def suite_classify(
     the one suite_pisano filled zero_counts from, or else its own, of the
     odd composites alone.
     """
+    if zero_counts is not None:
+        return _classify_checks(max_value)(zero_counts)
+    primes = set(sieve_upto(max_value))
+    composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
+    zero_counts = bytearray(max_value + 1)
+    with _direct_scans(composites) as scans:
+        against = _classify_checks(max_value)
+        for m, direct in scans:
+            zero_counts[m] = direct.upsilon
+    return against(zero_counts)
+
+
+def _classify_checks(max_value: int):
+    """suite_classify's checks that need no direct scan, run now; returns the
+    function that checks the zero-count formula against zero_counts."""
     props = [_Property(name) for name in (
         "fast-goodness-equals-direct",
         "even-never-good",
@@ -224,13 +275,10 @@ def suite_classify(
     )]
     routes, even, powers, pattern, structure, force, formula, covers = props
 
-    if zero_counts is None:
-        primes = set(sieve_upto(max_value))
-        composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
-        zero_counts = bytearray(max_value + 1)
-        with _direct_profiles(composites) as scans:
-            for m, direct in scans:
-                zero_counts[m] = direct.upsilon
+    # the formula's (m, value) pairs in m order, to check against the scan
+    # last; for an m whose formula raised, raised holds the message
+    values = array("q")
+    raised: dict[int, str] = {}
     good_odd = set()  # odd m the direct route calls good, reused for prime powers
     for m in range(3, max_value + 1, 2):
         report = classify.is_good_fast(m)
@@ -250,11 +298,10 @@ def suite_classify(
         if len(entries) == 1 and entries[0].e == 1:
             continue  # formula is trivial at primes; scan the composites
         try:
-            value = classify.zero_count_odd(m)
+            values.extend((m, classify.zero_count_odd(m)))
         except AnomalyError as exc:
-            formula.check(False, str(exc))
-            continue
-        formula.check(value == zero_counts[m], f"m={m} value={value}")
+            values.extend((m, 0))
+            raised[m] = str(exc)
 
     for m in range(2, min(2000, max_value) + 1, 2):
         even.check(not classify.is_good_direct(m), f"m={m}")
@@ -275,7 +322,15 @@ def suite_classify(
         except AnomalyError as exc:
             pattern.check(False, str(exc))
 
-    return [prop.result() for prop in props]
+    def against(zero_counts: bytearray) -> list[PropertyResult]:
+        for m, value in zip(values[::2], values[1::2]):
+            if m in raised:
+                formula.check(False, raised[m])
+            else:
+                formula.check(value == zero_counts[m], f"m={m} value={value}")
+        return [prop.result() for prop in props]
+
+    return against
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
@@ -342,15 +397,22 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if max_value < 2:
         raise ValueError(f"max must be >= 2, got {max_value}")
-    results = []
-    # with both suites, each m is scanned directly once, by suite_pisano
-    zero_counts = bytearray(max_value + 1) if suite == "all" else None
-    if suite in ("identities", "all"):
-        results.extend(suite_identities(min(max_value, 3000), seed=seed))
-    if suite in ("pisano", "all"):
-        results.extend(suite_pisano(max_value, zero_counts=zero_counts))
-    if suite in ("classify", "all"):
-        results.extend(suite_classify(max_value, zero_counts=zero_counts))
-    if suite in ("wss", "all"):
-        results.extend(suite_wss(max_value))
-    return results
+    if suite == "identities":
+        return suite_identities(min(max_value, 3000), seed=seed)
+    if suite == "pisano":
+        return suite_pisano(max_value)
+    if suite == "classify":
+        return suite_classify(max_value)
+    if suite == "wss":
+        return suite_wss(max_value)
+    # one pool scans each m once while every check that needs no scan runs
+    # here; the pisano checks against the scans fill the zero counts that
+    # the classify formula is then checked against
+    zero_counts = bytearray(max_value + 1)
+    with _direct_scans(range(2, max_value + 1)) as scans:
+        identities = suite_identities(min(max_value, 3000), seed=seed)
+        pisano_against = _pisano_checks(max_value)
+        classify_against = _classify_checks(max_value)
+        wss_results = suite_wss(max_value)
+        pisano_results = pisano_against(scans, zero_counts)
+    return identities + pisano_results + classify_against(zero_counts) + wss_results

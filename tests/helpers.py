@@ -26,13 +26,16 @@ from fibmod.fib import matrix_pow_mod
 
 class CountingExecutor(Executor):
     """Synchronous stand-in for ProcessPoolExecutor.  It runs each call at
-    submit time and records the workers it was asked for and the most
-    futures ever submitted and not yet consumed (their result taken)."""
+    submit time and records the pools opened, the workers the last one was
+    asked for and the most futures ever submitted to one pool and not yet
+    consumed (their result taken)."""
 
+    pools = 0
     peak = 0
     max_workers = 0
 
     def __init__(self, max_workers, **pool_options):
+        CountingExecutor.pools += 1
         CountingExecutor.max_workers = max_workers
         self.waiting = 0
 

@@ -595,6 +595,36 @@ class TestVerifyCommand:
                     os.kill(pid, signal.SIGKILL)
         assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
 
+    def test_sigint_leaves_the_queued_chunks_unscanned(self, tmp_path):
+        # every chunk of moduli is queued when the workers start; Ctrl-C must
+        # not wait for the queue to be scanned
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        src = str(pathlib.Path(wss_module.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), "0",
+             "verify", "--suite", "all", "--max", "20000"],
+            env={"PYTHONPATH": src},
+            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not os.listdir(pids_dir) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert os.listdir(pids_dir)
+            os.killpg(proc.pid, signal.SIGINT)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=30)
+            assert time.monotonic() - sent < 2
+            assert proc.returncode == 130
+            assert err.decode().splitlines() == ["fibmod: interrupted"]
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+
     def test_dead_worker_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(pisano_module, "profile_direct", _die_past_m_1000)
         code, out, err = run(capsys, "verify", "--suite", "pisano", "--max", "2000")

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +209,18 @@ def test_subtraction_identity_holds(data):
 @given(k=st.integers(1, 60), n=st.integers(1, 12), mod=st.integers(1, 10**9))
 def test_binomial_expansion_identity_holds(k, n, mod):
     assert binomial_expansion_rhs(k, n, mod) == fib_pair_mod(k * n, mod)[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 3000),
+    n=st.integers(1, 200),
+    mod=st.one_of(st.just(1), st.integers(2, 10**9)),
+    shift=st.sampled_from([0, 1]),
+)
+def test_binomial_sum_matches_the_comb_formula(k, n, mod, shift):
+    want = sum(
+        comb(n, i) * FIB[i] * pow(FIB[k], i - shift, mod) * pow(FIB[k - 1], n - i, mod)
+        for i in range(1, n + 1)
+    ) % mod
+    assert fib_module._binomial_sum(k, n, mod, shift) == want

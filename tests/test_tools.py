@@ -67,15 +67,20 @@ def test_bench_pairs_imports_only_the_stdlib():
     assert roots <= set(sys.stdlib_module_names)
 
 
-def _summary(wall_s, throughput, correct=True, failed=0):
+def _summary(wall_s, throughput, correct=True, failed=0, child_rss=0.0):
     metrics = {"wall_s": {"value": wall_s}, "throughput_per_s": {"value": throughput}}
-    return {"correct": correct, "failed": failed, "metrics": metrics}
+    return {"correct": correct, "failed": failed, "metrics": metrics, "pool_child_rss_mib": child_rss}
 
 
-def test_bench_pairs_summary_on_canned_numbers():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_bench_pairs_summary_on_canned_numbers():
+    tool = _bench_pairs()
     metrics = [
         {"name": "wall_s", "better": "lower", "bound": 0.24},
         {"name": "throughput_per_s", "better": "higher", "bound": 0.24},
@@ -88,9 +93,39 @@ def test_bench_pairs_summary_on_canned_numbers():
     # medians 1.15 -> 1.55 is 35% worse; the tie in the first pair counts for neither side
     assert lines[1].split() == ["wall_s", "1.15", "1.55", "1.348", "0.25", "0/4", "WORSE", "(bound", "24%)"]
     assert lines[2].split() == ["throughput_per_s", "10", "11.5", "1.150", "0", "3/4"]
-    assert len(lines) == 3
+    # runs with no pool leave no children: no ratio, and never WORSE
+    assert lines[3].split() == ["pool_child_rss_mib", "0", "0", "nan", "0", "0/4", "(not", "a",
+                                "BENCHMARK.json", "metric)"]
+    assert len(lines) == 4
+    # the workers' peak is lower-is-better and has no bound
+    parent = [_summary(1.0, 10, child_rss=r) for r in (15.0, 16.0, 16.0, 17.0)]
+    change = [_summary(1.0, 10, child_rss=r) for r in (14.0, 14.5, 30.0, 40.0)]
+    assert tool.summarize(metrics, parent, change)[0][3].split() == [
+        "pool_child_rss_mib", "16", "22.25", "1.391", "1.5", "2/4", "(not", "a", "BENCHMARK.json", "metric)"
+    ]
     change[2] = _summary(1.6, 9, failed=1)
     lines, ok = tool.summarize(metrics, parent, change)
     assert not ok and lines[-1] == "1 run(s) not correct or with failed items"
     parent[0] = _summary(1.0, 10, correct=False)
     assert tool.summarize(metrics, parent, change)[1] is False
+
+
+# stands in for benchmarks/run.py: writes its document, prints its summary
+_FAKE_RUN = """
+import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+name = f"BENCH_{args['--workload']}_seed{args['--seed']}_trace{args['--trace']}.json"
+os.makedirs(".bench_out", exist_ok=True)
+with open(os.path.join(".bench_out", name), "w") as fh:
+    json.dump({"repetitions": [{"child_rss_kib": k} for k in (10240, 15360, 20480)]}, fh)
+print("noise")
+print(json.dumps({"correct": True, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_bench_pairs_reads_the_pool_children_from_the_run_document(tmp_path):
+    tool = _bench_pairs()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text(_FAKE_RUN, encoding="utf-8")
+    summary = tool.run(str(tmp_path), "verify-all", 7)
+    assert summary == {"correct": True, "failed": 0, "metrics": {}, "pool_child_rss_mib": 15.0}

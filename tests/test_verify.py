@@ -9,15 +9,18 @@ from unittest import mock
 
 import pytest
 
+import fibmod.classify as classify_module
 import fibmod.pisano as pisano_module
 import fibmod.pool as pool_module
 import fibmod.verify as verify_module
+from fibmod.errors import AnomalyError
 from fibmod.pisano import PisanoProfile
 from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pisano, suite_wss
 
 from helpers import CountingExecutor, is_prime_trial
 
 _real_profile_direct = pisano_module.profile_direct
+_real_zero_count_odd = classify_module.zero_count_odd
 _real_init_worker = pool_module._init_worker
 
 
@@ -67,6 +70,28 @@ def test_rank_and_zero_count_audited_against_direct_scan():
     structure = results["period-is-zerocount-times-rank"]
     assert not structure.passed
     assert structure.failures[0].startswith("m=5 ")
+
+
+def _formula_wrong_at_45_and_121_raising_at_91(m):
+    if m == 91:
+        raise AnomalyError("injected at m=91")
+    return _real_zero_count_odd(m) + (m in (45, 121))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_suites("all", 300),
+    lambda: run_suites("classify", 300),
+    lambda: suite_classify(300),
+], ids=["all", "classify", "suite_classify"])
+def test_deferred_formula_checks_fail_in_modulus_order(run, monkeypatch):
+    # the formula's values are compared with the scans after the other
+    # checks, in m order, a value that raised kept as its message
+    monkeypatch.setattr(classify_module, "zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
+    results = {r.name: r for r in run()}
+    formula = results.pop("odd-zero-count-formula-matches-scan")
+    assert formula.checked == 88  # the odd composites in [3, 300]
+    assert formula.failures == ("m=45 value=3", "injected at m=91", "m=121 value=2")
+    assert all(r.passed for r in results.values())
 
 
 def _log_scan(directory, m):
@@ -123,21 +148,41 @@ def _note_worker(pids_dir, *init_args):
     _real_init_worker(*init_args)
 
 
+def _counted(run, monkeypatch):
+    """run's result, its process pools replaced by CountingExecutor, and
+    the pools it opened, the workers asked for and the peak of futures."""
+    counters = ("pools", "max_workers", "peak")
+    with monkeypatch.context() as patch:
+        patch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
+        for counter in counters:
+            patch.setattr(CountingExecutor, counter, 0)
+        return run(), *(getattr(CountingExecutor, counter) for counter in counters)
+
+
 @pytest.mark.parametrize("max_value", [2, 3, 64, 65, 66, 1000])
 def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, monkeypatch):
     # one chunk of moduli [2, max_value] up to max_value = 65, two at 66
     chunks = -(-(max_value - 1) // verify_module._DIRECT_CHUNK)
-    with monkeypatch.context() as patch:
-        patch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
-        patch.setattr(CountingExecutor, "max_workers", 0)
-        patch.setattr(CountingExecutor, "peak", 0)
-        reference = run_suites("all", max_value)
-        assert CountingExecutor.max_workers == min(len(os.sched_getaffinity(0)), chunks)
-        assert 0 < CountingExecutor.peak <= 2 * CountingExecutor.max_workers
+    reference, pools, max_workers, peak = _counted(lambda: run_suites("all", max_value), monkeypatch)
+    assert max_workers == min(len(os.sched_getaffinity(0)), chunks)
+    # one pool, given every chunk before any scan is read
+    assert pools == 1 and peak == chunks
     monkeypatch.setattr(pool_module, "_init_worker", functools.partial(_note_worker, str(tmp_path)))
     assert run_suites("all", max_value) == reference
     assert all(r.passed for r in reference)
     assert 1 <= len(os.listdir(tmp_path)) == min(len(os.sched_getaffinity(0)), chunks)
+
+
+@pytest.mark.parametrize("suite", ["all", "pisano", "classify", "identities", "wss"])
+def test_one_pool_per_run_given_every_chunk_at_once(suite, monkeypatch):
+    moduli = {
+        "all": 1999,  # [2, 2000]
+        "pisano": 1999,
+        "classify": sum(not is_prime_trial(m) for m in range(3, 2001, 2)),
+    }.get(suite, 0)
+    _, pools, _, peak = _counted(lambda: run_suites(suite, 2000), monkeypatch)
+    assert pools == (1 if moduli else 0)
+    assert peak == -(-moduli // verify_module._DIRECT_CHUNK)
 
 
 # a pooled verify run in an interpreter whose default start method is spawn:

@@ -7,7 +7,11 @@ first.  For each end-to-end metric of BENCHMARK.json it prints both medians,
 change/parent, the parent's interquartile range and the pairs the change
 wins (ties count for neither side), and WORSE where the change's median is
 worse than the parent's by more than the metric's bound, as a fraction of
-the parent's median.  Exits 1 if a run is not correct or has failed items.
+the parent's median.  One more row, pool_child_rss_mib, is not a
+BENCHMARK.json metric: the median over each run's repetitions of the largest
+process the run's children left (a pool worker where the workload runs a
+pool), read from the run's .bench_out/BENCH_<workload>_seed<n>_trace0.json.
+Exits 1 if a run is not correct or has failed items.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 301-310
 """
@@ -19,6 +23,8 @@ import statistics
 import subprocess
 import sys
 
+CHILD_RSS = "pool_child_rss_mib"
+
 
 def run(checkout: str, workload: str, seed: int) -> dict:
     """The summary that benchmarks/run.py prints as its last line, at the
@@ -29,7 +35,11 @@ def run(checkout: str, workload: str, seed: int) -> dict:
     )
     if done.returncode != 0:
         sys.exit(f"{checkout} seed {seed}: run.py exited {done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout.splitlines()[-1])
+    summary = json.loads(done.stdout.splitlines()[-1])
+    bench = pathlib.Path(checkout, ".bench_out", f"BENCH_{workload}_seed{seed}_trace0.json")
+    reps = json.loads(bench.read_text(encoding="utf-8"))["repetitions"]
+    summary[CHILD_RSS] = statistics.median(r["child_rss_kib"] for r in reps) / 1024
+    return summary
 
 
 def iqr(values: list[float]) -> float:
@@ -39,22 +49,32 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def row(name: str, pairs: list[tuple[float, float]], better: str, bound: float | None) -> str:
+    """One report line for (parent, change) values of a metric; WORSE past
+    bound, if there is one."""
+    sign = 1 if better == "lower" else -1
+    before = statistics.median(p for p, _ in pairs)
+    after = statistics.median(c for _, c in pairs)
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
+    worse = bound is not None and sign * (after - before) > bound * before
+    spread = iqr([p for p, _ in pairs])
+    ratio = after / before if before else float("nan")  # a run with no pool has no children
+    return (
+        f"{name:<20} {before:>11.4g} {after:>11.4g} {ratio:>7.3f} {spread:>11.3g} "
+        f"{f'{wins}/{len(pairs)}':>6}" + (f"  WORSE (bound {bound:.0%})" if worse else "")
+    )
+
+
 def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> tuple[list[str], bool]:
     """Report lines for paired runs (parent[i] with change[i]), and whether
     every run was correct with no failed items."""
     lines = [f"{'metric':<20} {'parent':>11} {'change':>11} {'ratio':>7} {'parent_iqr':>11} {'wins':>6}"]
     for spec in metrics:
-        name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
+        name = spec["name"]
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in zip(parent, change)]
-        before = statistics.median(p for p, _ in pairs)
-        after = statistics.median(c for _, c in pairs)
-        wins = sum(sign * (p - c) > 0 for p, c in pairs)
-        worse = sign * (after - before) > spec["bound"] * before
-        spread = iqr([p for p, _ in pairs])
-        lines.append(
-            f"{name:<20} {before:>11.4g} {after:>11.4g} {after / before:>7.3f} {spread:>11.3g} "
-            f"{f'{wins}/{len(pairs)}':>6}" + (f"  WORSE (bound {spec['bound']:.0%})" if worse else "")
-        )
+        lines.append(row(name, pairs, spec["better"], spec["bound"]))
+    pairs = [(p[CHILD_RSS], c[CHILD_RSS]) for p, c in zip(parent, change)]
+    lines.append(row(CHILD_RSS, pairs, "lower", None) + "  (not a BENCHMARK.json metric)")
     bad = [r for r in parent + change if not r["correct"] or r["failed"] > 0]
     if bad:
         lines.append(f"{len(bad)} run(s) not correct or with failed items")
