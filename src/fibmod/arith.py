@@ -9,24 +9,31 @@ factorize and primes_in_range.
 
 factorize returns the (prime, exponent) pairs of n as a tuple sorted by
 prime.  It proves each factor once, while it finds it, and checks the
-result no further.  primes_in_range sieves a window with base primes no
-larger than the window is wide, so its memory is O(window); a survivor
-the base primes cannot vouch for is proved by is_prime.
+result no further.  primes_in_range sieves its range as one window, and a
+scan sieves a window of whole blocks at a time (_prime_window): every
+prime up to min(isqrt(hi), 2**20) strikes, however narrow the window, so
+below (2**20 + 1)**2 ~ 1.1e12 the sieve alone proves every survivor, and
+above it a survivor is proved by is_prime.  The base primes come from one
+array of the primes up to at most 2**20, grown on first use, and the
+window's flags, one byte per odd number, are its only other memory.
 
-The module's one piece of state is the block store, _BLOCK_STORE, a dict
-keyed by the primes of the scan block being checked.  A scan fills it from
-its block's primes_in_range, whose every entry is proven, and clears it
-once the block is checked, so is_prime answers for those primes without a
-second proof (prime_period's gate asks for each).  Its values belong to
-pisano: the factors of each prime's period bound, from one strike pass
-over the block, and a chi = +1 prime's square root of 5 mod p^2.
+Besides the base-prime array, the module's state is the block store,
+_BLOCK_STORE, a dict keyed by the primes of the scan block being checked.
+A scan fills it from its block's primes, which its window sieve proved,
+and clears it once the block is checked, so is_prime answers for those
+primes without a second proof (prime_period's gate asks for each).  Its
+values belong to pisano: the factors of each prime's period bound, from
+one strike pass over the block, and a chi = +1 prime's square root of 5
+mod p^2.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from itertools import compress
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
+from itertools import compress, islice
 
 # Witnesses proven deterministic for every n < 2**64 (Sinclair's base set).
 _SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -39,6 +46,14 @@ _TWO64 = 1 << 64
 # the scan, one block at a time, never rebound, so that every binding of it
 # stays the same object.
 _BLOCK_STORE: dict[int, tuple[tuple[tuple[int, int], ...], int | None]] = {}
+
+# The one base-prime array: every prime below 2**k, for the least k <= 20
+# that a sieve has needed so far.  Grown in place on first use, never at
+# import, so it never holds more than the ~82k primes below 2**20 (~330 KB).
+# Its last prime's bit length is k (Bertrand's postulate puts a prime in
+# [2**(k-1), 2**k)), so the array tells how far it reaches.
+_BASE_BITS = 20
+_BASE_PRIMES = array("I")
 
 # Trial division strips every prime factor <= _TRIAL_LIMIT before Pollard rho
 # takes over; numbers below _TRIAL_LIMIT**2 are therefore fully factored by
@@ -171,27 +186,77 @@ def _rough_factors(n: int, bound: int) -> dict[int, int]:
     return counts
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], for hi < 2**64, by a segmented sieve.
+def _base_primes(limit: int) -> array:
+    """The base-prime array, grown in place until it holds every prime up to
+    min(limit, 2**20), and returned; it may hold more."""
+    bits = max(2, min(limit.bit_length(), _BASE_BITS))
+    if not _BASE_PRIMES or _BASE_PRIMES[-1].bit_length() < bits:
+        half = 1 << (bits - 1)  # flags[i] stands for 2i + 1 < 2**bits
+        flags = bytearray([1]) * half
+        flags[0] = 0
+        for i in range(1, (math.isqrt(2 * half) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, half, p)))
+        del _BASE_PRIMES[:]
+        _BASE_PRIMES.append(2)
+        _BASE_PRIMES.extend(compress(range(1, 2 * half, 2), flags))
+    return _BASE_PRIMES
 
-    The base primes reach base = min(isqrt(hi), hi - lo + 1), so memory is
-    O(hi - lo) however large hi is.  A survivor below (base + 1)**2 is prime
-    by the sieve; a larger one, left only when the window is narrower than
-    isqrt(hi), must also pass is_prime.  So every returned prime is proven.
+
+def _sieve_base(hi: int) -> int:
+    """The largest base prime a window up to hi strikes with: min(isqrt(hi), 2**20)."""
+    return min(math.isqrt(hi), 1 << _BASE_BITS)
+
+
+def _prime_window(lo: int, hi: int) -> Callable[[int, int], list[int]]:
+    """Sieve the window [lo, hi], 2 <= lo <= hi < 2**64, and return the
+    function that lists the primes of any [a, b] inside it, ascending.
+
+    Every prime up to base = min(isqrt(hi), 2**20) strikes, however narrow
+    the window.  The flags stand for the window's odd numbers, so they take
+    half its width in bytes, and a base prime's odd multiples lie p flags
+    apart: one with more than one of them in the window strikes them by
+    slice, a wider one its one multiple, if any.  A survivor below
+    (base + 1)**2 is prime by the sieve; a larger one, left only when
+    hi >= (2**20 + 1)**2, must pass is_prime too.  So every listed prime is
+    proven, and a list costs only its own [a, b], not the window.
     """
+    base = _sieve_base(hi)
+    half = lo // 2  # flags[k] stands for 2 * (half + k) + 1
+    count = (hi - 1) // 2 - half + 1
+    flags = bytearray([1]) * count
+    base_primes = _base_primes(base)
+    stop = bisect_right(base_primes, base)
+    narrow = bisect_right(base_primes, count, 1, stop)  # from index 1: 2 strikes no odd number
+    for p in islice(base_primes, 1, narrow):
+        # the first odd multiple's flag, or p*p's if p itself is in the window
+        k = max(((p >> 1) - half) % p, p * p // 2 - half)
+        flags[k::p] = bytes(len(range(k, count, p)))
+    for p in islice(base_primes, narrow, stop):
+        k = ((p >> 1) - half) % p
+        if k < count:
+            flags[k] = 0
+    proven = (base + 1) ** 2
+
+    def primes(a: int, b: int) -> list[int]:
+        found = [2] if a <= 2 <= b else []
+        found += compress(range(a | 1, b + 1, 2), flags[a // 2 - half : (b - 1) // 2 - half + 1])
+        sieved = bisect_left(found, proven)
+        return found[:sieved] + [n for n in found[sieved:] if is_prime(n)]
+
+    return primes
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], for hi < 2**64, each proven: one window of
+    _prime_window, so memory is O(hi - lo) however large hi is."""
     if hi >= _TWO64:
         raise ValueError("primes_in_range supports hi < 2**64")
     lo = max(lo, 2)
     if hi < lo:
         return []
-    base = min(math.isqrt(hi), hi - lo + 1)
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in primes_in_range(2, base):
-        start = max(p * p, lo + (-lo) % p)  # first multiple of p to strike
-        flags[start - lo :: p] = bytes((hi - start) // p + 1)
-    primes = list(compress(range(lo, hi + 1), flags))
-    sieved = bisect_left(primes, (base + 1) ** 2)
-    return primes[:sieved] + [n for n in primes[sieved:] if is_prime(n)]
+    return _prime_window(lo, hi)(lo, hi)
 
 
 def sieve_upto(n: int) -> list[int]:

@@ -30,11 +30,12 @@ gives the Wall-Sun-Sun index residue u_{p-1} mod p^2 from x = phi^(p-1):
 
 Every prime's period is reduced over the factors of its bound t.  A scan
 block gets them for all its primes from one strike pass
-(_bound_factor_sieve): the odd primes up to a bound B strike the block's
-neighbours p - chi, and only a cofactor of at least (B + 1)^2 goes to
-is_prime and rho.  The factors, and each chi = +1 prime's root of 5, sit in
-arith's block store while the block is checked; a prime outside a scan
-block factors its bound with factorize.
+(_bound_factor_sieve): the odd primes up to a bound B, read from arith's
+base-prime array, strike the block's neighbours p - chi, and only a
+cofactor of at least (B + 1)^2 goes to is_prime and rho.  The factors,
+and each chi = +1 prime's root of 5, sit in arith's block store while the
+block is checked; a prime outside a scan block factors its bound with
+factorize.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 
-from .arith import _BLOCK_STORE, _rough_factors, factorize, is_prime, sieve_upto, two_adic_split
+from .arith import _BLOCK_STORE, _base_primes, _rough_factors, factorize, is_prime, two_adic_split
 from .errors import AnomalyError
 from .fib import _doublings, fib_pair_mod
 
@@ -66,12 +67,13 @@ _LIFTING_SEARCH_BOUND = 8
 # from its caller's one factorization of the modulus.
 _CACHE_SIZE = 1 << 14
 
-# The odd primes up to this bound strike a scan block's period bounds; the
-# pass is capped at the isqrt of the block's largest neighbour, where every
-# cofactor is 1 or a prime.  At p ~ 1e12, 2^16 strikes a block of 1e4 in
-# ~0.4 of factorize's time, and 2^17 in ~0.3, but its list raises a
-# process's peak RSS by ~2.3 MiB against ~0.75.
-_SIEVE_LIMIT = 1 << 16
+# The odd primes up to this bound, read from arith's base-prime array,
+# strike a scan block's period bounds; the pass is capped at the isqrt of
+# the block's largest neighbour, where every cofactor is 1 or a prime.  At
+# p ~ 1e12, 2^18 strikes a block of 1e4 in ~20-24 us per prime against
+# ~25-36 for 2^16, with a fifth of the rho calls, and the array holds its
+# primes in 4 bytes each.
+_SIEVE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -254,14 +256,6 @@ def _index_residue(p: int) -> int:
     return (x * x - 1) * pow(x * s, -1, p2) % p2
 
 
-@lru_cache(maxsize=1)
-def _odd_base_primes(limit: int) -> list[int]:
-    """The odd primes up to limit, built on first use.  A scan asks for the
-    same limit, a power of 2, for as long as its blocks' bound stays below
-    it, and a low range keeps a short list."""
-    return sieve_upto(limit)[1:]
-
-
 def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], ...]]:
     """factorize(t) of the period bound t of each prime but 5 of a scan
     block's sorted primes, by one strike pass.
@@ -284,20 +278,19 @@ def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], .
     marks = bytearray(hi - lo + 1)
     for n in rest:
         marks[n - lo] = 1
-    base = _odd_base_primes(min(_SIEVE_LIMIT, 1 << bound.bit_length()))
+    base_primes = _base_primes(bound)
+    stop = bisect_right(base_primes, bound)
     width = len(marks)
-    wide = bisect_right(base, min(bound, width))
-    # (q, offset) of each neighbour a base prime divides, q ascending; a q
-    # wider than the block has at most one multiple in it
+    narrow = bisect_right(base_primes, width, 1, stop)
+    # (q, offset) of each neighbour an odd base prime divides, q ascending; a
+    # q wider than the block has at most one multiple in it
     hits = [
         (q, i)
-        for q in base[:wide]
+        for q in islice(base_primes, 1, narrow)
         for first in [(-lo) % q]
         for i in compress(range(first, width, q), marks[first::q])
     ]
-    hits += [
-        (q, i) for q in base[wide : bisect_right(base, bound)] if (i := (-lo) % q) < width and marks[i]
-    ]
+    hits += [(q, i) for q in islice(base_primes, narrow, stop) if (i := (-lo) % q) < width and marks[i]]
     for q, i in hits:
         n = lo + i
         m, e = rest[n] // q, 1

@@ -18,10 +18,15 @@ to worker processes.  Results are merged in ascending block order, and one
 process, holding a flock on <checkpoint>.lock, writes the checkpoint, so
 scans are deterministic and resumable: identical ranges yield byte-identical
 checkpoints (modulo wall time) regardless of worker count or interruption
-pattern.  chi = (p/5) and every period come from pisano.  Each block
-fills arith's block store from its sieve, with the factors of every
-prime's period bound and each (p/5) = +1 prime's root of 5, and clears it
-once its primes are checked.
+pattern.  chi = (p/5) and every period come from pisano.  The scan's own
+process sieves a window of whole blocks at a time, at least
+min(isqrt(hi), 2**20) wide and capped at hi, with every prime up to
+min(isqrt(window hi), 2**20) (arith._prime_window), so below 1.1e12 no
+scanned prime needs a Miller-Rabin proof; each block goes to _scan_block
+with its primes, read from the window's flags as the block is made.  A
+block fills arith's block store with the factors of every prime's period
+bound and each (p/5) = +1 prime's root of 5, and clears it once its
+primes are checked.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ import fcntl
 import json
 import os
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass
 
-from .arith import _BLOCK_STORE, factorize, primes_in_range, two_adic_split
+from .arith import _BLOCK_STORE, _prime_window, _sieve_base, factorize, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
 from .pisano import (
@@ -190,9 +196,32 @@ def odd_self_square_check(m: int) -> OddSelfSquareReport:
 # --------------------------- range scanning ---------------------------
 
 
-def _scan_block(bounds: tuple[int, int]) -> tuple[int, list[WssRecord]]:
-    lo, hi = bounds
-    primes = primes_in_range(lo, hi)
+def _window_blocks(hi: int, size: int) -> int:
+    """Blocks per sieve window of a scan up to hi: the fewest whole blocks
+    at least min(isqrt(hi), 2**20) wide."""
+    return -(-_sieve_base(hi) // size)
+
+
+def _blocks(start: int, hi: int, size: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(lo, hi, primes) of each block of [start, hi], made as the scan reaches it.
+
+    The primes come from a window of _window_blocks whole blocks, capped at
+    hi, sieved at once: each base prime is visited once per window, not once
+    per block, and a block's primes are read from the window's flags only
+    when the block is made, so no list of the window's primes is held.
+    """
+    span = _window_blocks(hi, size) * size
+    for window_lo in range(start, hi + 1, span):
+        window_hi = min(window_lo + span - 1, hi)
+        primes = _prime_window(window_lo, window_hi)
+        for block_lo in range(window_lo, window_hi + 1, size):
+            block_hi = min(block_lo + size - 1, window_hi)
+            yield block_lo, block_hi, primes(block_lo, block_hi)
+
+
+def _scan_block(block: tuple[int, int, list[int]]) -> tuple[int, list[WssRecord]]:
+    """Check the primes of the block (lo, hi, primes), every one proven."""
+    _, hi, primes = block
     try:
         _BLOCK_STORE.update(_block_facts(primes))
         records = [wss_check(p) for p in primes]
@@ -294,14 +323,10 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
 
 
 def _result_line(record: WssRecord) -> str:
-    return json.dumps(
-        {
-            "p": record.p,
-            "legendre5": record.legendre5,
-            "index": record.index,
-            "residue": record.residue_fib_index_mod_p2,
-            "is_wss": record.is_wss,
-        }
+    """The record's results line: json.dumps of its five fields, formatted directly."""
+    return (
+        f'{{"p": {record.p}, "legendre5": {record.legendre5}, "index": {record.index}, '
+        f'"residue": {record.residue_fib_index_mod_p2}, "is_wss": {"true" if record.is_wss else "false"}}}'
     )
 
 
@@ -426,12 +451,9 @@ def scan_wss(
             open(results_path, "w", encoding="utf-8").close()
 
         began = time.perf_counter()
-        # a range is lazy: blocks are made as the scan reaches them
-        starts = range(start, hi + 1, block_size)
-        blocks = ((s, min(s + block_size - 1, hi)) for s in starts)
-
+        blocks = _blocks(start, hi, block_size)
         # a forked pool starts all its workers at once: no more than there are blocks
-        workers = min(workers, len(starts))
+        workers = min(workers, len(range(start, hi + 1, block_size)))
         parallel = workers > 1
         with worker_pool(workers, lock) if parallel else nullcontext() as pool:
             # both iterators yield in block order: merged output is worker-count invariant

@@ -189,7 +189,7 @@ def _windows_near(top):
 
 
 def _windows_around_square(q):
-    # q*q has no factor below q: a window narrower than q leaves it to is_prime
+    # q*q has no factor below q: a q above 2**20 leaves it to is_prime
     square = q * q
     for below, above in [(0, 0), (1, 0), (0, 1), (48, 48), (q // 2, q // 2), (q, q), (q - 1, 0)]:
         lo, hi = square - below, square + above
@@ -197,17 +197,23 @@ def _windows_around_square(q):
             yield lo, hi
 
 
+# Every prime up to base = min(isqrt(hi), 2**20) strikes, so a survivor is
+# prime by the sieve below (base + 1)**2, and only a window reaching past
+# _PROVEN leaves survivors to is_prime.
+_PROVEN = (2**20 + 1) ** 2
+_LEAST_PRIME_ABOVE_BASE = 1048583  # 2**20 + 7: its square is the least composite survivor
+
+
 def _windows_straddling_the_proven_bound():
-    # base = width < isqrt(hi), so (width + 1)**2 lies inside the window
+    # base = 2**20 < isqrt(hi), so (base + 1)**2 lies inside the window
     for width in _WIDTHS:
-        bound = (width + 1) ** 2
-        for shift in (0, 1, width // 2, width - 1):
-            lo = bound - shift
+        for shift in sorted({0, 1, width // 2, width - 1} & set(range(width))):
+            lo = _PROVEN - shift
             yield lo, lo + width - 1
 
 
 class TestWindowSieve:
-    """primes_in_range's base primes reach min(isqrt(hi), width); larger survivors are proved."""
+    """primes_in_range's base primes reach min(isqrt(hi), 2**20); larger survivors are proved."""
 
     @pytest.mark.parametrize("top", _TOPS)
     def test_windows_near_magnitude(self, top):
@@ -223,20 +229,53 @@ class TestWindowSieve:
 
     def test_windows_straddling_the_proven_bound(self):
         for lo, hi in _windows_straddling_the_proven_bound():
-            assert min(math.isqrt(hi), hi - lo + 1) == hi - lo + 1
+            assert min(math.isqrt(hi), 2**20) == 2**20 and lo <= _PROVEN <= hi
             assert primes_in_range(lo, hi) == _oracle(lo, hi), (lo, hi)
 
     def test_full_sieve_makes_no_primality_call(self, monkeypatch):
+        # below (2**20 + 1)**2 a window of any width is proven by the sieve alone
         calls = []
         real = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
         assert len(sieve_upto(10**5)) == 9592
-        root = math.isqrt(10**9 + 31622)
-        assert primes_in_range(10**9, 10**9 + root - 1) == primes_between(10**9, 10**9 + root - 1)
+        windows = [(10**9, 10**9 + 999), (10**9 + 7, 10**9 + 7), (10**12, 10**12 + 9999),
+                   (_PROVEN - 3000, _PROVEN - 1)]
+        for lo, hi in windows:
+            assert primes_in_range(lo, hi) == primes_between(lo, hi), (lo, hi)
         assert calls == []
-        # one narrower than isqrt(hi) proves its survivors
-        primes_in_range(10**9, 10**9 + 999)
-        assert calls
+
+    def test_a_window_straddling_the_proven_square_proves_its_survivors_above_it(self, monkeypatch):
+        calls = []
+        real = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+        lo, hi = _PROVEN - 5000, _PROVEN + 5000
+        primes = primes_between(lo, hi)
+        assert primes_in_range(lo, hi) == primes
+        # no composite survives: the least, 1048583**2, lies past the window
+        assert calls == [p for p in primes if p >= _PROVEN]
+        assert min(calls) > _PROVEN > max(p for p in primes if p < _PROVEN)
+
+    def test_the_base_primes_are_one_array_of_the_primes_up_to_2_20(self):
+        base = arith._base_primes(10**6)
+        assert base is arith._BASE_PRIMES and base.typecode == "I"
+        assert list(base) == primes_between(2, 2**20)
+        # grown no further, however large hi is, and reused in place
+        assert primes_in_range(2**64 - 59, 2**64 - 1) == [2**64 - 59]
+        assert arith._base_primes(2**32) is base and len(base) == 82025
+
+    def test_nothing_is_built_at_import_and_the_array_grows_on_demand(self):
+        child = (
+            "from fibmod import arith\n"
+            "print(arith._BASE_PRIMES[-1])\n"
+            "arith.primes_in_range(10**7, 10**7 + 100)\n"
+            "print(arith._BASE_PRIMES[-1])\n"
+        )
+        src = str(pathlib.Path(arith.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        # the import's trial primes to 1000 need the primes below 2**5; isqrt(1e7) those below 2**12
+        assert done.stdout.split() == ["31", "4093"]
 
     def test_domain_is_below_2_64(self):
         assert primes_in_range(2**64 - 59, 2**64 - 1) == [2**64 - 59]
@@ -361,7 +400,7 @@ def _store_during_block(lo, hi):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wss_module, "wss_check", record)
-        wss_module._scan_block((lo, hi))
+        wss_module._scan_block((lo, hi, primes_in_range(lo, hi)))
     return seen
 
 
@@ -382,7 +421,7 @@ class TestWindowMemo:
                 verdicts.extend(is_prime(n) for n in range(lo, hi + 1))
 
         monkeypatch.setattr(wss_module, "wss_check", check)
-        wss_module._scan_block((lo, hi))
+        wss_module._scan_block((lo, hi, primes))
         assert arith._BLOCK_STORE is store and store == {}
         assert keys == [set(primes)] * len(primes)
         assert verdicts == [_seven_base_is_prime(n) for n in range(lo, hi + 1)]
@@ -416,12 +455,14 @@ class TestWindowMemo:
         assert arith._BLOCK_STORE == {}
 
     def test_survivors_the_sieve_proved_stay_out(self, monkeypatch):
-        # base = width = 100, so survivors below 101**2 are prime by the sieve alone
+        # base = 2**20, so survivors below (2**20 + 1)**2 are prime by the sieve alone
         calls = []
         real = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-        lo, hi = 10150, 10249
-        assert primes_in_range(lo, hi) == primes_between(lo, hi)
-        # the one composite survivor is 101**2, which no base prime strikes
-        assert calls == [101**2] + [p for p in primes_between(lo, hi) if p > 101**2]
-        assert min(calls) == 101**2 > lo
+        q = _LEAST_PRIME_ABOVE_BASE
+        lo, hi = q * q - 100, q * q + 100
+        primes = primes_between(lo, hi)
+        assert primes_in_range(lo, hi) == primes
+        # the one composite survivor is q**2, which no base prime strikes
+        assert calls == sorted([q * q] + primes)
+        assert min(calls) > _PROVEN

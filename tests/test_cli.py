@@ -27,13 +27,13 @@ _real_scan_block = wss_module._scan_block
 _real_profile_direct = pisano_module.profile_direct
 
 
-def _die_after_two_blocks(bounds):
+def _die_after_two_blocks(block):
     # stands in for wss._scan_block inside pool workers
     if os.getpid() == _TEST_PID:
         raise RuntimeError("expected to run in a worker process")
-    if bounds[0] > 1000:
+    if block[0] > 1000:
         os._exit(1)
-    return _real_scan_block(bounds)
+    return _real_scan_block(block)
 
 
 def _die_past_m_1000(m):
@@ -45,7 +45,7 @@ def _die_past_m_1000(m):
     return _real_profile_direct(m)
 
 
-def _refuse_inherited_lock(lock_path, bounds):
+def _refuse_inherited_lock(lock_path, block):
     # stands in for wss._scan_block inside pool workers
     if os.getpid() == _TEST_PID:
         raise RuntimeError("expected to run in a worker process")
@@ -54,7 +54,7 @@ def _refuse_inherited_lock(lock_path, bounds):
         with contextlib.suppress(OSError):
             if os.path.samestat(os.fstat(int(name)), lock):
                 raise AssertionError(f"worker holds the scan lock as fd {name}")
-    return _real_scan_block(bounds)
+    return _real_scan_block(block)
 
 
 # a --jobs 2 scan whose workers each record their pid in argv[1], then stay
@@ -64,7 +64,7 @@ import os, sys, time
 import fibmod.wss as wss
 from fibmod.cli import main
 
-def report_and_wait(bounds):
+def report_and_wait(block):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(60)
 
@@ -75,18 +75,22 @@ sys.exit(main(sys.argv[2:]))
 
 # a --jobs 2 scan of [2, 3001] in three blocks whose workers record their pid
 # in argv[1]; the first two blocks take 0.2 s each and the last 1 s, so that
-# once two blocks are checkpointed one worker is idle and the other busy
+# once two blocks are checkpointed one worker is idle and the other busy.
+# Ctrl-C must raise KeyboardInterrupt even when the test runner was started
+# with SIGINT ignored, which its child would inherit.
 _SLOW_SCAN = """
-import os, sys, time
+import os, signal, sys, time
 import fibmod.wss as wss
 from fibmod.cli import main
 
+signal.signal(signal.SIGINT, signal.default_int_handler)
+
 scan_block = wss._scan_block
 
-def report_and_scan(bounds):
+def report_and_scan(block):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
-    time.sleep(1 if bounds[0] > 2000 else 0.2)
-    return scan_block(bounds)
+    time.sleep(1 if block[0] > 2000 else 0.2)
+    return scan_block(block)
 
 wss._scan_block = report_and_scan
 sys.exit(main(sys.argv[2:]))
@@ -96,11 +100,14 @@ sys.exit(main(sys.argv[2:]))
 # verify whose direct-scan workers each record their pid in argv[1] at
 # their first scan, and whose fast route takes argv[2] more seconds per
 # modulus: with a delay the workers wait idle for chunks, without one they
-# are busy; argv[3:] is the verify command line
+# are busy; argv[3:] is the verify command line.  SIGINT gets its default
+# handler, as in _SLOW_SCAN.
 _REPORTING_VERIFY = """
-import os, sys, time
+import os, signal, sys, time
 import fibmod.pisano as pisano
 from fibmod.cli import main
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
 
 profile, profile_direct = pisano.profile, pisano.profile_direct
 delay = float(sys.argv[2])
@@ -120,10 +127,10 @@ sys.exit(main(sys.argv[3:]))
 """
 
 
-def _note_block(blocks_dir, bounds):
+def _note_block(blocks_dir, block):
     # stands in for wss._scan_block: records which blocks a scan visits
-    open(os.path.join(blocks_dir, str(bounds[0])), "w").close()
-    return _real_scan_block(bounds)
+    open(os.path.join(blocks_dir, str(block[0])), "w").close()
+    return _real_scan_block(block)
 
 
 def _alive(pid):

@@ -156,7 +156,8 @@ class TestEigenRoute:
         primes = primes_between(lo, hi)
         prime_period.cache_clear()
         try:
-            _, records = wss_module._scan_block((lo, hi))  # the store's factors and roots
+            # the scan's own block, its primes from its window's sieve; the store's factors and roots
+            _, records = wss_module._scan_block(next(wss_module._blocks(lo, hi, hi - lo + 1)))
             assert [r.p for r in records] == primes
             for r in records:
                 p, p2 = r.p, r.p * r.p
@@ -198,7 +199,7 @@ class TestEigenRoute:
             with pytest.raises(AnomalyError):
                 wss_check(29)
             with pytest.raises(AnomalyError):
-                wss_module._scan_block((20, 40))
+                wss_module._scan_block(next(wss_module._blocks(20, 40, 21)))
             assert arith._BLOCK_STORE == {}
             # a root right mod p but lifted wrong: an inverse off by one
             monkeypatch.setattr(pisano_module, "_sqrt5_mod_p", real)
@@ -217,7 +218,9 @@ class TestBoundFactorSieve:
     """A scan block's period bounds, factored by one strike pass."""
 
     @pytest.mark.parametrize("lo,hi", [(2, 3000), (10**7, 10**7 + 9999), (10**9, 10**9 + 9999),
-                                       (10**12, 10**12 + 9999)])
+                                       (10**12, 10**12 + 9999),
+                                       ((2**20 + 1) ** 2 - 3000, (2**20 + 1) ** 2 + 3000),
+                                       (2**41, 2**41 + 3000)])
     def test_matches_factorize(self, lo, hi):
         primes = primes_in_range(lo, hi)
         assert pisano_module._bound_factor_sieve(primes) == {p: factorize(period_bound(p)) for p in primes if p != 5}

@@ -36,9 +36,10 @@ def test_kernel_ratio_at_1e5():
     assert done.returncode == 0, done.stderr
     header, row = done.stdout.splitlines()
     assert header.split()[2:] == [
-        "primes", "kernel", "us", "ladder", "us", "ratio", "MR", "pow/p", "route", "pow/p", "ladders/p"
+        "primes", "kernel", "us", "sieve", "us/p", "ladder", "us", "ratio", "MR", "pow/p", "route", "pow/p",
+        "ladders/p"
     ]
-    magnitude, primes, kernel_us, ladder_us, ratio, pows, route, ladders = row.split()
+    magnitude, primes, kernel_us, sieve_us, ladder_us, ratio, pows, route, ladders = row.split()
     assert magnitude == "1e5"
     window = primes_between(10**5, 10**5 + 999)
     assert int(primes) == len(window)
@@ -53,9 +54,12 @@ def test_kernel_ratio_at_1e5():
     want = sum(route_pows(p, pisano_direct(p)) + 2 for p in plus) / len(window)
     assert route == f"{want:.2f}"
     assert float(kernel_us) > float(ladder_us) > 0
+    # the window sieve's share is part of the kernel
+    assert 0 < float(sieve_us) < float(kernel_us)
     assert float(ratio) > 1
-    # the window is sieved whole and the gate finds each prime in the block
-    # store; at B = isqrt(hi + 1) every cofactor of a period bound is 1 or prime
+    # the window sieve strikes with every prime up to isqrt(hi), and the gate
+    # finds each prime in the block store; at B = isqrt(hi + 1) every
+    # cofactor of a period bound is 1 or prime
     assert pows == "0.00"
 
 
@@ -121,6 +125,33 @@ with open(os.path.join(".bench_out", name), "w") as fh:
 print("noise")
 print(json.dumps({"correct": True, "failed": 0, "metrics": {}}))
 """
+
+
+def test_bench_pairs_marks_a_metric_whose_parent_spread_exceeds_its_bound_noisy():
+    tool = _bench_pairs()
+    metrics = [
+        {"name": "wall_s", "better": "lower", "bound": 0.24},
+        {"name": "throughput_per_s", "better": "higher", "bound": 0.24},
+    ]
+    # wall_s: the parent's IQR, 1.0, is 67% of its median 1.5; throughput: 0.5 of 10 is 5%
+    parent = [_summary(w, t) for w, t in [(1.0, 10), (1.0, 9.8), (2.0, 10.2), (2.0, 10.4)]]
+    change = [_summary(w, t) for w, t in [(2.5, 7), (2.5, 7), (2.5, 7), (2.0, 7)]]
+    lines, ok = tool.summarize(metrics, parent, change)
+    assert ok
+    # a WORSE flag on a noisy metric asks for fresh seeds; a steady metric's stays plain
+    assert lines[1].split() == ["wall_s", "1.5", "2.5", "1.667", "1", "0/4", "WORSE", "(bound", "24%)",
+                                "noisy:", "parent", "IQR", ">", "bound,", "re-run", "on", "fresh", "seeds"]
+    assert lines[2].split() == [
+        "throughput_per_s", "10.1", "7", "0.693", "0.5", "0/4", "WORSE", "(bound", "24%)"
+    ]
+    # noisy without a WORSE flag: the change may be no worse, but the runs cannot show it
+    change = [_summary(1.5, 10) for _ in range(4)]
+    assert tool.summarize(metrics, parent, change)[0][1].split() == [
+        "wall_s", "1.5", "1.5", "1.000", "1", "2/4", "noisy:", "parent", "IQR", ">", "bound"
+    ]
+    # the pool children's row has no bound, so it is never noisy
+    parent = [_summary(1.0, 10, child_rss=r) for r in (10.0, 10.0, 30.0, 30.0)]
+    assert "noisy" not in tool.summarize(metrics, parent, change)[0][3]
 
 
 def test_bench_pairs_reads_the_pool_children_from_the_run_document(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import json
 import os
@@ -12,11 +13,12 @@ import pytest
 import fibmod.pool as pool_module
 import fibmod.wss as wss_module
 from fibmod import arith
-from fibmod.arith import factorize, sieve_upto, two_adic_split
+from fibmod.arith import factorize, is_prime, sieve_upto, two_adic_split
 from fibmod.errors import CheckpointError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import pisano_fast, prime_period
 from fibmod.wss import (
+    ScanCheckpoint,
     cofactor_mod,
     enumerate_self_square,
     load_checkpoint,
@@ -608,33 +610,49 @@ class TestScan:
         assert list(tmp_path.iterdir()) == []
 
 
+def _scan_proofs(monkeypatch, tmp_path, lo, hi):
+    """The primes a scan of [lo, hi] records, and the strong tests it runs on
+    each number, by number."""
+    proofs = Counter()
+    real = arith._strong_test
+
+    def counting(n, bases):
+        proofs[n] += 1
+        return real(n, bases)
+
+    monkeypatch.setattr(arith, "_strong_test", counting)
+    prime_period.cache_clear()  # so that the gate runs for every prime
+    out = tmp_path / "results.jsonl"
+    scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
+    return [json.loads(line)["p"] for line in out.read_text().splitlines()], proofs
+
+
 class TestScanProvesEachPrimeOnce:
     """The sieve's proof of a scanned prime serves prime_period's gate too."""
 
     def test_a_scanned_prime_is_proved_once(self, monkeypatch, tmp_path):
-        proofs = Counter()
-        real = arith._strong_test
-
-        def counting(n, bases):
-            passed = real(n, bases)
-            proofs[n] += passed
-            return passed
-
-        monkeypatch.setattr(arith, "_strong_test", counting)
-        prime_period.cache_clear()  # so that the gate runs for every prime
-        lo, hi = 10**12, 10**12 + 3 * 10**4 - 1  # three blocks narrower than isqrt(hi)
-        out = tmp_path / "results.jsonl"
-        scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
-        scanned = [json.loads(line)["p"] for line in out.read_text().splitlines()]
-        assert scanned == primes_between(lo, hi)
+        # above (2**20 + 1)**2 the window's survivors need is_prime, once each
+        lo, hi = 2**41, 2**41 + 3 * 10**4 - 1
+        primes = [n for n in range(lo, hi + 1) if is_prime(n)]
+        scanned, proofs = _scan_proofs(monkeypatch, tmp_path, lo, hi)
+        assert scanned == primes
         assert {p: proofs[p] for p in scanned} == dict.fromkeys(scanned, 1)
-        # the rest prove the large factors of each period bound p - chi
+        # the rest reject composite survivors and prove the large factors of each period bound
         assert sum(proofs.values()) < 2 * len(scanned)
+
+    def test_below_the_proven_square_the_sieve_alone_proves_each_scanned_prime(self, monkeypatch, tmp_path):
+        # every prime up to isqrt(hi) strikes the window, so no scanned prime is tested
+        lo, hi = 10**12, 10**12 + 3 * 10**4 - 1
+        scanned, proofs = _scan_proofs(monkeypatch, tmp_path, lo, hi)
+        assert scanned == primes_between(lo, hi)
+        assert [p for p in scanned if proofs[p]] == []
+        # what is proved are the strike pass's large cofactors of the period bounds
+        assert all(n > 2**36 for n in proofs) and sum(proofs.values()) < len(scanned) / 2
 
     def test_a_scan_block_leaves_no_proof_behind(self, tmp_path):
         store = arith._BLOCK_STORE
         store.update(dict.fromkeys(primes_between(10**9, 10**9 + 999), ((), None)))
-        hi, records = wss_module._scan_block((10**12, 10**12 + 2000))
+        hi, records = wss_module._scan_block(next(wss_module._blocks(10**12, 10**12 + 2000, 2001)))
         assert [r.p for r in records] == primes_between(10**12, 10**12 + 2000)
         assert arith._BLOCK_STORE is store and store == {}
         scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
@@ -643,7 +661,7 @@ class TestScanProvesEachPrimeOnce:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wss_module, "wss_check", lambda p: 1 / 0)
             with pytest.raises(ZeroDivisionError):
-                wss_module._scan_block((10**12, 10**12 + 2000))
+                wss_module._scan_block((10**12, 10**12 + 2000, primes_between(10**12, 10**12 + 2000)))
         assert arith._BLOCK_STORE is store and store == {}
 
     def test_each_block_fills_and_empties_the_one_store(self, tmp_path, monkeypatch):
@@ -668,9 +686,10 @@ class TestScanProvesEachPrimeOnce:
         lo, hi = 10**9, 10**9 + 3999
         scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"),
                  results_path=str(tmp_path / "res.jsonl"), block_size=1000)
-        assert [bounds for bounds, *_ in blocks] == [(s, s + 999) for s in range(lo, hi, 1000)]
-        for (b_lo, b_hi), seen, same, after in blocks:
-            primes = set(primes_between(b_lo, b_hi))
+        assert [block[:2] for block, *_ in blocks] == [(s, s + 999) for s in range(lo, hi, 1000)]
+        for (b_lo, b_hi, b_primes), seen, same, after in blocks:
+            assert b_primes == primes_between(b_lo, b_hi)
+            primes = set(b_primes)
             assert seen == [(True, primes)] * len(primes)
             assert same and after == {}
         assert arith._BLOCK_STORE is store and store == {}
@@ -686,3 +705,119 @@ class TestScanProvesEachPrimeOnce:
         after = bindings()
         assert after.keys() == before.keys()
         assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def _fields(record):
+    return {
+        "p": record.p,
+        "legendre5": record.legendre5,
+        "index": record.index,
+        "residue": record.residue_fib_index_mod_p2,
+        "is_wss": record.is_wss,
+    }
+
+
+class TestResultLine:
+    @pytest.mark.parametrize("p", [11, 7, 5, 10**12 + 39], ids=["chi+1", "chi-1", "chi0", "1e12"])
+    @pytest.mark.parametrize("is_wss", [False, True])
+    def test_the_line_is_json_dumps_of_its_fields(self, p, is_wss):
+        record = dataclasses.replace(wss_check(p), is_wss=is_wss)
+        assert wss_module._result_line(record) == json.dumps(_fields(record))
+
+
+def _reference_lines(lo, hi):
+    """The results file of a scan of [lo, hi], built prime by prime apart
+    from any scan: the primes from a full sieve, each record from wss_check
+    with a cold prime_period, so each bound is factored by factorize."""
+    prime_period.cache_clear()
+    return "".join(json.dumps(_fields(wss_check(p))) + "\n" for p in primes_between(lo, hi))
+
+
+# ranges: block sizes, one dividing min(isqrt(hi), 2**20) and one not, so that
+# a window is exactly that wide or wider; at 1e12 and above, the range end
+# caps the window
+_WINDOWED_RANGES = {
+    (2, 30000): (173, 100, 10**4),
+    (10**7, 10**7 + 19999): (633, 1000),
+    (10**9, 10**9 + 99999): (7906, 10**4),
+    (10**12, 10**12 + 19999): (10**4, 3001),
+    ((2**20 + 1) ** 2 - 10**4, (2**20 + 1) ** 2 + 9999): (5000, 3001),
+    (2**40 - 10**4, 2**40 + 9999): (5000, 3001),
+}
+
+
+class TestWindowedScan:
+    """A scan sieves a window of whole blocks at a time; its output is the
+    prime-by-prime reference, whatever the block size."""
+
+    def test_blocks_per_window(self):
+        assert wss_module._window_blocks(10**7 + 10**5, 10**4) == 1
+        assert wss_module._window_blocks(10**9 + 10**5, 10**4) == 4
+        assert wss_module._window_blocks(10**12 + 10**5, 10**4) == 100
+        assert wss_module._window_blocks(2**63, 10**4) == 105
+        # one byte per odd number: a window's flags never exceed 2**20 bytes
+        for size in (1, 7, 10**4, 2**19 + 1, 2**20 - 1, 2**20):
+            span = wss_module._window_blocks(2**63, size) * size
+            assert span >= 2**20 and (span + 1) // 2 <= 2**20, size
+
+    @pytest.mark.parametrize("lo,hi,size,per_window", [
+        (10**7, 10**7 + 10**5 - 1, 10**4, 1),
+        (10**9, 10**9 + 10**5 - 1, 10**4, 4),
+        (10**9 + 5, 10**9 + 10**5 + 4, 7906, 4),
+        (10**12, 10**12 + 10**5 - 1, 10**4, 100),
+    ])
+    def test_blocks_come_from_windows_of_whole_blocks(self, monkeypatch, lo, hi, size, per_window):
+        windows = []
+        real = wss_module._prime_window
+        monkeypatch.setattr(wss_module, "_prime_window", lambda a, b: windows.append((a, b)) or real(a, b))
+        blocks = list(wss_module._blocks(lo, hi, size))
+        assert [b[:2] for b in blocks] == [(s, min(s + size - 1, hi)) for s in range(lo, hi + 1, size)]
+        span = per_window * size
+        assert windows == [(w, min(w + span - 1, hi)) for w in range(lo, hi + 1, span)]
+        if hi < 10**12:
+            assert [p for b in blocks for p in b[2]] == primes_between(lo, hi)
+
+    @pytest.mark.parametrize(
+        "lo,hi", list(_WINDOWED_RANGES), ids=["2", "1e7", "1e9", "1e12", "proven-square", "2^40"]
+    )
+    def test_results_and_checkpoint_match_the_prime_by_prime_reference(self, tmp_path, lo, hi):
+        want = _reference_lines(lo, hi)
+        checkpoints = set()
+        for i, size in enumerate(_WINDOWED_RANGES[lo, hi]):
+            workers = 1 + i % 2
+            ck, out = tmp_path / f"ck{size}.json", tmp_path / f"res{size}.jsonl"
+            got = scan_wss(lo, hi, workers, checkpoint_path=str(ck), results_path=str(out), block_size=size)
+            assert out.read_text() == want, size
+            assert got == ScanCheckpoint(lo, hi, hi, (), 0, got.wall_time_seconds)
+            assert load_checkpoint(str(ck)) == got
+            checkpoints.add(_normalized(ck))
+        assert len(checkpoints) == 1
+
+    def test_a_pooled_scan_sieves_in_the_main_process(self, tmp_path, monkeypatch):
+        scan_pid = os.getpid()
+        real = wss_module._prime_window
+
+        def sieve_in_the_scan(lo, hi):
+            assert os.getpid() == scan_pid
+            return real(lo, hi)
+
+        monkeypatch.setattr(wss_module, "_prime_window", sieve_in_the_scan)
+        lo, hi = 10**9, 10**9 + 59999
+        out = tmp_path / "res.jsonl"
+        scan_wss(lo, hi, 2, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
+        assert [json.loads(line)["p"] for line in out.read_text().splitlines()] == primes_between(lo, hi)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_resume_from_inside_a_window_is_byte_identical(self, tmp_path, workers):
+        # windows of four blocks: [lo, lo + 4e4) and [lo + 4e4, hi]
+        lo, hi = 10**9, 10**9 + 59999
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(lo, hi, workers, checkpoint_path=str(ck), results_path=str(out))
+        for cut in (2, 5):
+            part_ck, part_out = tmp_path / f"ck{cut}.json", tmp_path / f"res{cut}.jsonl"
+            partial = interrupted_scan(lo, hi, blocks=cut, workers=workers,
+                                       checkpoint_path=str(part_ck), results_path=str(part_out))
+            assert partial.last_completed == lo + cut * 10**4 - 1
+            scan_wss(lo, hi, workers, checkpoint_path=str(part_ck), results_path=str(part_out))
+            assert part_out.read_bytes() == out.read_bytes(), cut
+            assert _normalized(part_ck) == _normalized(ck), cut

@@ -7,10 +7,13 @@ first.  For each end-to-end metric of BENCHMARK.json it prints both medians,
 change/parent, the parent's interquartile range and the pairs the change
 wins (ties count for neither side), and WORSE where the change's median is
 worse than the parent's by more than the metric's bound, as a fraction of
-the parent's median.  One more row, pool_child_rss_mib, is not a
-BENCHMARK.json metric: the median over each run's repetitions of the largest
-process the run's children left (a pool worker where the workload runs a
-pool), read from the run's .bench_out/BENCH_<workload>_seed<n>_trace0.json.
+the parent's median.  A metric whose parent IQR exceeds that bound is
+marked noisy: its runs spread too widely for a WORSE flag to tell a
+regression from noise, so such a flag asks for a re-run on fresh seeds.
+One more row, pool_child_rss_mib, is not a BENCHMARK.json metric: the
+median over each run's repetitions of the largest process the run's
+children left (a pool worker where the workload runs a pool), read from the
+run's .bench_out/BENCH_<workload>_seed<n>_trace0.json.
 Exits 1 if a run is not correct or has failed items.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds 301-310
@@ -51,17 +54,21 @@ def iqr(values: list[float]) -> float:
 
 def row(name: str, pairs: list[tuple[float, float]], better: str, bound: float | None) -> str:
     """One report line for (parent, change) values of a metric; WORSE past
-    bound, if there is one."""
+    bound, and noisy where the parent's IQR exceeds it, if there is one."""
     sign = 1 if better == "lower" else -1
     before = statistics.median(p for p, _ in pairs)
     after = statistics.median(c for _, c in pairs)
     wins = sum(sign * (p - c) > 0 for p, c in pairs)
-    worse = bound is not None and sign * (after - before) > bound * before
     spread = iqr([p for p, _ in pairs])
+    worse = bound is not None and sign * (after - before) > bound * before
+    noisy = bound is not None and spread > bound * before
     ratio = after / before if before else float("nan")  # a run with no pool has no children
+    flags = f"  WORSE (bound {bound:.0%})" if worse else ""
+    if noisy:
+        flags += "  noisy: parent IQR > bound" + (", re-run on fresh seeds" if worse else "")
     return (
         f"{name:<20} {before:>11.4g} {after:>11.4g} {ratio:>7.3f} {spread:>11.3g} "
-        f"{f'{wins}/{len(pairs)}':>6}" + (f"  WORSE (bound {bound:.0%})" if worse else "")
+        f"{f'{wins}/{len(pairs)}':>6}" + flags
     )
 
 

@@ -1,15 +1,20 @@
 """Per-prime cost of the Wall-Sun-Sun scan kernel against its bare index ladder.
 
-Over the primes of [M, M + width), for each magnitude M: the kernel (the
-scan's block, the window's sieve plus wss_check of each prime, with
-prime_period's cache cleared),
-the bare ladder u_{p - chi} mod p^2, each the best of --repeat runs, and
-their ratio: each repeat times the kernel and then the ladder, so that a
-drift in machine speed reaches both, and the ratio is the median of the
-repeats' ratios.  From one untimed kernel run, per prime: the
-Miller-Rabin modular exponentiations, the builtin pow calls of the chi = +1
-eigenvalue route (square root of 5, its lift, the order reduction and the
-index residue) and the fib_pair_mod ladders.
+For each magnitude M, over the block [M, M + width): the kernel, which is
+the block's share of its window sieve plus the block's check (_scan_block,
+wss_check of each prime, with prime_period's cache cleared); the bare
+ladder u_{p - chi} mod p^2; each the best of --repeat runs; and their
+ratio.  The window is the one a scan from M sieves at once (wss._blocks):
+the fewest whole blocks at least min(isqrt(hi), 2**20) wide, and its sieve
+costs each of its primes the same, so the sieve us/p column is the window
+sieve's time over the window's primes.  Each repeat times the sieve, the
+check and then the ladder, so that a drift in machine speed reaches all
+three, and the ratio is the median of the repeats' ratios.  From one
+untimed kernel run, per prime: the Miller-Rabin modular exponentiations
+(the window sieve's over the window's primes, plus the check's), the
+builtin pow calls of the chi = +1 eigenvalue route (square root of 5, its
+lift, the order reduction and the index residue) and the fib_pair_mod
+ladders.
 
     PYTHONPATH=src python3 tools/kernel_ratio.py [--width W] [--repeat R] [M ...]
 """
@@ -22,12 +27,17 @@ import timeit
 from fibmod import arith, pisano, wss
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import _legendre5, prime_period
-from fibmod.wss import _scan_block
+from fibmod.wss import _blocks, _scan_block, _window_blocks
 
 
-def kernel(lo: int, hi: int) -> None:
+def sieve(lo: int, width: int) -> list[tuple[int, int, list[int]]]:
+    """The blocks, with their primes, of the window a scan from lo sieves."""
+    return list(_blocks(lo, lo + _window_blocks(lo + width - 1, width) * width - 1, width))
+
+
+def check(block: tuple[int, int, list[int]]) -> None:
     prime_period.cache_clear()
-    _scan_block((lo, hi))
+    _scan_block(block)
 
 
 def ladder(primes: list[int]) -> None:
@@ -35,9 +45,9 @@ def ladder(primes: list[int]) -> None:
         fib_pair_mod(p - _legendre5(p), p * p)
 
 
-def counts(lo: int, hi: int) -> tuple[int, int, int]:
+def counts(fn) -> tuple[int, int, int]:
     """Miller-Rabin exponentiations, route pow calls and fib_pair_mod
-    ladders in one kernel run."""
+    ladders in one run of fn."""
     pows, route, ladders = [], [], []
     # arith's pow calls are all Miller-Rabin's, and pisano's all the
     # eigenvalue route's: a module global pow shadows the builtin
@@ -47,7 +57,7 @@ def counts(lo: int, hi: int) -> tuple[int, int, int]:
     for module in (pisano, wss):
         module.fib_pair_mod = lambda *args: ladders.append(args) or fib_pair_mod(*args)
     try:
-        kernel(lo, hi)
+        fn()
     finally:
         del arith.pow, pisano.pow
         for module in (pisano, wss):
@@ -61,19 +71,22 @@ def main() -> None:
     parser.add_argument("--width", type=int, default=10**4)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    print(f"{'p ~':>6} {'primes':>7} {'kernel us':>10} {'ladder us':>10} {'ratio':>6} {'MR pow/p':>9} "
-          f"{'route pow/p':>12} {'ladders/p':>10}")
+    print(f"{'p ~':>6} {'primes':>7} {'kernel us':>10} {'sieve us/p':>11} {'ladder us':>10} {'ratio':>6} "
+          f"{'MR pow/p':>9} {'route pow/p':>12} {'ladders/p':>10}")
     for text in args.magnitudes:
         lo = int(float(text))
-        hi = lo + args.width - 1
-        primes = arith.primes_in_range(lo, hi)
-        runs = (lambda: kernel(lo, hi), lambda: ladder(primes))
-        pairs = [[timeit.timeit(fn, number=1) for fn in runs] for _ in range(args.repeat)]
-        k, b = (min(times) / len(primes) * 1e6 for times in zip(*pairs))
-        ratio = statistics.median(tk / tb for tk, tb in pairs)
-        pows, route, ladders = (count / len(primes) for count in counts(lo, hi))
-        print(f"{text:>6} {len(primes):>7} {k:>10.1f} {b:>10.1f} {ratio:>6.1f} {pows:>9.2f} {route:>12.2f} "
-              f"{ladders:>10.2f}")
+        blocks = sieve(lo, args.width)
+        block = blocks[0]
+        primes, window = len(block[2]), sum(len(b[2]) for b in blocks)
+        runs = (lambda: sieve(lo, args.width), lambda: check(block), lambda: ladder(block[2]))
+        repeats = [[timeit.timeit(fn, number=1) for fn in runs] for _ in range(args.repeat)]
+        per_prime = [(ts / window, tc / primes, tl / primes) for ts, tc, tl in repeats]
+        s, c, b = (min(times) * 1e6 for times in zip(*per_prime))
+        ratio = statistics.median((ps + pc) / pl for ps, pc, pl in per_prime)
+        sieve_pows = counts(lambda: sieve(lo, args.width))[0]
+        pows, route, ladders = (n / primes for n in counts(lambda: check(block)))
+        print(f"{text:>6} {primes:>7} {s + c:>10.1f} {s:>11.1f} {b:>10.1f} {ratio:>6.1f} "
+              f"{sieve_pows / window + pows:>9.2f} {route:>12.2f} {ladders:>10.2f}")
 
 
 if __name__ == "__main__":
