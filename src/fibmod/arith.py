@@ -16,15 +16,8 @@ below (2**20 + 1)**2 ~ 1.1e12 the sieve alone proves every survivor, and
 above it a survivor is proved by is_prime.  The base primes come from one
 array of the primes up to at most 2**20, grown on first use, and the
 window's flags, one byte per odd number, are its only other memory.
-
-Besides the base-prime array, the module's state is the block store,
-_BLOCK_STORE, a dict keyed by the primes of the scan block being checked.
-A scan fills it from its block's primes, which its window sieve proved,
-and clears it once the block is checked, so is_prime answers for those
-primes without a second proof (prime_period's gate asks for each).  Its
-values belong to pisano: the factors of each prime's period bound, from
-one strike pass over the block, and a chi = +1 prime's square root of 5
-mod p^2.
+No module state holds an answer: is_prime, factorize and the sieves
+answer from their arguments alone.
 """
 
 from __future__ import annotations
@@ -39,13 +32,6 @@ from itertools import compress, islice
 _SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _TWO64 = 1 << 64
-
-# The scan block's primes, each mapped to pisano's facts about it: the
-# factors of its period bound and, for chi = +1, its root of 5 mod p^2 (None
-# otherwise).  Its keys are proven primes.  Filled and cleared in place by
-# the scan, one block at a time, never rebound, so that every binding of it
-# stays the same object.
-_BLOCK_STORE: dict[int, tuple[tuple[tuple[int, int], ...], int | None]] = {}
 
 # The one base-prime array: every prime below 2**k, for the least k <= 20
 # that a sieve has needed so far.  Grown in place on first use, never at
@@ -73,8 +59,6 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**64."""
     if n >= _TWO64:
         raise ValueError("is_prime is deterministic only below 2**64")
-    if n in _BLOCK_STORE:
-        return True
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -33,20 +33,21 @@ block gets them for all its primes from one strike pass
 (_bound_factor_sieve): the odd primes up to a bound B, read from arith's
 base-prime array, strike the block's neighbours p - chi, and only a
 cofactor of at least (B + 1)^2 goes to is_prime and rho.  The factors,
-and each chi = +1 prime's root of 5, sit in arith's block store while the
-block is checked; a prime outside a scan block factors its bound with
-factorize.
+and each chi = +1 prime's root of 5, sit in the block store only while the
+block is checked (_block_facts), and prime_period takes its keys, which the
+window sieve proved, as prime; any other p meets is_prime and factorize.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice
 
-from .arith import _BLOCK_STORE, _base_primes, _rough_factors, factorize, is_prime, two_adic_split
+from .arith import _base_primes, _rough_factors, factorize, is_prime, two_adic_split
 from .errors import AnomalyError
 from .fib import _doublings, fib_pair_mod
 
@@ -74,6 +75,11 @@ _CACHE_SIZE = 1 << 14
 # ~25-36 for 2^16, with a fifth of the rho calls, and the array holds its
 # primes in 4 bytes each.
 _SIEVE_LIMIT = 1 << 18
+
+# The block store: each proven prime of the scan block mapped to its bound's
+# factors and, for chi = +1, its root of 5 mod p^2 (None otherwise).  Only
+# _block_facts fills it, one block at a time, and empties it in place.
+_BLOCK_STORE: dict[int, tuple[tuple[tuple[int, int], ...], int | None]] = {}
 
 
 @dataclass(frozen=True)
@@ -136,13 +142,15 @@ def prime_period(p: int) -> int:
     reduction runs on the eigenvalue phi with builtin pow.  Otherwise the
     premise and the halvings read one ladder at the bound's odd part and
     its doublings, and each odd prime factor's test is a ladder of its own.
-    It is the period layer's one primality check.
+    A p outside the block store meets the period layer's one primality
+    check, is_prime.
     """
-    if not is_prime(p):
+    facts = _BLOCK_STORE.get(p)
+    if facts is None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     chi = _legendre5(p)
     t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
-    factors, root = _BLOCK_STORE.get(p) or (factorize(t), None)
+    factors, root = facts or (factorize(t), None)
     if chi == 1:
         return _eigen_period(p, factors, _root5(p) if root is None else root)
     # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd
@@ -306,13 +314,18 @@ def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], .
     }
 
 
-def _block_facts(primes: list[int]) -> dict[int, tuple[tuple[tuple[int, int], ...], int | None]]:
-    """The block store's entries for a scan block's primes: each prime's
-    period-bound factors and, for chi = +1, its root of 5 mod p^2."""
-    return {
-        p: (factors, _root5(p) if _legendre5(p) == 1 else None)
-        for p, factors in _bound_factor_sieve(primes).items()
-    }
+@contextmanager
+def _block_facts(primes: list[int]):
+    """Hold the facts of a scan block's proven primes in the block store
+    while the block is checked; empty it on exit, also when anything raises."""
+    try:
+        _BLOCK_STORE.update(
+            (p, (factors, _root5(p) if _legendre5(p) == 1 else None))
+            for p, factors in _bound_factor_sieve(primes).items()
+        )
+        yield
+    finally:
+        _BLOCK_STORE.clear()
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -176,21 +176,16 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
-def suite_pisano(
-    max_value: int = 10_000, *, zero_counts: bytearray | None = None
-) -> list[PropertyResult]:
-    """Period/rank/zero-count structure over [2, max_value], against one direct scan.
-
-    zero_counts, of length max_value + 1, receives the zero count of every
-    m that the direct scan finds, for suite_classify to reuse.
-    """
+def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
+    """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
     with _direct_scans(range(2, max_value + 1)) as scans:
-        return _pisano_checks(max_value)(scans, zero_counts)
+        return _pisano_checks(max_value)(scans, bytearray(max_value + 1))
 
 
 def _pisano_checks(max_value: int):
     """suite_pisano's checks that need no direct scan, run now; returns the
-    function that runs the rest, given the scans and zero_counts."""
+    function that runs the rest, given the scans, and fills zero_counts[m]
+    with each scanned m's zero count."""
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -223,11 +218,10 @@ def _pisano_checks(max_value: int):
         after = fib_pair_mod(rank + 1, p)[0]
         neighbors.check(before != 0 and after != 0, f"p={p} rank={rank}")
 
-    def against(scans, zero_counts: bytearray | None) -> list[PropertyResult]:
+    def against(scans, zero_counts: bytearray) -> list[PropertyResult]:
         for m, direct in scans:
             prof = pisano.profile(m)
-            if zero_counts is not None:
-                zero_counts[m] = direct.upsilon
+            zero_counts[m] = direct.upsilon
             routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
             structure.check(
                 prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
@@ -239,17 +233,12 @@ def _pisano_checks(max_value: int):
     return against
 
 
-def suite_classify(
-    max_value: int = 10_000, *, zero_counts: bytearray | None = None
-) -> list[PropertyResult]:
+def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     """Goodness criteria, zero-count patterns, and divisor classes.
 
-    The odd-composite zero-count formula is checked against a direct scan:
-    the one suite_pisano filled zero_counts from, or else its own, of the
-    odd composites alone.
+    The odd-composite zero-count formula is checked against a direct scan
+    of the odd composites alone.
     """
-    if zero_counts is not None:
-        return _classify_checks(max_value)(zero_counts)
     primes = set(sieve_upto(max_value))
     composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
     zero_counts = bytearray(max_value + 1)

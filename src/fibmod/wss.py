@@ -24,9 +24,9 @@ min(isqrt(hi), 2**20) wide and capped at hi, with every prime up to
 min(isqrt(window hi), 2**20) (arith._prime_window), so below 1.1e12 no
 scanned prime needs a Miller-Rabin proof; each block goes to _scan_block
 with its primes, read from the window's flags as the block is made.  A
-block fills arith's block store with the factors of every prime's period
-bound and each (p/5) = +1 prime's root of 5, and clears it once its
-primes are checked.
+block's primes are checked inside pisano._block_facts, which holds the
+factors of every prime's period bound and each (p/5) = +1 prime's root of
+5 for the block's checks alone.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import os
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .arith import _BLOCK_STORE, _prime_window, _sieve_base, factorize, two_adic_split
+from .arith import _prime_window, _sieve_base, factorize, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
 from .pisano import (
@@ -222,12 +222,8 @@ def _blocks(start: int, hi: int, size: int) -> Iterator[tuple[int, int, list[int
 def _scan_block(block: tuple[int, int, list[int]]) -> tuple[int, list[WssRecord]]:
     """Check the primes of the block (lo, hi, primes), every one proven."""
     _, hi, primes = block
-    try:
-        _BLOCK_STORE.update(_block_facts(primes))
-        records = [wss_check(p) for p in primes]
-    finally:
-        _BLOCK_STORE.clear()  # its facts served this block; keep none past it
-    return hi, records
+    with _block_facts(primes):
+        return hi, [wss_check(p) for p in primes]
 
 
 def _fsync_directory(path: str) -> None:
@@ -294,6 +290,14 @@ _CHECKPOINT_FIELDS = {
     "wall_time_seconds": (int, float),
 }
 
+# each hit's fields with the types WssRecord declares
+_HIT_FIELDS = {f.name: {"int": int, "bool": bool}[f.type] for f in fields(WssRecord)}
+
+
+def _is(value, kind) -> bool:
+    """isinstance(value, kind), where a bool is no int."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
 
 def load_checkpoint(path: str) -> ScanCheckpoint:
     """Parse and validate a checkpoint file; corrupt files refuse to load."""
@@ -305,13 +309,18 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
     if not isinstance(raw, dict):
         raise CheckpointError(f"checkpoint {path} is not an object")
     for field, kind in _CHECKPOINT_FIELDS.items():
-        if field not in raw or not isinstance(raw[field], kind):
+        if field not in raw or not _is(raw[field], kind):
             raise CheckpointError(f"checkpoint {path} missing or invalid field {field!r}")
     values = {field: raw[field] for field in _CHECKPOINT_FIELDS}
-    try:
-        values["hits"] = tuple(WssRecord(**h) for h in values["hits"])
-    except TypeError as exc:
-        raise CheckpointError(f"checkpoint {path} carries malformed hit records") from exc
+    lo, last = values["range_lo"], values["last_completed"]
+    if not all(
+        isinstance(h, dict) and h.keys() == _HIT_FIELDS.keys()
+        and all(_is(h[field], kind) for field, kind in _HIT_FIELDS.items())
+        and h["is_wss"] and lo <= h["p"] <= last
+        for h in values["hits"]
+    ):
+        raise CheckpointError(f"checkpoint {path} carries malformed hit records")
+    values["hits"] = tuple(WssRecord(**h) for h in values["hits"])
     values["wall_time_seconds"] = float(values["wall_time_seconds"])
     ck = ScanCheckpoint(**values)
     if not ck.range_lo <= ck.last_completed <= ck.range_hi:

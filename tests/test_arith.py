@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import (
@@ -396,7 +397,7 @@ def _store_during_block(lo, hi):
     seen = []
 
     def record(p):
-        seen.append((arith._BLOCK_STORE, set(arith._BLOCK_STORE)))
+        seen.append((pisano_module._BLOCK_STORE, set(pisano_module._BLOCK_STORE)))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wss_module, "wss_check", record)
@@ -410,9 +411,9 @@ class TestWindowMemo:
 
     @pytest.mark.parametrize("lo,hi", [(10**9, 10**9 + 999), (10**12, 10**12 + 2000), (2**63 - 3000, 2**63)])
     def test_the_set_holds_the_window_proved_primes_and_composites_stay_composite(self, lo, hi, monkeypatch):
-        store = arith._BLOCK_STORE
+        store = pisano_module._BLOCK_STORE
         primes = primes_in_range(lo, hi)
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
         keys, verdicts = [], []
 
         def check(p):
@@ -422,7 +423,7 @@ class TestWindowMemo:
 
         monkeypatch.setattr(wss_module, "wss_check", check)
         wss_module._scan_block((lo, hi, primes))
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
         assert keys == [set(primes)] * len(primes)
         assert verdicts == [_seven_base_is_prime(n) for n in range(lo, hi + 1)]
 
@@ -431,17 +432,17 @@ class TestWindowMemo:
         second = _store_during_block(10**15, 10**15 + 2000)
         assert {frozenset(keys) for _, keys in first} == {frozenset(primes_in_range(10**12, 10**12 + 2000))}
         assert {frozenset(keys) for _, keys in second} == {frozenset(primes_in_range(10**15, 10**15 + 2000))}
-        assert {id(store) for store, _ in first + second} == {id(arith._BLOCK_STORE)}
-        assert arith._BLOCK_STORE == {}
+        assert {id(store) for store, _ in first + second} == {id(pisano_module._BLOCK_STORE)}
+        assert pisano_module._BLOCK_STORE == {}
 
     def test_a_full_sieve_window_adds_nothing(self):
         # nor does a narrower one: only a scan block fills the store
-        store = arith._BLOCK_STORE
+        store = pisano_module._BLOCK_STORE
         assert len(sieve_upto(10**5)) == 9592
         root = math.isqrt(10**9 + 31622)
         assert primes_in_range(10**9, 10**9 + root - 1)
         assert primes_in_range(10**12, 10**12 + 2000)
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
 
     def test_a_direct_call_keeps_only_its_window_proved_primes(self):
         # what stays alive while a block is checked: its primes' entries, no more
@@ -452,7 +453,16 @@ class TestWindowMemo:
         assert len(primes) < (hi - lo + 1) // 30
         # 5 is the one prime the store leaves out: its bound 20 factors at once
         assert [keys for _, keys in _store_during_block(2, 100)] == [set(sieve_upto(100)) - {5}] * 25
-        assert arith._BLOCK_STORE == {}
+        assert pisano_module._BLOCK_STORE == {}
+
+    def test_is_prime_reads_no_block_store(self, monkeypatch):
+        # composites planted in pisano's store stay composite for arith
+        composites = (91, 999_983 * 1_000_003)
+        for n in composites:
+            monkeypatch.setitem(pisano_module._BLOCK_STORE, n, ((), None))
+        assert [is_prime(n) for n in composites] == [False, False]
+        assert [factorize(n) for n in composites] == [((7, 1), (13, 1)), ((999_983, 1), (1_000_003, 1))]
+        assert primes_in_range(85, 95) == [89]
 
     def test_survivors_the_sieve_proved_stay_out(self, monkeypatch):
         # base = 2**20, so survivors below (2**20 + 1)**2 are prime by the sieve alone

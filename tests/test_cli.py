@@ -307,6 +307,24 @@ class TestWssScanCommand:
         )
         assert code == 2 and "checkpoint" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("hits", [{"p": "x", "legendre5": 1, "index": 10, "residue_fib_index_mod_p2": 0,
+                   "residue_fib_gamma_mod_p2": 0, "is_wss": "yes", "criteria_agree": True}]),
+        ("anomaly_count", True),
+    ])
+    def test_a_wrongly_typed_checkpoint_exits_2_and_touches_nothing(self, capsys, tmp_path, field, value):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        argv = ("wss-scan", "--from", "2", "--to", "100", "--checkpoint", str(ck), "--out", str(out))
+        assert run(capsys, *argv)[0] == 0
+        doc = json.loads(ck.read_text())
+        doc[field] = value
+        ck.write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"fibmod: checkpoint error: checkpoint {ck} ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_default_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FIBMOD_CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run(capsys, "wss-scan", "--from", "2", "--to", "100")

@@ -29,3 +29,38 @@ def test_runtime_imports_are_stdlib_or_fibmod():
         if root not in _ALLOWED
     ]
     assert not outside
+
+
+# Each module imports, from fibmod, only modules before it in this order.
+_LAYERS = ("errors", "arith", "fib", "pool", "pisano", "classify", "wss", "verify", "cli")
+
+
+def _fibmod_imports(tree: ast.AST):
+    """(line, module) of each fibmod module that tree imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.lineno, node.module.split(".")[0]
+            else:  # from . import a, b
+                yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "fibmod":
+            yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "fibmod":
+                    yield node.lineno, parts[1]
+
+
+def test_each_module_imports_only_lower_layers():
+    package = pathlib.Path(fibmod.__file__).parent
+    sources = {path.stem: path for path in package.glob("*.py")}
+    assert sorted(sources) == sorted(_LAYERS + ("__init__",))
+    upward = [
+        f"{name}.py:{lineno} imports {module}"
+        for name, path in sources.items()
+        if name != "__init__"
+        for lineno, module in _fibmod_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module not in _LAYERS[: _LAYERS.index(name)]
+    ]
+    assert not upward

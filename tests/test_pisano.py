@@ -200,7 +200,7 @@ class TestEigenRoute:
                 wss_check(29)
             with pytest.raises(AnomalyError):
                 wss_module._scan_block(next(wss_module._blocks(20, 40, 21)))
-            assert arith._BLOCK_STORE == {}
+            assert pisano_module._BLOCK_STORE == {}
             # a root right mod p but lifted wrong: an inverse off by one
             monkeypatch.setattr(pisano_module, "_sqrt5_mod_p", real)
             monkeypatch.setattr(

@@ -36,10 +36,10 @@ def test_kernel_ratio_at_1e5():
     assert done.returncode == 0, done.stderr
     header, row = done.stdout.splitlines()
     assert header.split()[2:] == [
-        "primes", "kernel", "us", "sieve", "us/p", "ladder", "us", "ratio", "MR", "pow/p", "route", "pow/p",
-        "ladders/p"
+        "primes", "kernel", "us", "sieve", "us/p", "strike", "us/p", "ladder", "us", "ratio", "MR", "pow/p",
+        "route", "pow/p", "ladders/p", "rho/p"
     ]
-    magnitude, primes, kernel_us, sieve_us, ladder_us, ratio, pows, route, ladders = row.split()
+    magnitude, primes, kernel_us, sieve_us, strike_us, ladder_us, ratio, pows, route, ladders, rhos = row.split()
     assert magnitude == "1e5"
     window = primes_between(10**5, 10**5 + 999)
     assert int(primes) == len(window)
@@ -54,13 +54,16 @@ def test_kernel_ratio_at_1e5():
     want = sum(route_pows(p, pisano_direct(p)) + 2 for p in plus) / len(window)
     assert route == f"{want:.2f}"
     assert float(kernel_us) > float(ladder_us) > 0
-    # the window sieve's share is part of the kernel
+    # the window sieve's share and the check's strike pass are part of the kernel
     assert 0 < float(sieve_us) < float(kernel_us)
+    assert 0 < float(strike_us) < float(kernel_us)
     assert float(ratio) > 1
-    # the window sieve strikes with every prime up to isqrt(hi), and the gate
-    # finds each prime in the block store; at B = isqrt(hi + 1) every
-    # cofactor of a period bound is 1 or prime
+    # the window sieve strikes with every prime up to isqrt(hi), and
+    # prime_period's gate finds each prime in the block store; at
+    # B = isqrt(hi + 1) every cofactor of a period bound is 1 or prime, so
+    # none goes to is_prime or rho
     assert pows == "0.00"
+    assert rhos == "0.00"
 
 
 def test_bench_pairs_imports_only_the_stdlib():

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+import fibmod.pisano as pisano_module
 import fibmod.pool as pool_module
 import fibmod.wss as wss_module
 from fibmod import arith
@@ -19,6 +20,7 @@ from fibmod.fib import fib_pair_mod
 from fibmod.pisano import pisano_fast, prime_period
 from fibmod.wss import (
     ScanCheckpoint,
+    WssRecord,
     cofactor_mod,
     enumerate_self_square,
     load_checkpoint,
@@ -330,6 +332,30 @@ class TestScan:
             "range_lo",
             "wall_time_seconds",
         ]
+
+    def test_checkpoint_fields_and_hits_must_have_their_types(self, tmp_path):
+        # a bool is no int, and a hit is an is_wss record inside the scanned range
+        path = tmp_path / "ck.json"
+        scan_wss(2, 300, checkpoint_path=str(path), block_size=100)
+        good = json.loads(path.read_text())
+        hit = {"p": 11, "legendre5": 1, "index": 10, "residue_fib_index_mod_p2": 0,
+               "residue_fib_gamma_mod_p2": 0, "is_wss": True, "criteria_agree": True}
+        path.write_text(json.dumps({**good, "hits": [hit], "wall_time_seconds": 3}))
+        assert load_checkpoint(str(path)).hits == (WssRecord(**hit),)
+        bad = [{**good, field: True} for field in ("range_lo", "range_hi", "last_completed",
+                                                    "anomaly_count", "wall_time_seconds")]
+        bad += [{**good, "hits": [{**hit, field: value}]} for field, value in (
+            ("p", "x"), ("p", True), ("legendre5", 1.0), ("index", None),
+            ("residue_fib_index_mod_p2", "0"), ("residue_fib_gamma_mod_p2", False),
+            ("is_wss", "yes"), ("is_wss", 1), ("criteria_agree", 0),
+            ("is_wss", False), ("p", 1), ("p", 301),
+        )]
+        bad += [{**good, "hits": [hit], "last_completed": 10},
+                {**good, "hits": [{**hit, "extra": 1}]}, {**good, "hits": [[11]]}]
+        for doc in bad:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match="invalid field|malformed hit records"):
+                load_checkpoint(str(path))
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         base = tmp_path / "full.json"
@@ -650,36 +676,53 @@ class TestScanProvesEachPrimeOnce:
         assert all(n > 2**36 for n in proofs) and sum(proofs.values()) < len(scanned) / 2
 
     def test_a_scan_block_leaves_no_proof_behind(self, tmp_path):
-        store = arith._BLOCK_STORE
+        store = pisano_module._BLOCK_STORE
         store.update(dict.fromkeys(primes_between(10**9, 10**9 + 999), ((), None)))
         hi, records = wss_module._scan_block(next(wss_module._blocks(10**12, 10**12 + 2000, 2001)))
         assert [r.p for r in records] == primes_between(10**12, 10**12 + 2000)
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
         scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
         # nor does a block whose check raises
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wss_module, "wss_check", lambda p: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 wss_module._scan_block((10**12, 10**12 + 2000, primes_between(10**12, 10**12 + 2000)))
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
+
+    def test_the_period_gate_takes_a_block_prime_as_proven(self, monkeypatch):
+        # prime_period calls is_prime only for a p outside the block store
+        calls = []
+        real = pisano_module.is_prime
+        monkeypatch.setattr(pisano_module, "is_prime", lambda n: calls.append(n) or real(n))
+        prime_period.cache_clear()
+        try:
+            block = next(wss_module._blocks(10**9, 10**9 + 9999, 10**4))
+            hi, records = wss_module._scan_block(block)
+            assert [r.p for r in records] == block[2] == primes_between(10**9, 10**9 + 9999)
+            assert calls == []
+            # a prime outside the block meets the gate, once
+            assert prime_period(999_999_937) == pisano_fast(999_999_937)
+            assert calls == [999_999_937]
+        finally:
+            prime_period.cache_clear()
 
     def test_each_block_fills_and_empties_the_one_store(self, tmp_path, monkeypatch):
         # wss_check sees its block's primes, and nothing else, in the same store;
         # after each block, and after the scan, the store is empty
-        store = arith._BLOCK_STORE
+        store = pisano_module._BLOCK_STORE
         real_scan_block = wss_module._scan_block
         blocks = []
 
         def scan_block(bounds):
             seen = []
             real_check = wss_module.wss_check
-            wss_module.wss_check = lambda p: seen.append((arith._BLOCK_STORE is store, set(store))) or real_check(p)
+            wss_module.wss_check = lambda p: seen.append((pisano_module._BLOCK_STORE is store, set(store))) or real_check(p)
             try:
                 scanned = real_scan_block(bounds)
             finally:
                 wss_module.wss_check = real_check
-            blocks.append((bounds, seen, arith._BLOCK_STORE is store, dict(store)))
+            blocks.append((bounds, seen, pisano_module._BLOCK_STORE is store, dict(store)))
             return scanned
 
         monkeypatch.setattr(wss_module, "_scan_block", scan_block)
@@ -692,7 +735,7 @@ class TestScanProvesEachPrimeOnce:
             primes = set(b_primes)
             assert seen == [(True, primes)] * len(primes)
             assert same and after == {}
-        assert arith._BLOCK_STORE is store and store == {}
+        assert pisano_module._BLOCK_STORE is store and store == {}
 
     def test_the_scan_rebinds_no_module_global(self, tmp_path):
         # the benchmark's traced run requires every fibmod binding back as it was
