@@ -52,14 +52,12 @@ from .pisano import (
     zero_count_direct,
 )
 from .wss import (
-    OddSelfSquareReport,
     ScanCheckpoint,
     SelfSquareRecord,
     WssRecord,
     cofactor_mod,
     enumerate_self_square,
     load_checkpoint,
-    odd_self_square_check,
     scan_wss,
     self_square_test,
     two_power_valuation_check,

@@ -117,7 +117,8 @@ def _cmd_good(args):
         output = asdict(report)
         human = f"m={args.m} good={report.is_good} (method={args.method})"
     else:
-        # one report at a time, so memory stays flat over a range of any length
+        # the reports are not kept, but the good list is: about a tenth of the
+        # range (ROADMAP item 4)
         good = [m for m in range(lo, hi + 1) if classify.goodness_report(m, args.method).is_good]
         output = {
             "lo": lo,

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import classify, pisano, wss
-from .arith import sieve_upto
+from .arith import factorize, sieve_upto
 from .errors import AnomalyError
 from .fib import (
     binomial_expansion_rhs,
@@ -342,7 +342,7 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
         )
 
     found = {record.m for record in wss.enumerate_self_square(max_value)}
-    expected = {6, 12} if max_value >= 12 else set()
+    expected = {m for m in (6, 12) if m <= max_value}
     self_square.check(found == expected, f"found={sorted(found)}")
 
     for k in range(1, 31):
@@ -370,10 +370,11 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
                     else:
                         multiplier.check(True, "")
 
+    # every p^e exactly dividing m is at most m <= max_value, so found
+    # already holds the test of m and of each of its prime powers
     for m in range(3, min(2000, max_value) + 1, 2):
-        report = wss.odd_self_square_check(m)
         odd_moduli.check(
-            report.ok and all(flag for _, _, flag in report.prime_power_ok),
+            m not in found and not any(p**e in found for p, e in factorize(m)),
             f"m={m}",
         )
 

@@ -33,20 +33,20 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, fields
 
-from .arith import _prime_window, _sieve_base, factorize, two_adic_split
+from .arith import _prime_window, _sieve_base, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
 from .pisano import (
     _block_facts,
     _index_residue,
     _legendre5,
-    _period_from_factors,
     pisano_fast,
     prime_period,
     prime_power_period,
@@ -77,18 +77,6 @@ class SelfSquareRecord:
     gamma: int
     residue_mod_m2: int
     divisible: bool
-
-
-@dataclass(frozen=True)
-class OddSelfSquareReport:
-    """Evidence that an odd m is not self-square, with the per-prime-power
-    ingredient p^2e not dividing u_{period(p^e)}."""
-
-    m: int
-    gamma: int
-    residue_mod_m2: int
-    ok: bool
-    prime_power_ok: tuple[tuple[int, int, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -171,26 +159,6 @@ def two_power_valuation_check(k: int) -> tuple[int, bool]:
         raise AnomalyError(f"valuation of u_period(2^{k}) exceeds {2 * k + 8}")
     valuation = two_adic_split(residue)[0]
     return valuation, valuation < 2 * k
-
-
-def odd_self_square_check(m: int) -> OddSelfSquareReport:
-    """Verify m^2 does not divide u_{period(m)} for odd m >= 3.
-
-    Also confirms the per-prime-power ingredient: p^2e does not divide
-    u_{period(p^e)} for each prime power in m.  Both read the one
-    factorization of m.
-    """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"odd self-square check needs odd m >= 3, got {m}")
-    factors = factorize(m)
-    gamma = _period_from_factors(factors)
-    residue = fib_pair_mod(gamma, m * m)[0]
-    entries = tuple(
-        (p, e, fib_pair_mod(prime_power_period(p, e), p ** (2 * e))[0] != 0) for p, e in factors
-    )
-    return OddSelfSquareReport(
-        m=m, gamma=gamma, residue_mod_m2=residue, ok=residue != 0, prime_power_ok=entries
-    )
 
 
 # --------------------------- range scanning ---------------------------
@@ -322,6 +290,11 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
         raise CheckpointError(f"checkpoint {path} carries malformed hit records")
     values["hits"] = tuple(WssRecord(**h) for h in values["hits"])
     values["wall_time_seconds"] = float(values["wall_time_seconds"])
+    # json.load takes NaN and Infinity, which json.dumps would write back bare
+    if values["anomaly_count"] < 0 or not 0 <= values["wall_time_seconds"] < math.inf:
+        raise CheckpointError(
+            f"checkpoint {path} carries a negative count or a negative or non-finite time"
+        )
     ck = ScanCheckpoint(**values)
     if not ck.range_lo <= ck.last_completed <= ck.range_hi:
         raise CheckpointError(

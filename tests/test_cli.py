@@ -325,6 +325,45 @@ class TestWssScanCommand:
         assert err.startswith(f"fibmod: checkpoint error: checkpoint {ck} ")
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("blocks,field,value", [
+        (None, "anomaly_count", -1),
+        (None, "wall_time_seconds", -5.0),
+        (2, "wall_time_seconds", float("nan")),
+    ])
+    def test_a_negative_or_non_finite_checkpoint_exits_2_and_touches_nothing(
+        self, capsys, tmp_path, blocks, field, value
+    ):
+        # a negative anomaly count would cancel a real one on resume, and a
+        # NaN time would be written back as bare NaN, which is not JSON
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        argv = ("wss-scan", "--from", "2", "--to", "500", "--block-size", "100",
+                "--checkpoint", str(ck), "--out", str(out))
+        if blocks is None:
+            assert run(capsys, *argv)[0] == 0
+        else:
+            interrupted_scan(2, 500, blocks=blocks, checkpoint_path=str(ck),
+                             results_path=str(out), block_size=100)
+        doc = json.loads(ck.read_text())
+        doc[field] = value
+        ck.write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"fibmod: checkpoint error: checkpoint {ck} ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_zero_count_and_time_checkpoint_resumes_as_a_fresh_scan(self, capsys, tmp_path):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        ck.write_text(json.dumps({**json.loads(ck.read_text()), "anomaly_count": 0, "wall_time_seconds": 0}))
+        fresh, fresh_out = tmp_path / "fresh.json", tmp_path / "fresh.jsonl"
+        for path, results in ((ck, out), (fresh, fresh_out)):
+            code, _, _ = run(capsys, "wss-scan", "--from", "2", "--to", "500", "--block-size", "100",
+                             "--checkpoint", str(path), "--out", str(results))
+            assert code == 0
+        assert _normalized(ck) == _normalized(fresh)
+        assert out.read_bytes() == fresh_out.read_bytes()
+
     def test_default_checkpoint_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FIBMOD_CHECKPOINT_DIR", str(tmp_path))
         code, _, _ = run(capsys, "wss-scan", "--from", "2", "--to", "100")

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -13,11 +14,14 @@ import fibmod.classify as classify_module
 import fibmod.pisano as pisano_module
 import fibmod.pool as pool_module
 import fibmod.verify as verify_module
+import fibmod.wss as wss_module
+from fibmod.arith import factorize
 from fibmod.errors import AnomalyError
+from fibmod.fib import fib_pair_mod
 from fibmod.pisano import PisanoProfile
 from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pisano, suite_wss
 
-from helpers import CountingExecutor, is_prime_trial
+from helpers import CountingExecutor, binding_calls, is_prime_trial
 
 _real_profile_direct = pisano_module.profile_direct
 _real_zero_count_odd = classify_module.zero_count_odd
@@ -46,6 +50,36 @@ def test_run_all():
     names = [r.name for r in results]
     assert len(names) == len(set(names))
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("max_value", range(2, 14))
+def test_run_all_passes_below_and_across_the_self_square_moduli(max_value):
+    # the expected self-square set is {6, 12} cut at max_value: {6} for 6..11
+    for r in run_suites("all", max_value):
+        assert r.passed, f"max={max_value} {r.name}: {r.failures}"
+
+
+def test_odd_moduli_read_the_self_square_test(monkeypatch):
+    real = wss_module.self_square_test
+
+    def twenty_five_divisible(m):
+        record = real(m)
+        return dataclasses.replace(record, divisible=True) if m == 25 else record
+
+    monkeypatch.setattr(wss_module, "self_square_test", twenty_five_divisible)
+    odd_moduli = {r.name: r for r in suite_wss(300)}["odd-moduli-never-self-square"]
+    assert not odd_moduli.passed
+    assert odd_moduli.failures == ("m=25", "m=75", "m=175")
+
+
+def test_each_odd_modulus_residue_is_computed_once():
+    with binding_calls(fib_pair_mod) as calls:
+        results = suite_wss(2000)
+    assert all(r.passed for r in results)
+    by_modulus = Counter(modulus for _, modulus in calls)
+    composite = [m for m in range(3, 2001, 2) if len(factorize(m)) > 1]
+    assert len(composite) == 676
+    assert {m: by_modulus[m * m] for m in composite} == {m: 1 for m in composite}
 
 
 def test_identities_seeded_reproducible():

@@ -24,14 +24,13 @@ from fibmod.wss import (
     cofactor_mod,
     enumerate_self_square,
     load_checkpoint,
-    odd_self_square_check,
     scan_wss,
     self_square_test,
     two_power_valuation_check,
     wss_check,
 )
 
-from helpers import CountingExecutor, factorize_calls, fib_upto, interrupted_scan, primes_between
+from helpers import CountingExecutor, fib_upto, interrupted_scan, primes_between
 
 
 class TestLegendre5:
@@ -170,35 +169,23 @@ class TestTwoPowerValuation:
 
 
 class TestOddSelfSquare:
+    """No odd m is self-square: m^2 does not divide u_{period(m)}, nor p^2e
+    u_{period(p^e)} for any p^e exactly dividing m."""
+
     @pytest.mark.parametrize("m", [5, 15, 25])
     def test_examples(self, m):
-        report = odd_self_square_check(m)
-        assert report.ok
-        assert all(flag for _, _, flag in report.prime_power_ok)
+        assert not self_square_test(m).divisible
+        for p, e in factorize(m):
+            assert not self_square_test(p**e).divisible, (m, p, e)
 
     def test_fifteen_details(self):
-        report = odd_self_square_check(15)
-        assert report.gamma == 40
-        assert report.residue_mod_m2 == fib_upto(40)[40] % 225 != 0
+        record = self_square_test(15)
+        assert record.gamma == 40
+        assert record.residue_mod_m2 == fib_upto(40)[40] % 225 != 0
 
     def test_range(self):
         for m in range(3, 1000, 2):
-            assert odd_self_square_check(m).ok, m
-
-    def test_even_rejected(self):
-        with pytest.raises(ValueError):
-            odd_self_square_check(6)
-
-    def test_factors_each_modulus_once_and_no_prime_power(self):
-        with factorize_calls() as calls:
-            for m in range(3, 2001, 2):
-                calls.clear()
-                report = odd_self_square_check(m)
-                assert calls.count(m) == 1, (m, calls)
-                powers = {p**e for p, e in factorize(m)} - {m}
-                assert not powers & set(calls), (m, calls)
-                record = self_square_test(m)
-                assert (report.gamma, report.residue_mod_m2) == (record.gamma, record.residue_mod_m2)
+            assert not self_square_test(m).divisible, m
 
 
 def _normalized(path):
@@ -355,6 +342,21 @@ class TestScan:
         for doc in bad:
             path.write_text(json.dumps(doc))
             with pytest.raises(CheckpointError, match="invalid field|malformed hit records"):
+                load_checkpoint(str(path))
+
+    def test_checkpoint_counts_and_times_must_be_finite_and_not_negative(self, tmp_path):
+        path = tmp_path / "ck.json"
+        scan_wss(2, 300, checkpoint_path=str(path), block_size=100)
+        good = json.loads(path.read_text())
+        for field, value in (("anomaly_count", 0), ("wall_time_seconds", 0), ("wall_time_seconds", 0.0)):
+            path.write_text(json.dumps({**good, field: value}))
+            assert getattr(load_checkpoint(str(path)), field) == 0
+        for field, value in (
+            ("anomaly_count", -1), ("wall_time_seconds", -5.0), ("wall_time_seconds", -1),
+            ("wall_time_seconds", float("nan")), ("wall_time_seconds", float("inf")),
+        ):
+            path.write_text(json.dumps({**good, field: value}))
+            with pytest.raises(CheckpointError, match="negative or non-finite"):
                 load_checkpoint(str(path))
 
     def test_resume_matches_uninterrupted(self, tmp_path):
