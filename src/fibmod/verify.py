@@ -10,10 +10,11 @@ worker processes, one per CPU this process may use and no more than there
 are chunks of moduli to scan; the fast routes they audit run here, in the
 calling process, and share no cache with them.  A run opens one pool and
 queues every chunk on it at the start, so the workers scan while every
-check that needs no scan runs here; the checks against the scans run last.
-Each chunk comes back as one flat array of (m, gamma, alpha, upsilon), about
-32 B per modulus, and an early exit, Ctrl-C among them, cancels the chunks
-still queued.
+check that needs no scan runs here.  Then each scanned modulus is checked,
+in m order, as its chunk arrives, by every suite that audits it against
+its scan; no suite reads another's results.  Each chunk comes back as one
+flat array of (m, gamma, alpha, upsilon), about 32 B per modulus, and an
+early exit, Ctrl-C among them, cancels the chunks still queued.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import os
 import random
 from array import array
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -82,11 +82,9 @@ def _scan_chunk(moduli) -> array:
     return flat
 
 
-def _profiles(scanned: deque):
-    """The profiles of each scanned chunk's future, in chunk order; a chunk's
-    array is dropped once it is read."""
-    while scanned:
-        flat = scanned.popleft().result()
+def _profiles(chunks):
+    """The profiles of each scanned chunk, in chunk order."""
+    for flat in chunks:
         for i in range(0, len(flat), 4):
             yield pisano.PisanoProfile(*flat[i : i + 4])
 
@@ -97,15 +95,17 @@ def _direct_scans(moduli):
 
     Every chunk of _DIRECT_CHUNK moduli is handed to a pool of worker
     processes on entry, so the workers scan while the caller does the work
-    that needs no scan; the caller reads the scans last.
+    that needs no scan; then every check against the scans runs on each
+    modulus in turn, in their order, as its chunk arrives, and a chunk's
+    array is dropped once it is read.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     # a forked pool starts all its workers at once: no more than there are chunks
     workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
     with worker_pool(workers) as pool:
         try:
-            scanned = deque(pool.submit(_scan_chunk, moduli[i : i + _DIRECT_CHUNK]) for i in starts)
-            yield zip(moduli, _profiles(scanned), strict=True)
+            chunks = pool.map(_scan_chunk, (moduli[i : i + _DIRECT_CHUNK] for i in starts))
+            yield zip(moduli, _profiles(chunks), strict=True)
         except BaseException:
             # the pool's exit would otherwise scan every queued chunk first
             pool.shutdown(cancel_futures=True)
@@ -176,16 +176,24 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
+def _against_scans(scans, *checks) -> list[PropertyResult]:
+    """Each (props, against) of checks run against every scanned (m, direct),
+    in m order; the results of their props."""
+    for m, direct in scans:
+        for _, against in checks:
+            against(m, direct)
+    return [prop.result() for props, _ in checks for prop in props]
+
+
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
     with _direct_scans(range(2, max_value + 1)) as scans:
-        return _pisano_checks(max_value)(scans, bytearray(max_value + 1))
+        return _against_scans(scans, _pisano_checks(max_value))
 
 
 def _pisano_checks(max_value: int):
-    """suite_pisano's checks that need no direct scan, run now; returns the
-    function that runs the rest, given the scans, and fills zero_counts[m]
-    with each scanned m's zero count."""
+    """suite_pisano's checks that need no direct scan, run now; returns its
+    properties and the function that checks one m against its direct scan."""
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -218,19 +226,16 @@ def _pisano_checks(max_value: int):
         after = fib_pair_mod(rank + 1, p)[0]
         neighbors.check(before != 0 and after != 0, f"p={p} rank={rank}")
 
-    def against(scans, zero_counts: bytearray) -> list[PropertyResult]:
-        for m, direct in scans:
-            prof = pisano.profile(m)
-            zero_counts[m] = direct.upsilon
-            routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
-            structure.check(
-                prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
-                and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
-                f"m={m} profile={prof} direct={direct}",
-            )
-        return [prop.result() for prop in props]
+    def against(m: int, direct: pisano.PisanoProfile) -> None:
+        prof = pisano.profile(m)
+        routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
+        structure.check(
+            prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
+            and (prof.alpha, prof.upsilon) == (direct.alpha, direct.upsilon),
+            f"m={m} profile={prof} direct={direct}",
+        )
 
-    return against
+    return props, against
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
@@ -241,17 +246,14 @@ def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     """
     primes = set(sieve_upto(max_value))
     composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
-    zero_counts = bytearray(max_value + 1)
     with _direct_scans(composites) as scans:
-        against = _classify_checks(max_value)
-        for m, direct in scans:
-            zero_counts[m] = direct.upsilon
-    return against(zero_counts)
+        return _against_scans(scans, _classify_checks(max_value))
 
 
 def _classify_checks(max_value: int):
-    """suite_classify's checks that need no direct scan, run now; returns the
-    function that checks the zero-count formula against zero_counts."""
+    """suite_classify's checks that need no direct scan, run now; returns its
+    properties and the function that checks the zero-count formula at one m
+    against its direct scan."""
     props = [_Property(name) for name in (
         "fast-goodness-equals-direct",
         "even-never-good",
@@ -264,10 +266,8 @@ def _classify_checks(max_value: int):
     )]
     routes, even, powers, pattern, structure, force, formula, covers = props
 
-    # the formula's (m, value) pairs in m order, to check against the scan
-    # last; for an m whose formula raised, raised holds the message
-    values = array("q")
-    raised: dict[int, str] = {}
+    primes = sieve_upto(max_value)
+    prime_set = set(primes)
     good_odd = set()  # odd m the direct route calls good, reused for prime powers
     for m in range(3, max_value + 1, 2):
         report = classify.is_good_fast(m)
@@ -284,18 +284,11 @@ def _classify_checks(max_value: int):
             )
         if all(entry.upsilon_p == 4 for entry in entries):
             force.check(direct, f"m={m}")
-        if len(entries) == 1 and entries[0].e == 1:
-            continue  # formula is trivial at primes; scan the composites
-        try:
-            values.extend((m, classify.zero_count_odd(m)))
-        except AnomalyError as exc:
-            values.extend((m, 0))
-            raised[m] = str(exc)
 
     for m in range(2, min(2000, max_value) + 1, 2):
         even.check(not classify.is_good_direct(m), f"m={m}")
 
-    for p in sieve_upto(max_value):
+    for p in primes:
         if p != 5:
             cls = classify.period_divisor_class(p)
             covers.check(cls != "neither", f"p={p} class={cls}")
@@ -311,15 +304,17 @@ def _classify_checks(max_value: int):
         except AnomalyError as exc:
             pattern.check(False, str(exc))
 
-    def against(zero_counts: bytearray) -> list[PropertyResult]:
-        for m, value in zip(values[::2], values[1::2]):
-            if m in raised:
-                formula.check(False, raised[m])
-            else:
-                formula.check(value == zero_counts[m], f"m={m} value={value}")
-        return [prop.result() for prop in props]
+    def against(m: int, direct: pisano.PisanoProfile) -> None:
+        if m % 2 == 0 or m in prime_set:
+            return  # the formula is for odd m, and trivial at primes
+        try:
+            value = classify.zero_count_odd(m)
+        except AnomalyError as exc:
+            formula.check(False, str(exc))
+        else:
+            formula.check(value == direct.upsilon, f"m={m} value={value}")
 
-    return against
+    return props, against
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
@@ -396,13 +391,9 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
     if suite == "wss":
         return suite_wss(max_value)
     # one pool scans each m once while every check that needs no scan runs
-    # here; the pisano checks against the scans fill the zero counts that
-    # the classify formula is then checked against
-    zero_counts = bytearray(max_value + 1)
+    # here; then the pisano and classify checks read each m's scan in turn
     with _direct_scans(range(2, max_value + 1)) as scans:
         identities = suite_identities(min(max_value, 3000), seed=seed)
-        pisano_against = _pisano_checks(max_value)
-        classify_against = _classify_checks(max_value)
+        checks = _pisano_checks(max_value), _classify_checks(max_value)
         wss_results = suite_wss(max_value)
-        pisano_results = pisano_against(scans, zero_counts)
-    return identities + pisano_results + classify_against(zero_counts) + wss_results
+        return identities + _against_scans(scans, *checks) + wss_results

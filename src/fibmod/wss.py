@@ -40,7 +40,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, fields
 
-from .arith import _prime_window, _sieve_base, two_adic_split
+from .arith import _prime_window, _sieve_base, is_prime, two_adic_split
 from .errors import AnomalyError, CheckpointError
 from .fib import _binomial_sum, fib_pair_mod
 from .pisano import (
@@ -267,6 +267,22 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def _scanned_hit(h, lo: int, last: int) -> bool:
+    """Whether h is a hit record that a scan of [lo, last] could have
+    written: WssRecord's fields with their types, for a prime p in range,
+    whose symbol, index and agreement follow from p and its residues."""
+    if not (isinstance(h, dict) and h.keys() == _HIT_FIELDS.keys()
+            and all(_is(h[field], kind) for field, kind in _HIT_FIELDS.items())):
+        return False
+    p, chi = h["p"], h["legendre5"]
+    return (
+        h["is_wss"] and h["residue_fib_index_mod_p2"] == 0
+        and lo <= p <= last and p < 2**64 and is_prime(p)
+        and chi == _legendre5(p) and h["index"] == p - chi
+        and h["criteria_agree"] == (h["residue_fib_gamma_mod_p2"] == 0)
+    )
+
+
 def load_checkpoint(path: str) -> ScanCheckpoint:
     """Parse and validate a checkpoint file; corrupt files refuse to load."""
     try:
@@ -280,15 +296,12 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
         if field not in raw or not _is(raw[field], kind):
             raise CheckpointError(f"checkpoint {path} missing or invalid field {field!r}")
     values = {field: raw[field] for field in _CHECKPOINT_FIELDS}
-    lo, last = values["range_lo"], values["last_completed"]
-    if not all(
-        isinstance(h, dict) and h.keys() == _HIT_FIELDS.keys()
-        and all(_is(h[field], kind) for field, kind in _HIT_FIELDS.items())
-        and h["is_wss"] and lo <= h["p"] <= last
-        for h in values["hits"]
-    ):
+    lo, last, hits = values["range_lo"], values["last_completed"], values["hits"]
+    # a scan writes each hit once, in p order
+    if not (all(_scanned_hit(h, lo, last) for h in hits)
+            and all(a["p"] < b["p"] for a, b in zip(hits, hits[1:]))):
         raise CheckpointError(f"checkpoint {path} carries malformed hit records")
-    values["hits"] = tuple(WssRecord(**h) for h in values["hits"])
+    values["hits"] = tuple(WssRecord(**h) for h in hits)
     values["wall_time_seconds"] = float(values["wall_time_seconds"])
     # json.load takes NaN and Infinity, which json.dumps would write back bare
     if values["anomaly_count"] < 0 or not 0 <= values["wall_time_seconds"] < math.inf:

@@ -23,6 +23,9 @@ from fibmod.wss import load_checkpoint
 from helpers import fib_upto, interrupted_scan
 
 _TEST_PID = os.getpid()
+# a Wall-Sun-Sun hit record at p = 7 whose symbol, index and agreement follow from p and its residues
+_HIT_7 = {"p": 7, "legendre5": -1, "index": 8, "residue_fib_index_mod_p2": 0,
+          "residue_fib_gamma_mod_p2": 0, "is_wss": True, "criteria_agree": True}
 _real_scan_block = wss_module._scan_block
 _real_profile_direct = pisano_module.profile_direct
 
@@ -323,6 +326,24 @@ class TestWssScanCommand:
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
         assert err.startswith(f"fibmod: checkpoint error: checkpoint {ck} ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("hits,last", [
+        ([_HIT_7, _HIT_7], 100),
+        ([{**_HIT_7, "p": 9, "legendre5": 1}], 100),
+        ([{**_HIT_7, "index": 99}], 100),
+        ([{**_HIT_7, "p": 2**64 + 1, "index": 2**64 + 2}], 2**65),
+    ], ids=["repeated", "not-prime", "wrong-index", "beyond-2^64"])
+    def test_hits_no_scan_could_write_exit_2_and_touch_nothing(self, capsys, tmp_path, hits, last):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        argv = ("wss-scan", "--from", "2", "--to", "100", "--checkpoint", str(ck), "--out", str(out))
+        assert run(capsys, *argv)[0] == 0
+        doc = json.loads(ck.read_text())
+        ck.write_text(json.dumps({**doc, "hits": hits, "range_hi": max(last, 100), "last_completed": last}))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == f"fibmod: checkpoint error: checkpoint {ck} carries malformed hit records\n"
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("blocks,field,value", [

@@ -1,9 +1,11 @@
-"""Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, and of
-tools/bench_pairs.py, the paired benchmark report."""
+"""Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, of
+tools/bench_pairs.py, the paired benchmark report, and of tools/compat.py,
+the interpreter check."""
 
 import ast
 import importlib.util
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -14,6 +16,7 @@ from helpers import odd_prime_tests, primes_between, route_pows
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
 PAIRS = TOOL.with_name("bench_pairs.py")
+COMPAT = TOOL.with_name("compat.py")
 
 
 def test_kernel_ratio_imports_only_the_stdlib_and_fibmod():
@@ -64,6 +67,18 @@ def test_kernel_ratio_at_1e5():
     # none goes to is_prime or rho
     assert pows == "0.00"
     assert rhos == "0.00"
+
+
+def test_compat_passes_this_interpreter_and_fails_a_missing_one(tmp_path):
+    missing = tmp_path / "python"
+    done = subprocess.run(
+        [sys.executable, str(COMPAT), sys.executable, str(missing)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stderr
+    passed, failed = done.stdout.splitlines()
+    assert passed == f"PASS {sys.executable} ({platform.python_version()})"
+    assert failed.startswith(f"FAIL {missing} (?): ")
 
 
 def test_bench_pairs_imports_only_the_stdlib():

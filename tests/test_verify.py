@@ -117,15 +117,28 @@ def _formula_wrong_at_45_and_121_raising_at_91(m):
     lambda: run_suites("classify", 300),
     lambda: suite_classify(300),
 ], ids=["all", "classify", "suite_classify"])
-def test_deferred_formula_checks_fail_in_modulus_order(run, monkeypatch):
-    # the formula's values are compared with the scans after the other
-    # checks, in m order, a value that raised kept as its message
+def test_formula_checks_fail_in_modulus_order(run, monkeypatch):
+    # each odd composite's formula value is compared with its scan as the
+    # scan arrives, in m order, a value that raised kept as its message
     monkeypatch.setattr(classify_module, "zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
     results = {r.name: r for r in run()}
     formula = results.pop("odd-zero-count-formula-matches-scan")
     assert formula.checked == 88  # the odd composites in [3, 300]
     assert formula.failures == ("m=45 value=3", "injected at m=91", "m=121 value=2")
     assert all(r.passed for r in results.values())
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+@pytest.mark.parametrize("max_value", [2, 65, 66, 300])
+def test_single_suites_equal_their_slice_of_all(max_value, faulted, monkeypatch):
+    # no suite reads what another fills: each alone gives what it gives in all
+    if faulted:
+        monkeypatch.setattr(classify_module, "zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
+    shared = run_suites("all", max_value)
+    for alone in (suite_pisano(max_value), suite_classify(max_value)):
+        assert [r for r in shared if r.name in {a.name for a in alone}] == alone
+    formula = {r.name: r for r in shared}["odd-zero-count-formula-matches-scan"]
+    assert formula.passed == (not faulted or max_value < 45)
 
 
 def _log_scan(directory, m):

@@ -339,6 +339,18 @@ class TestScan:
         )]
         bad += [{**good, "hits": [hit], "last_completed": 10},
                 {**good, "hits": [{**hit, "extra": 1}]}, {**good, "hits": [[11]]}]
+        # hits no scan could have written: repeated or out of p order, at a
+        # non-prime, or with fields that do not follow from p and the residues
+        hit29 = {**hit, "p": 29, "index": 28}
+        bad += [{**good, "hits": hits} for hits in ([hit, hit], [hit29, hit], [hit, hit29, hit29])]
+        bad += [{**good, "hits": [{**hit, **change}]} for change in (
+            {"p": 9, "index": 8}, {"index": 99}, {"legendre5": -1, "index": 12},
+            {"legendre5": 0, "index": 11}, {"criteria_agree": False},
+            {"residue_fib_gamma_mod_p2": 5}, {"residue_fib_index_mod_p2": 5},
+        )]
+        # a p past is_prime's domain is malformed too, not a ValueError
+        beyond = {**hit, "p": 2**64 + 1, "legendre5": -1, "index": 2**64 + 2}
+        bad.append({**good, "range_hi": 2**65, "last_completed": 2**65, "hits": [beyond]})
         for doc in bad:
             path.write_text(json.dumps(doc))
             with pytest.raises(CheckpointError, match="invalid field|malformed hit records"):
