@@ -9,7 +9,10 @@ invariants describe it:
   * zero count(m)  — zeros per period, always period/rank and one of 1, 2, 4.
 
 Two independent routes compute all three.  The direct route
-(profile_direct) reads them from one linear scan of (u_l, u_{l+1}); the
+(profile_direct) reads them from one linear scan of (u_l, u_{l+1}), two
+terms a pass by additions alone: a sum that reaches m has m subtracted,
+and only there is it tested for zero, which is exact since a sum of two
+residues that are never both 0 is 0 mod m only when it equals m; the
 fast route (profile) factors m, lifts each prime period to the prime power
 by one rule for every prime, 2 included, takes the lcm, and reads the zero
 count, hence the rank, from which of u_{period/4}, u_{period/2}, u_{period}
@@ -97,20 +100,40 @@ def profile_direct(m: int) -> PisanoProfile:
     return to (0, 1), the rank the first zero, the zero count the zeros up
     to that return.  Additions only and no step shared with the fast route;
     the oracle for m small enough that an O(period) scan is acceptable.
+
+    Two residues x, y start at u_1 = u_2 = 1 and each pass advances both,
+    x += y then y += x, subtracting m from a sum that reaches m.  Two
+    consecutive residues are never both 0, so each sum lies in [1, 2m - 2]
+    and is 0 mod m exactly when it equals m: the zero test sits in the
+    subtraction branch.  At a zero u_l the next term u_{l+1} = u_{l-1} is
+    the other residue, so the return to (0, 1) is that residue being 1.
+    The scan reads u_3 ... u_limit, limit = 6m being even, and u_1 = u_2 = 1
+    are no zero for m >= 2.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    one = 1 % m
-    a, b = one, one  # (u_l, u_{l+1}) mod m at l = 1
+    if m == 1:
+        return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
+    x = y = 1  # u_1, u_2; after a pass's two sums, u_l and u_{l+1}
     alpha = zeros = 0
     limit = _PERIOD_BOUND_FACTOR * m
-    for l in range(1, limit + 1):
-        if a == 0:
-            zeros += 1
-            alpha = alpha or l
-            if b == one:
-                return PisanoProfile(m=m, gamma=l, alpha=alpha, upsilon=zeros)
-        a, b = b, (a + b) % m
+    for l in range(3, limit, 2):
+        x += y
+        if x >= m:
+            x -= m
+            if not x:
+                zeros += 1
+                alpha = alpha or l
+                if y == 1:
+                    return PisanoProfile(m=m, gamma=l, alpha=alpha, upsilon=zeros)
+        y += x
+        if y >= m:
+            y -= m
+            if not y:
+                zeros += 1
+                alpha = alpha or l + 1
+                if x == 1:
+                    return PisanoProfile(m=m, gamma=l + 1, alpha=alpha, upsilon=zeros)
     raise AnomalyError(f"no period found for m={m} within {limit} steps")
 
 

@@ -66,6 +66,48 @@ class TestProfileDirect:
                 pisano_scan(m), rank_scan(m), zero_scan(m)
             ), m
 
+    def test_matches_scan_oracles_at_the_top_of_verify_range(self):
+        for m in range(9900, 10001):
+            prof = profile_direct(m)
+            assert (prof.gamma, prof.alpha, prof.upsilon) == (
+                pisano_scan(m), rank_scan(m), zero_scan(m)
+            ), m
+
+    @pytest.mark.parametrize("m, want", [
+        (10, (60, 15, 4)), (50, (300, 75, 4)), (250, (1500, 375, 4)), (1250, (7500, 1875, 4)),
+    ])
+    def test_period_at_the_exact_bound(self, m, want):
+        # m = 2 * 5^k has period 6m, the scan's limit: the return is its last term
+        prof = profile_direct(m)
+        assert (prof.gamma, prof.alpha, prof.upsilon) == want
+        assert want == (pisano_scan(m), rank_scan(m), zero_scan(m))
+
+    def test_period_past_the_bound_is_an_anomaly(self, monkeypatch):
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 5)
+        with pytest.raises(AnomalyError, match="no period found for m=10 within 50 steps"):
+            profile_direct(10)
+        assert profile_direct(7).gamma == 16
+        # returns one and two terms past the limit, on either half of a pass
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 1)
+        with pytest.raises(AnomalyError, match="no period found for m=2 within 2 steps"):
+            profile_direct(2)
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 2)
+        with pytest.raises(AnomalyError, match="no period found for m=3 within 6 steps"):
+            profile_direct(3)
+        assert profile_direct(2).gamma == 3
+
+    @pytest.mark.parametrize("m, want", [
+        (1, (1, 1, 1)),
+        (2, (3, 3, 1)),  # zero and return on the first sum of a pass
+        (3, (8, 4, 2)),  # both on the second
+        (5, (20, 5, 4)),  # first zero on the first sum, return on the second
+        (11, (10, 10, 1)),
+        (13, (28, 7, 4)),
+    ])
+    def test_zeros_and_returns_in_both_halves_of_a_pass(self, m, want):
+        prof = profile_direct(m)
+        assert (prof.m, prof.gamma, prof.alpha, prof.upsilon) == (m, *want)
+
     def test_views_reach_no_fast_route(self):
         def refuse(*args):
             raise AssertionError("the direct route called a fast one")

@@ -1,6 +1,7 @@
 """Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, of
-tools/bench_pairs.py, the paired benchmark report, and of tools/compat.py,
-the interpreter check."""
+tools/bench_pairs.py, the paired benchmark report, of tools/compat.py, the
+interpreter check, of tools/verify_split.py, verify's time split, and of
+tools/census.py, the zero-count census of primes."""
 
 import ast
 import importlib.util
@@ -8,23 +9,55 @@ import pathlib
 import platform
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 import fibmod
-from fibmod.pisano import pisano_direct
+from fibmod.pisano import pisano_direct, profile_direct
 
 from helpers import odd_prime_tests, primes_between, route_pows
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
 PAIRS = TOOL.with_name("bench_pairs.py")
 COMPAT = TOOL.with_name("compat.py")
+SPLIT = TOOL.with_name("verify_split.py")
+CENSUS = TOOL.with_name("census.py")
+
+
+def _import_roots(tool: pathlib.Path) -> set[str]:
+    """The top-level packages that tool imports."""
+    tree = ast.parse(tool.read_text(encoding="utf-8"))
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    return roots | {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def _run_tool(tool: pathlib.Path, *args: str) -> str:
+    """tool's output, run with fibmod's source on PYTHONPATH; it must exit 0."""
+    src = str(pathlib.Path(fibmod.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, str(tool), *args], capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_kernel_ratio_imports_only_the_stdlib_and_fibmod():
-    tree = ast.parse(TOOL.read_text(encoding="utf-8"))
-    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names}
-    roots |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert roots <= set(sys.stdlib_module_names) | {"fibmod"}
+    assert _import_roots(TOOL) <= set(sys.stdlib_module_names) | {"fibmod"}
+
+
+@pytest.mark.parametrize("tool", [SPLIT, CENSUS], ids=lambda t: t.stem)
+def test_tool_imports_only_the_stdlib_and_fibmod(tool):
+    assert _import_roots(tool) <= set(sys.stdlib_module_names) | {"fibmod"}
+
+
+def test_verify_split_at_300():
+    lines = dict(line.split() for line in _run_tool(SPLIT, "--max", "300").splitlines())
+    assert (lines["suite"], lines["max"]) == ("all", "300")
+    assert int(lines["direct_terms"]) == sum(pisano_direct(m) for m in range(2, 301))
+    for name in ("wall_s", "caller_cpu_s", "workers_cpu_s", "direct_serial_s", "direct_ns_term"):
+        assert float(lines[name]) > 0, name
 
 
 def test_kernel_ratio_at_1e5():
@@ -82,11 +115,7 @@ def test_compat_passes_this_interpreter_and_fails_a_missing_one(tmp_path):
 
 
 def test_bench_pairs_imports_only_the_stdlib():
-    tree = ast.parse(PAIRS.read_text(encoding="utf-8"))
-    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names}
-    roots |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert roots <= set(sys.stdlib_module_names)
+    assert _import_roots(PAIRS) <= set(sys.stdlib_module_names)
 
 
 def _summary(wall_s, throughput, correct=True, failed=0, child_rss=0.0):
@@ -178,3 +207,24 @@ def test_bench_pairs_reads_the_pool_children_from_the_run_document(tmp_path):
     (tmp_path / "benchmarks" / "run.py").write_text(_FAKE_RUN, encoding="utf-8")
     summary = tool.run(str(tmp_path), "verify-all", 7)
     assert summary == {"correct": True, "failed": 0, "metrics": {}, "pool_child_rss_mib": 15.0}
+
+
+def test_census_at_1e4_agrees_with_the_direct_scan():
+    lines = [line.split() for line in _run_tool(CENSUS, "7", "1e4").splitlines()]
+    counts = {line[0]: int(line[1]) for line in lines}
+    want = Counter()
+    for p in primes_between(7, 10**4):
+        prof = profile_direct(p)
+        want[f"upsilon={prof.upsilon}"] += 1
+        want["good"] += prof.gamma % 4 == 0
+    assert counts == {
+        "primes": len(primes_between(7, 10**4)),
+        "upsilon=1": want["upsilon=1"],
+        "upsilon=2": want["upsilon=2"],
+        "upsilon=4": want["upsilon=4"],
+        "good": want["good"],
+        "upsilon<=2": want["upsilon=1"] + want["upsilon=2"],
+    }
+    assert lines[-1][-4:] == ["Lagarias", "2/3", "=", "0.6667"]
+    for line in lines[1:]:
+        assert line[2] == f"{int(line[1]) / counts['primes']:.4f}"
