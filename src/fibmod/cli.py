@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import classify, pisano, verify, wss
@@ -92,7 +93,8 @@ def _cmd_fib(args):
     else:
         value = fib_pair_mod(args.n, args.mod)[0]
         output = {"n": args.n, "mod": args.mod, "value": value}
-    return {"n": args.n, "mod": args.mod}, output, str(value), EXIT_OK
+    # the value, not its text: main prints it with int-to-str unlimited
+    return {"n": args.n, "mod": args.mod}, output, value, EXIT_OK
 
 
 def _cmd_profile(args):
@@ -185,6 +187,21 @@ def _cmd_verify(args):
     return inputs, output, human, EXIT_ANOMALY if failed else EXIT_OK
 
 
+@contextmanager
+def _int_digits_unlimited():
+    """No limit on int-to-str digits inside, the interpreter's own limit
+    restored on exit; CPython before 3.10.7 has no limit to lift."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # each handler returns (inputs, output, human line, exit code); main times
 # it and writes either the --json document or the human line
 _HANDLERS = {
@@ -206,16 +223,17 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         inputs, output, human, code = _HANDLERS[args.command](args)
         elapsed_ms = (time.perf_counter() - t0) * 1000
-        if args.json:
-            doc = {
-                "command": args.command,
-                "inputs": inputs,
-                "output": output,
-                "elapsed_ms": elapsed_ms,
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(human)
+        with _int_digits_unlimited():  # fib's exact values reach 208,988 digits
+            if args.json:
+                doc = {
+                    "command": args.command,
+                    "inputs": inputs,
+                    "output": output,
+                    "elapsed_ms": elapsed_ms,
+                }
+                print(json.dumps(doc, indent=2))
+            else:
+                print(human)
         return code
     except ValueError as exc:
         print(f"fibmod: error: {exc}", file=sys.stderr)

@@ -1,48 +1,55 @@
-"""Worker pools for fibmod's range scans: wss-scan's blocks and verify's
-direct scans.
+"""Ordered maps for wss-scan's blocks and verify's direct scans.
 
-A pool's workers are forked, whatever the interpreter's default start
-method, so that every module binding in place when the pool starts, a
-test's patch included, reaches them, and so that a worker holds a copy of
-its scan's descriptors that it can close.  A worker ignores SIGINT and
-ends itself once its parent is gone.  in_order merges the results in input
-order with a bounded number of calls in flight.
+ordered_map is map, here, for one worker; for more it loads the process
+pool stdlib, which importing fibmod does not, and forks a pool whatever
+the default start method, so that every module binding in place when it
+starts, a test's patch included, reaches the workers, and so that a worker
+holds a copy of its scan's descriptors that it can close.  A worker ignores
+SIGINT and ends itself once its parent is gone.  An early exit, Ctrl-C
+among them, cancels the calls still queued.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from itertools import islice
 
-_FORK = multiprocessing.get_context("fork")
 _ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its parent is alive
 
 
-def worker_pool(workers: int, lock=None) -> ProcessPoolExecutor:
-    """A pool of workers forked from this process; lock, the open file of a
-    lock that this process holds, is closed in each worker."""
+@contextmanager
+def ordered_map(fn, items, workers: int, depth: int, lock=None):
+    """fn of each item in item order: map here if workers <= 1, else a forked
+    pool given the first depth items on entry and one more as each result
+    is read, so memory stays bounded; lock, the open file of a lock that
+    this process holds, is closed in each worker."""
+    if workers <= 1:
+        yield map(fn, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     held = None if lock is None else lock.fileno()
-    return ProcessPoolExecutor(
-        workers, mp_context=_FORK, initializer=_init_worker, initargs=(os.getpid(), held)
-    )
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(os.getpid(), held)) as pool:
+        items = iter(items)
+        pending = deque(pool.submit(fn, item) for item in islice(items, depth))
 
-
-def in_order(pool, fn, items, depth: int):
-    """fn of each item in item order, like pool.map, but with at most depth
-    calls submitted and not yet merged, so memory does not grow with the
-    number of items."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+        def results():
+            while pending:
+                done = pending.popleft().result()
+                pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+                yield done
+        try:
+            yield results()
+        except BaseException:
+            # the pool's exit would otherwise run every queued call first
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _init_worker(parent: int, lock_fd: int | None) -> None:
@@ -53,7 +60,7 @@ def _init_worker(parent: int, lock_fd: int | None) -> None:
     ends the worker once the parent is gone: a worker waiting for its next
     call would otherwise wait forever, reparented to init.  A worker
     ignores SIGINT: Ctrl-C reaches the whole process group, and the parent
-    alone handles it, shutting its pool down after the calls in flight.
+    alone handles it, cancelling the calls still queued.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if lock_fd is not None:

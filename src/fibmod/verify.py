@@ -6,17 +6,18 @@ The CLI exposes them via `fibmod verify`; they are the same statements the
 test suite pins down, packaged for ad-hoc, larger-range runs.
 
 The brute-force direct scans run on forked worker processes, one per CPU
-this process may use and no more than there are chunks of moduli to scan;
-the fast routes they audit run here, in the calling process, and share no
-cache with them.  At --max 10000 on 2 CPUs the workers' scans take about
-2.7 s of CPU and the calling process about 1.3 s, for about 2.2 s of wall
-(tools/verify_split.py).  A run opens one pool and queues every chunk on
-it at the start, so the workers scan while every check that needs no scan
-runs here.  Then each scanned modulus is checked, in m order, as its
-chunk arrives, by every suite that audits it against its scan; no suite
-reads another's results.  Each chunk comes back as one flat array of
-(m, gamma, alpha, upsilon), about 32 B per modulus, and an early exit,
-Ctrl-C among them, cancels the chunks still queued.
+this process may use and no more than there are chunks of moduli to scan,
+or here, as they are read, where that is one; the fast routes they audit
+run here and share no cache with them, as profile_direct holds none.  At
+--max 10000 on 2 CPUs the workers' scans take about 2.7 s of CPU and the
+calling process about 1.3 s, for about 2.2 s of wall
+(tools/verify_split.py).  A run opens at most one pool and queues every
+chunk on it at the start, so the workers scan while every check that needs
+no scan runs here.  Then each scanned modulus is checked, in m order, as
+its chunk arrives, by every suite that audits it against its scan; no
+suite reads another's results.  Each chunk comes back as one flat array of
+(m, gamma, alpha, upsilon), about 32 B per modulus; an early exit cancels
+the queued chunks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .fib import (
     matrix_pow_mod,
     subtraction_rhs,
 )
-from .pool import worker_pool
+from .pool import ordered_map
 
 SUITE_NAMES = ("identities", "pisano", "classify", "wss", "all")
 
@@ -96,22 +97,17 @@ def _direct_scans(moduli):
     """Each of moduli with its direct profile, in their order.
 
     Every chunk of _DIRECT_CHUNK moduli is handed to a pool of worker
-    processes on entry, so the workers scan while the caller does the work
-    that needs no scan; then every check against the scans runs on each
-    modulus in turn, in their order, as its chunk arrives, and a chunk's
-    array is dropped once it is read.
+    processes on entry, where two can run, so they scan while the caller
+    does the work that needs no scan; then every check against the scans
+    runs on each modulus in turn, as its chunk arrives, and a chunk's array
+    is dropped once it is read.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     # a forked pool starts all its workers at once: no more than there are chunks
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
-    with worker_pool(workers) as pool:
-        try:
-            chunks = pool.map(_scan_chunk, (moduli[i : i + _DIRECT_CHUNK] for i in starts))
-            yield zip(moduli, _profiles(chunks), strict=True)
-        except BaseException:
-            # the pool's exit would otherwise scan every queued chunk first
-            pool.shutdown(cancel_futures=True)
-            raise
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
+    with ordered_map(_scan_chunk, chunks, workers, len(starts)) as scanned:
+        yield zip(moduli, _profiles(scanned), strict=True)
 
 
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:

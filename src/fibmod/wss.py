@@ -13,20 +13,22 @@ The companion question for composite moduli: m^2 | u_{period(m)} is
 conjectured (equivalently to WSS non-existence) to hold only for m = 6 and
 m = 12; enumerate_self_square reproduces that at desk scale.
 
-scan_wss walks a prime range in fixed-size blocks, optionally fanned out
-to worker processes.  Results are merged in ascending block order, and one
-process, holding a flock on <checkpoint>.lock, writes the checkpoint, so
-scans are deterministic and resumable: identical ranges yield byte-identical
-checkpoints (modulo wall time) regardless of worker count or interruption
-pattern.  chi = (p/5) and every period come from pisano.  The scan's own
-process sieves a window of whole blocks at a time, at least
-min(isqrt(hi), 2**20) wide and capped at hi, with every prime up to
-min(isqrt(window hi), 2**20) (arith._prime_window), so below 1.1e12 no
-scanned prime needs a Miller-Rabin proof; each block goes to _scan_block
-with its primes, read from the window's flags as the block is made.  A
-block's primes are checked inside pisano._block_facts, which holds the
-factors of every prime's period bound and each (p/5) = +1 prime's root of
-5 for the block's checks alone.
+scan_wss walks a prime range in fixed-size blocks: here with one worker,
+else on a pool with at most 2 * workers blocks in flight, whose queued
+blocks an early exit, Ctrl-C among them, cancels.  Results are merged in
+ascending block order, and one process, holding a flock on
+<checkpoint>.lock, writes the checkpoint, so scans are deterministic and
+resumable: identical ranges yield byte-identical checkpoints (modulo wall
+time) regardless of worker count or interruption pattern.  chi = (p/5) and
+every period come from pisano.  The scan's own process sieves a window of
+whole blocks at a time, at least min(isqrt(hi), 2**20) wide and capped at
+hi, with every prime up to min(isqrt(window hi), 2**20)
+(arith._prime_window), so below 1.1e12 no scanned prime needs a
+Miller-Rabin proof; each block goes to _scan_block with its primes, read
+from the window's flags as the block is made.  A block's primes are
+checked inside pisano._block_facts, which holds the factors of every
+prime's period bound and each (p/5) = +1 prime's root of 5 for the block's
+checks alone.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import os
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 from .arith import _prime_window, _sieve_base, is_prime, two_adic_split
@@ -51,7 +53,7 @@ from .pisano import (
     prime_period,
     prime_power_period,
 )
-from .pool import in_order, worker_pool
+from .pool import ordered_map
 
 DEFAULT_BLOCK_SIZE = 10_000
 
@@ -449,13 +451,8 @@ def scan_wss(
         blocks = _blocks(start, hi, block_size)
         # a forked pool starts all its workers at once: no more than there are blocks
         workers = min(workers, len(range(start, hi + 1, block_size)))
-        parallel = workers > 1
-        with worker_pool(workers, lock) if parallel else nullcontext() as pool:
-            # both iterators yield in block order: merged output is worker-count invariant
-            scanned = (
-                in_order(pool, _scan_block, blocks, 2 * workers) if parallel
-                else map(_scan_block, blocks)
-            )
+        # blocks come back in block order: merged output is worker-count invariant
+        with ordered_map(_scan_block, blocks, workers, 2 * workers, lock) as scanned:
             for block_hi, records in scanned:
                 if results_path:
                     _append_results(results_path, records)

@@ -4,13 +4,15 @@ Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
 shares none of their structure.  binding_calls records how often the
 library calls one of its functions, not what it computes;
-interrupted_scan stops a real scan between two of its blocks; and
-CountingExecutor runs a process pool's calls in the calling process.
+interrupted_scan stops a real scan between two of its blocks;
+CountingExecutor runs a process pool's calls in the calling process; and
+two_cpus lets verify start a pool on any host.
 ladder_prime_period is the order reduction of the ladder route, which the
 eigenvalue route of chi = +1 primes must match.
 """
 
 import contextlib
+import os
 import sys
 from concurrent.futures import Executor, Future
 from functools import lru_cache
@@ -54,6 +56,12 @@ class _CountedFuture(Future):
     def result(self, timeout=None):
         self.executor.waiting -= 1
         return super().result(timeout)
+
+
+def two_cpus(monkeypatch):
+    """Let verify see two usable CPUs, so that it scans on a pool of two
+    workers even on a one-CPU host, where it would scan in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @contextlib.contextmanager

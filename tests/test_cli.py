@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import fcntl
 import functools
 import json
@@ -18,9 +19,10 @@ import fibmod.wss as wss_module
 from fibmod.arith import sieve_upto
 from fibmod.cli import main
 from fibmod.errors import CheckpointError
+from fibmod.fib import fib_exact
 from fibmod.wss import load_checkpoint
 
-from helpers import fib_upto, interrupted_scan
+from helpers import fib_upto, interrupted_scan, two_cpus
 
 _TEST_PID = os.getpid()
 # a Wall-Sun-Sun hit record at p = 7 whose symbol, index and agreement follow from p and its residues
@@ -183,6 +185,22 @@ class TestFibCommand:
         assert doc["command"] == "fib"
         assert doc["inputs"] == {"n": 24, "mod": None}
         assert doc["output"] == {"n": 24, "value": 46368}
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_exact_value_past_the_int_str_digit_limit(self, capsys, as_json):
+        # fib(30000) has 6,270 digits, past CPython's default limit of 4,300
+        # on int-to-str; the text is read back by Decimal, which has no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ("fib", "30000") + (("--json",) if as_json else ())
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        if as_json:
+            value = json.loads(out, parse_int=decimal.Decimal)["output"]["value"]
+        else:
+            value = decimal.Decimal(out)
+        assert int(value) == fib_exact(30000)
+        # main lifts the limit only while it prints
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_over_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "fib", "2000000")
@@ -711,6 +729,7 @@ class TestVerifyCommand:
             proc.wait(timeout=10)
 
     def test_dead_worker_exits_2(self, capsys, monkeypatch):
+        two_cpus(monkeypatch)
         monkeypatch.setattr(pisano_module, "profile_direct", _die_past_m_1000)
         code, out, err = run(capsys, "verify", "--suite", "pisano", "--max", "2000")
         assert code == 2 and out == ""

@@ -1,9 +1,13 @@
 """The library is stdlib-only at runtime: every import in src/fibmod is
-either the standard library or fibmod itself."""
+either the standard library or fibmod itself.  Its modules import in
+layers, and importing it loads no process-pool machinery."""
 
 import ast
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 import fibmod
 
@@ -64,3 +68,23 @@ def test_each_module_imports_only_lower_layers():
         if module not in _LAYERS[: _LAYERS.index(name)]
     ]
     assert not upward
+
+
+# the process-pool stdlib costs tens of ms to import; ordered_map loads it
+# only when a pool starts
+_POOL_STDLIB = """
+import sys
+import {module}
+print(" ".join(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("module", ["fibmod", "fibmod.cli"])
+def test_import_loads_no_process_pool_stdlib(module):
+    src = str(pathlib.Path(fibmod.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _POOL_STDLIB.format(module=module)],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"

@@ -1,12 +1,14 @@
 """Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, of
 tools/bench_pairs.py, the paired benchmark report, of tools/compat.py, the
-interpreter check, of tools/verify_split.py, verify's time split, and of
-tools/census.py, the zero-count census of primes."""
+interpreter check, of tools/verify_split.py, verify's time split, of
+tools/census.py, the zero-count census of primes, and of
+tools/import_time.py, fibmod's import time per checkout."""
 
 import ast
 import importlib.util
 import pathlib
 import platform
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -23,6 +25,7 @@ PAIRS = TOOL.with_name("bench_pairs.py")
 COMPAT = TOOL.with_name("compat.py")
 SPLIT = TOOL.with_name("verify_split.py")
 CENSUS = TOOL.with_name("census.py")
+IMPORT_TIME = TOOL.with_name("import_time.py")
 
 
 def _import_roots(tool: pathlib.Path) -> set[str]:
@@ -228,3 +231,25 @@ def test_census_at_1e4_agrees_with_the_direct_scan():
     assert lines[-1][-4:] == ["Lagarias", "2/3", "=", "0.6667"]
     for line in lines[1:]:
         assert line[2] == f"{int(line[1]) / counts['primes']:.4f}"
+
+
+def test_import_time_imports_only_the_stdlib():
+    assert _import_roots(IMPORT_TIME) <= set(sys.stdlib_module_names)
+
+
+def test_import_time_reports_each_checkout(tmp_path):
+    # two checkouts: this one and a copy of its src, each timed three times
+    repo = pathlib.Path(fibmod.__file__).parents[2]
+    copy = tmp_path / "copy"
+    shutil.copytree(repo / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, str(IMPORT_TIME), str(repo), str(copy), "--runs", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["checkout", "median_ms", "iqr_ms", "runs"]
+    assert [row[0] for row in rows] == [str(repo), str(copy)]
+    for _, median, spread, runs in rows:
+        assert 0 < float(median) < 10_000 and float(spread) >= 0 and runs == "3"
+    assert list((copy / "src" / "fibmod" / "__pycache__").glob("*.pyc"))  # compiled first

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -21,7 +22,7 @@ from fibmod.fib import fib_pair_mod
 from fibmod.pisano import PisanoProfile
 from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pisano, suite_wss
 
-from helpers import CountingExecutor, binding_calls, is_prime_trial
+from helpers import CountingExecutor, binding_calls, is_prime_trial, two_cpus
 
 _real_profile_direct = pisano_module.profile_direct
 _real_zero_count_odd = classify_module.zero_count_odd
@@ -155,6 +156,7 @@ def _scans(directory):
 
 
 def test_all_suites_scan_each_modulus_directly_once(tmp_path, monkeypatch):
+    two_cpus(monkeypatch)
     shared_dir, alone_dir = tmp_path / "shared", tmp_path / "alone"
     shared_dir.mkdir()
     alone_dir.mkdir()
@@ -200,7 +202,7 @@ def _counted(run, monkeypatch):
     the pools it opened, the workers asked for and the peak of futures."""
     counters = ("pools", "max_workers", "peak")
     with monkeypatch.context() as patch:
-        patch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
         for counter in counters:
             patch.setattr(CountingExecutor, counter, 0)
         return run(), *(getattr(CountingExecutor, counter) for counter in counters)
@@ -210,14 +212,19 @@ def _counted(run, monkeypatch):
 def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, monkeypatch):
     # one chunk of moduli [2, max_value] up to max_value = 65, two at 66
     chunks = -(-(max_value - 1) // verify_module._DIRECT_CHUNK)
+    workers = min(len(os.sched_getaffinity(0)), chunks)
     reference, pools, max_workers, peak = _counted(lambda: run_suites("all", max_value), monkeypatch)
-    assert max_workers == min(len(os.sched_getaffinity(0)), chunks)
-    # one pool, given every chunk before any scan is read
-    assert pools == 1 and peak == chunks
+    if workers == 1:
+        # one chunk, or one CPU: the scans run here, with no pool
+        assert (pools, max_workers, peak) == (0, 0, 0)
+    else:
+        assert max_workers == workers
+        # one pool, given every chunk before any scan is read
+        assert pools == 1 and peak == chunks
     monkeypatch.setattr(pool_module, "_init_worker", functools.partial(_note_worker, str(tmp_path)))
     assert run_suites("all", max_value) == reference
     assert all(r.passed for r in reference)
-    assert 1 <= len(os.listdir(tmp_path)) == min(len(os.sched_getaffinity(0)), chunks)
+    assert len(os.listdir(tmp_path)) == (0 if workers == 1 else workers)
 
 
 @pytest.mark.parametrize("suite", ["all", "pisano", "classify", "identities", "wss"])
@@ -227,6 +234,7 @@ def test_one_pool_per_run_given_every_chunk_at_once(suite, monkeypatch):
         "pisano": 1999,
         "classify": sum(not is_prime_trial(m) for m in range(3, 2001, 2)),
     }.get(suite, 0)
+    two_cpus(monkeypatch)
     _, pools, _, peak = _counted(lambda: run_suites(suite, 2000), monkeypatch)
     assert pools == (1 if moduli else 0)
     assert peak == -(-moduli // verify_module._DIRECT_CHUNK)
@@ -241,6 +249,7 @@ multiprocessing.set_start_method("spawn")
 import fibmod.pisano as pisano
 from fibmod.verify import run_suites
 
+os.sched_getaffinity = lambda pid: {0, 1}  # a pool, even on a one-CPU host
 MAIN = os.getpid()
 real = pisano.profile_direct
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import errno
@@ -11,7 +12,6 @@ from collections import Counter
 import pytest
 
 import fibmod.pisano as pisano_module
-import fibmod.pool as pool_module
 import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import factorize, is_prime, sieve_upto, two_adic_split
@@ -479,7 +479,7 @@ class TestScan:
         serial = tmp_path / "serial.json"
         scan_wss(2, 3000, checkpoint_path=str(serial), block_size=100)
         monkeypatch.setattr(CountingExecutor, "peak", 0)
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
         pooled = tmp_path / "pooled.json"
         scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
         assert 0 < CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
@@ -488,7 +488,7 @@ class TestScan:
     def test_a_pool_starts_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
         # a forked pool starts every worker it is given at its first submit
         monkeypatch.setattr(CountingExecutor, "max_workers", 0)
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
         scan_wss(2, 300, workers=64, checkpoint_path=str(tmp_path / "ck.json"), block_size=100)
         assert CountingExecutor.max_workers == 3
 
