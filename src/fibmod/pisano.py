@@ -22,6 +22,14 @@ the same way prime_period reads its premise and every halving of its bound
 from one ladder's doublings.  verify holds all three fast values against
 the direct scan, as do the tests.
 
+verify scans many moduli, and profiles_direct runs that same scan on up to
+_LANES moduli at once, SIMD within a register: each modulus has a lane of
+bits in each of a few Python ints, one big-int addition advances every
+lane by a term, and masks built from each lane's top bit subtract m where
+a sum reached it.  Python code runs only where a lane's residue becomes 0.
+Over [2, 1e4] in verify's chunks it takes about a sixth of the time of
+profile_direct, which stays the one-modulus route and its test reference.
+
 A prime p with chi = (p/5) = +1 takes no ladder: 5 has a square root s mod
 p, found deterministically (one pow for p = 3 mod 4, Atkin's formula for
 p = 5 mod 8, Tonelli-Shanks with the least non-residue for p = 1 mod 8)
@@ -57,6 +65,11 @@ from .fib import _doublings, fib_pair_mod
 # period(m) <= 6*m for every m, with equality exactly at m = 2 * 5^k;
 # the direct scan treats exceeding this bound as an impossible state.
 _PERIOD_BOUND_FACTOR = 6
+
+# Moduli profiles_direct scans at once.  Over [2, 1e4] in calls of 2048
+# moduli, 192 lanes took 0.23 s against 0.25 for 128 or 256 and 0.27 for
+# 384, and profile_direct took 1.6 s (2-vCPU VM, CPython 3.11.7).
+_LANES = 192
 
 # Largest prime-power exponent probed when measuring p^a | u_{period(p)}.
 # Every prime ever checked has exponent 1; exceeding the bound is reported,
@@ -137,6 +150,116 @@ def profile_direct(m: int) -> PisanoProfile:
     raise AnomalyError(f"no period found for m={m} within {limit} steps")
 
 
+def profiles_direct(moduli) -> list[PisanoProfile]:
+    """profile_direct(m) for each of moduli, in their order, with the same
+    values and, if any m raises, the exception of the first such m; but up
+    to _LANES moduli are scanned at once, as the lanes of Python ints.
+
+    profile_direct stays the one-modulus route: over [2, 3000] one lane
+    per call took 3-6 times as long as profile_direct, and the lanes pay
+    off only across many moduli."""
+    moduli = list(moduli)
+    out: list = [None] * len(moduli)
+    queue = []  # positions of the moduli to scan
+    for j, m in enumerate(moduli):
+        if m >= 2:
+            queue.append(j)
+            continue
+        try:
+            out[j] = profile_direct(m)
+        except ValueError as exc:
+            out[j] = exc
+    if queue:
+        queue.sort(key=moduli.__getitem__)  # popped from the end: descending m
+        _lane_scan(moduli, queue, out)
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
+    return out
+
+
+def _lane_scan(moduli: list[int], queue: list[int], out: list) -> None:
+    """The direct scan of moduli[j] >= 2 for each position j of queue, which
+    is sorted by modulus; out[j] gets its profile, or its AnomalyError.
+
+    Each lane is w = max(m).bit_length() + 2 bits of X and Y, the two
+    residues of its modulus, of M, the modulus, and of K, 2^(w-1) - m.  A
+    term is one X += Y for every lane; bit w - 1 of X + K marks the lanes
+    where the sum reached m, and m is taken from those alone.  A sum stays
+    below 2m < 2^(w-1), so no lane carries into the next: shifts, masks and
+    additions, and no modular multiplication.  Then X and Y swap roles.
+    As in profile_direct, a residue becomes 0 only where a sum equals m,
+    and its lane's other residue being 1 is the return to (0, 1); Python
+    code runs only at such a zero.
+
+    Lanes start at (u_0, u_1) = (0, 1) with the largest moduli, so that the
+    longest scans start first.  A lane that returns holds (0, 1), its next
+    modulus's u_0 and u_{-1}, and takes that modulus in M and K; once none
+    is left it is cleared and retired.  A lane that passes its bound, the
+    last even term up to _PERIOD_BOUND_FACTOR * m as in profile_direct,
+    fails at its next zero, which comes at the latest one period on.
+    """
+    w = moduli[queue[-1]].bit_length() + 2
+    top = w - 1
+    lane = (1 << w) - 1
+    lanes = min(_LANES, len(queue))
+    ones = ((1 << (lanes * w)) - 1) // lane  # 1 in every lane
+    flags = ones << top  # bit w - 1 of every lane
+    below = ones * (lane >> 1)  # 2^(w-1) - 1 in every lane
+    factor = _PERIOD_BOUND_FACTOR
+    # per lane: the position scanned, the term of its u_0, the last term
+    # in its bound, and the zeros and first zero so far
+    pos, base, last, zeros, alpha = ([0] * lanes for _ in range(5))
+
+    def load(i: int, t: int) -> int:
+        j = queue.pop()
+        pos[i], base[i], last[i] = j, t, t + (factor * moduli[j] & ~1)
+        zeros[i] = alpha[i] = 0
+        return moduli[j]
+
+    M = K = 0
+    for i in range(lanes):
+        m = load(i, 0)
+        M |= m << (i * w)
+        K |= ((1 << top) - m) << (i * w)
+    X, Y, t = 0, ones, 1  # X is written next; t is the term last written
+    active = flags
+    while active:
+        X += Y
+        wrapped = (X + K) & flags
+        X -= M & (wrapped - (wrapped >> top))
+        t += 1
+        nonzero = (X + below) & flags
+        if nonzero != active:
+            hit = active ^ nonzero
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                i = low.bit_length() // w - 1
+                shift = i * w
+                j = pos[i]
+                m = moduli[j]
+                if t > last[i]:
+                    out[j] = AnomalyError(f"no period found for m={m} within {factor * m} steps")
+                    Y += (1 - (Y >> shift & lane)) << shift  # to (0, 1)
+                else:
+                    zeros[i] += 1
+                    alpha[i] = alpha[i] or t - base[i]
+                    if Y >> shift & lane != 1:
+                        continue
+                    out[j] = PisanoProfile(m=m, gamma=t - base[i], alpha=alpha[i], upsilon=zeros[i])
+                if queue:
+                    after = load(i, t)
+                    M += (after - m) << shift
+                    K += (m - after) << shift
+                else:
+                    M -= m << shift
+                    K -= ((1 << top) - m) << shift
+                    Y -= 1 << shift
+                    active ^= low
+        X, Y = Y, X
+
+
 def pisano_direct(m: int) -> int:
     """Period of the Fibonacci sequence mod m by direct iteration."""
     return profile_direct(m).gamma
@@ -161,7 +284,9 @@ def prime_period(p: int) -> int:
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
     2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
     reduction over the factors of that bound (p = 2 and p = 5 included),
-    read from the scan block's store or from factorize.  For chi = 1 the
+    read from the scan block's store or from factorize.  The reduction
+    reads only the odd ones, so for chi = -1 factorize takes p + 1, below
+    2^64 for every p < 2^64, as 2*(p + 1) need not be.  For chi = 1 the
     reduction runs on the eigenvalue phi with builtin pow.  Otherwise the
     premise and the halvings read one ladder at the bound's odd part and
     its doublings, and each odd prime factor's test is a ladder of its own.
@@ -173,7 +298,7 @@ def prime_period(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     chi = _legendre5(p)
     t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
-    factors, root = facts or (factorize(t), None)
+    factors, root = facts or (factorize(t >> (chi == -1)), None)
     if chi == 1:
         return _eigen_period(p, factors, _root5(p) if root is None else root)
     # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd

@@ -8,16 +8,18 @@ test suite pins down, packaged for ad-hoc, larger-range runs.
 The brute-force direct scans run on forked worker processes, one per CPU
 this process may use and no more than there are chunks of moduli to scan,
 or here, as they are read, where that is one; the fast routes they audit
-run here and share no cache with them, as profile_direct holds none.  At
---max 10000 on 2 CPUs the workers' scans take about 2.7 s of CPU and the
-calling process about 1.3 s, for about 2.2 s of wall
-(tools/verify_split.py).  A run opens at most one pool and queues every
-chunk on it at the start, so the workers scan while every check that needs
-no scan runs here.  Then each scanned modulus is checked, in m order, as
-its chunk arrives, by every suite that audits it against its scan; no
-suite reads another's results.  Each chunk comes back as one flat array of
-(m, gamma, alpha, upsilon), about 32 B per modulus; an early exit cancels
-the queued chunks.
+run here and share no cache with them, as the direct scans hold none.
+Each chunk of _DIRECT_CHUNK moduli is one call of pisano.profiles_direct,
+which scans up to 192 of them at once as the lanes of Python ints.  At
+--max 10000 on 2 CPUs the workers' scans take about 0.3-0.5 s of CPU and
+the calling process about 0.8-1.1 s, for about 0.9-1.2 s of wall
+(tools/verify_split.py): the checks run here are the critical path.  A
+run opens at most one pool and queues every chunk on it at the start, so
+the workers scan while every check that needs no scan runs here.  Then
+each scanned modulus is checked, in m order, as its chunk arrives, by
+every suite that audits it against its scan; no suite reads another's
+results.  Each chunk comes back as one flat array of (m, gamma, alpha,
+upsilon), about 32 B per modulus; an early exit cancels the queued chunks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ from .pool import ordered_map
 SUITE_NAMES = ("identities", "pisano", "classify", "wss", "all")
 
 _MODULUS_POOL = (2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 25, 36, 97, 144, 1000, 999983, 10**9 + 7)
-_DIRECT_CHUNK = 64  # moduli per worker call of the direct scans
+# moduli per worker call of the direct scans: enough that the lanes of
+# profiles_direct stay full (over [2, 1e4] they took 0.23 s in chunks of
+# 2048, 0.27 s in chunks of 1024), and at --max 1e4 five chunks for two workers
+_DIRECT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,7 @@ def _scan_chunk(moduli) -> array:
     """The direct profile of each of moduli, flat as (m, gamma, alpha, upsilon):
     an array comes back from a worker far smaller than PisanoProfile objects."""
     flat = array("q")
-    for m in moduli:
-        prof = pisano.profile_direct(m)
+    for prof in pisano.profiles_direct(moduli):
         flat.extend((prof.m, prof.gamma, prof.alpha, prof.upsilon))
     return flat
 

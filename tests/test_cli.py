@@ -29,7 +29,7 @@ _TEST_PID = os.getpid()
 _HIT_7 = {"p": 7, "legendre5": -1, "index": 8, "residue_fib_index_mod_p2": 0,
           "residue_fib_gamma_mod_p2": 0, "is_wss": True, "criteria_agree": True}
 _real_scan_block = wss_module._scan_block
-_real_profile_direct = pisano_module.profile_direct
+_real_profiles_direct = pisano_module.profiles_direct
 
 
 def _die_after_two_blocks(block):
@@ -41,13 +41,13 @@ def _die_after_two_blocks(block):
     return _real_scan_block(block)
 
 
-def _die_past_m_1000(m):
-    # stands in for pisano.profile_direct inside verify's pool workers
+def _die_past_m_1000(moduli):
+    # stands in for pisano.profiles_direct inside verify's pool workers
     if os.getpid() == _TEST_PID:
         raise RuntimeError("expected to run in a worker process")
-    if m > 1000:
+    if max(moduli) > 1000:
         os._exit(1)
-    return _real_profile_direct(m)
+    return _real_profiles_direct(moduli)
 
 
 def _refuse_inherited_lock(lock_path, block):
@@ -114,18 +114,18 @@ from fibmod.cli import main
 
 signal.signal(signal.SIGINT, signal.default_int_handler)
 
-profile, profile_direct = pisano.profile, pisano.profile_direct
+profile, profiles_direct = pisano.profile, pisano.profiles_direct
 delay = float(sys.argv[2])
 
-def report_and_scan(m):
+def report_and_scan(moduli):
     open(os.path.join(sys.argv[1], str(os.getpid())), "a").close()
-    return profile_direct(m)
+    return profiles_direct(moduli)
 
 def slow_profile(m):
     time.sleep(delay)
     return profile(m)
 
-pisano.profile_direct = report_and_scan
+pisano.profiles_direct = report_and_scan
 if delay:
     pisano.profile = slow_profile
 sys.exit(main(sys.argv[3:]))
@@ -233,6 +233,12 @@ class TestProfileCommand:
         code, _, err = run(capsys, "profile", "1")
         assert code == 1
 
+    def test_prime_just_below_2_64(self, capsys):
+        # p = 2^64 - 59 has chi = -1: its period's bound 2 * (p + 1) is past 2^64
+        code, out, err = run(capsys, "profile", str(2**64 - 59))
+        assert (code, err) == (0, "")
+        assert out == f"m={2**64 - 59} period=5270498306774157588 rank=1317624576693539397 zero_count=4\n"
+
 
 class TestGoodCommand:
     def test_single_good(self, capsys):
@@ -240,6 +246,11 @@ class TestGoodCommand:
         assert code == 0
         assert doc["output"]["is_good"] is True
         assert doc["output"]["method"] == "both"
+
+    def test_prime_just_below_2_64(self, capsys):
+        code, doc, _ = run_json(capsys, "good", str(2**64 - 59), "--json")
+        assert code == 0
+        assert (doc["output"]["is_good"], doc["output"]["method"]) == (True, "both")
 
     def test_single_even(self, capsys):
         code, doc, _ = run_json(capsys, "good", "6", "--json")
@@ -673,7 +684,7 @@ class TestVerifyCommand:
             stdout=subprocess.DEVNULL,
             start_new_session=True,  # its own process group, as a shell job has
         )
-        # 313 chunks of moduli: one worker per usable CPU
+        # 10 chunks of moduli: one worker per usable CPU
         want = len(os.sched_getaffinity(0))
         workers = []
         try:
@@ -730,8 +741,8 @@ class TestVerifyCommand:
 
     def test_dead_worker_exits_2(self, capsys, monkeypatch):
         two_cpus(monkeypatch)
-        monkeypatch.setattr(pisano_module, "profile_direct", _die_past_m_1000)
-        code, out, err = run(capsys, "verify", "--suite", "pisano", "--max", "2000")
+        monkeypatch.setattr(pisano_module, "profiles_direct", _die_past_m_1000)
+        code, out, err = run(capsys, "verify", "--suite", "pisano", "--max", "4100")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("fibmod: worker process died: ")

@@ -87,11 +87,11 @@ def _fake_good_direct(real_direct):
     return direct
 
 
-def _fake_profile_direct(real_direct):
+def _fake_profiles_direct(real_direct):
     # the direct period is one too large at m = 100; its rank and zero count stay right
-    def direct(m):
-        prof = real_direct(m)
-        return dataclasses.replace(prof, gamma=prof.gamma + 1) if m == 100 else prof
+    def direct(moduli):
+        return [dataclasses.replace(prof, gamma=prof.gamma + 1) if prof.m == 100 else prof
+                for prof in real_direct(moduli)]
 
     return direct
 
@@ -110,9 +110,9 @@ def run_case(name: str) -> dict:
             stack.enter_context(mock.patch.object(wss_module, "wss_check", fake))
         if "injected faults" in name:
             good = _fake_good_direct(classify_module.is_good_direct)
-            prof = _fake_profile_direct(pisano_module.profile_direct)
+            prof = _fake_profiles_direct(pisano_module.profiles_direct)
             stack.enter_context(mock.patch.object(classify_module, "is_good_direct", good))
-            stack.enter_context(mock.patch.object(pisano_module, "profile_direct", prof))
+            stack.enter_context(mock.patch.object(pisano_module, "profiles_direct", prof))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(tmp=tmp) for arg in CASES[name]])

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 from collections import Counter
 from unittest import mock
 
@@ -11,8 +12,9 @@ from fibmod import arith
 from fibmod.arith import factorize, is_prime, primes_in_range, sieve_upto, two_adic_split
 from fibmod.classify import is_good_prime, period_divisor_class, zero_count_period_pattern
 from fibmod.errors import AnomalyError
-from fibmod.fib import fib_pair_mod
+from fibmod.fib import fib_pair_mod, matrix_pow_mod
 from fibmod.pisano import (
+    PisanoProfile,
     lifting_exponent,
     pisano_direct,
     pisano_fast,
@@ -20,6 +22,7 @@ from fibmod.pisano import (
     prime_power_period,
     profile,
     profile_direct,
+    profiles_direct,
     rank_of_apparition,
     zero_count,
     zero_count_direct,
@@ -42,6 +45,10 @@ from helpers import (
 
 # chi = +1 primes p = 1 mod 8 whose p - 1 has a large 2-part, for Tonelli-Shanks
 _LARGE_TWO_PARTS = {5767169: 19, 104857601: 22, 469762049: 26}
+
+
+def _refuse(*args):
+    raise AssertionError("the direct route called a fast one")
 
 
 class TestPisanoDirect:
@@ -109,12 +116,9 @@ class TestProfileDirect:
         assert (prof.m, prof.gamma, prof.alpha, prof.upsilon) == (m, *want)
 
     def test_views_reach_no_fast_route(self):
-        def refuse(*args):
-            raise AssertionError("the direct route called a fast one")
-
         with contextlib.ExitStack() as stack:
             for name in ("pisano_fast", "factorize", "fib_pair_mod"):
-                stack.enter_context(mock.patch.object(pisano_module, name, refuse))
+                stack.enter_context(mock.patch.object(pisano_module, name, _refuse))
             for m in range(2, 500):
                 assert pisano_direct(m) == pisano_scan(m), m
                 assert zero_count_direct(m) == zero_scan(m), m
@@ -124,6 +128,82 @@ class TestProfileDirect:
             profile_direct(0)
         with pytest.raises(ValueError, match="zero_count_direct requires m >= 2, got 1"):
             zero_count_direct(1)
+
+
+class TestProfilesDirect:
+    # the lane scan against the scalar one, m by m; [1, 3000] refills every
+    # lane many times, 9900..10000 fills fewer than _LANES
+    @pytest.mark.parametrize("moduli", [
+        range(1, 3001),
+        range(9900, 10001),
+        random.Random(33).sample(range(1, 2001), 2000),
+        random.Random(34).sample(range(1, 10001), 150),
+        [],
+    ], ids=["1-3000", "9900-10000", "shuffled-1-2000", "shuffled-150", "none"])
+    def test_equals_profile_direct(self, moduli):
+        assert profiles_direct(moduli) == [profile_direct(m) for m in moduli]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_refilled_lanes_equal_profile_direct(self, lanes, monkeypatch):
+        # fewer lanes than moduli: every lane takes a run of moduli, each
+        # started on either residue of a pass, repeated moduli included
+        monkeypatch.setattr(pisano_module, "_LANES", lanes)
+        moduli = [*range(1, 200), 13, 2, 2, 10, 5, 3, 11, 1250]
+        assert profiles_direct(moduli) == [profile_direct(m) for m in moduli]
+
+    @pytest.mark.parametrize("lanes", [1, 192])
+    def test_period_at_the_exact_bound(self, lanes, monkeypatch):
+        # m = 2 * 5^k returns at its lane's last term, alone or beside others
+        monkeypatch.setattr(pisano_module, "_LANES", lanes)
+        moduli = [10, 50, 250, 1250]
+        want = [(60, 15, 4), (300, 75, 4), (1500, 375, 4), (7500, 1875, 4)]
+        assert [(p.gamma, p.alpha, p.upsilon) for p in profiles_direct(moduli)] == want
+        for m, (gamma, alpha, upsilon) in zip(moduli, want):
+            assert profiles_direct([m]) == [PisanoProfile(m, gamma, alpha, upsilon)]
+
+    @pytest.mark.parametrize("lanes", [1, 192])
+    def test_period_past_the_bound_is_an_anomaly(self, lanes, monkeypatch):
+        # the texts of profile_direct, on either half of a pass, and a lane
+        # that fails makes way for the next modulus
+        monkeypatch.setattr(pisano_module, "_LANES", lanes)
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 5)
+        with pytest.raises(AnomalyError, match="no period found for m=10 within 50 steps"):
+            profiles_direct([10])
+        with pytest.raises(AnomalyError, match="no period found for m=10 within 50 steps"):
+            profiles_direct([7, 10, 3, 11])
+        assert [p.gamma for p in profiles_direct([7, 3, 11])] == [16, 8, 10]
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 1)
+        with pytest.raises(AnomalyError, match="no period found for m=2 within 2 steps"):
+            profiles_direct([2])
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 2)
+        with pytest.raises(AnomalyError, match="no period found for m=3 within 6 steps"):
+            profiles_direct([3])
+        with pytest.raises(AnomalyError, match="no period found for m=3 within 6 steps"):
+            profiles_direct([2, 3, 2])
+        assert profiles_direct([2])[0].gamma == 3
+
+    def test_rejects_bad_moduli(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+            profiles_direct([5, 0, 7])
+        with pytest.raises(ValueError, match="modulus must be >= 1, got -3"):
+            profiles_direct([-3, 0])
+
+    def test_raises_as_the_scalar_loop_would(self, monkeypatch):
+        # the exception is that of the first modulus, in the given order, that raises
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 5)
+        with pytest.raises(AnomalyError, match="m=10 within 50"):
+            profiles_direct([7, 10, 0])
+        with pytest.raises(ValueError, match="got 0"):
+            profiles_direct([7, 0, 10])
+
+    def test_reaches_no_fast_route(self):
+        with contextlib.ExitStack() as stack:
+            for name in ("pisano_fast", "factorize", "fib_pair_mod"):
+                stack.enter_context(mock.patch.object(pisano_module, name, _refuse))
+            profiles = profiles_direct(range(2, 500))
+        assert [(p.gamma, p.alpha, p.upsilon) for p in profiles] == [
+            (pisano_scan(m), rank_scan(m), zero_scan(m)) for m in range(2, 500)
+        ]
 
 
 class TestPrimePeriod:
@@ -171,6 +251,21 @@ class TestPrimePeriod:
         finally:
             prime_period.cache_clear()
         assert min(routes[None], routes[True], routes[False]) > 50
+
+    def test_prime_just_below_2_64_with_chi_minus_one(self):
+        # its bound 2 * (p + 1) is past factorize's domain; p + 1 is not
+        p = 2**64 - 59
+        assert is_prime(p) and pisano_module._legendre5(p) == -1
+        gamma = prime_period(p)
+        assert gamma == 5270498306774157588
+
+        def is_identity(n):
+            mat = matrix_pow_mod(n, p)
+            return (mat.u_prev, mat.u_cur, mat.u_next) == (1, 0, 1)
+
+        assert is_identity(gamma)
+        assert not any(is_identity(gamma // q) for q, _ in factorize(gamma))
+        assert profile(p) == PisanoProfile(p, gamma, gamma // 4, 4)
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ tools/import_time.py, fibmod's import time per checkout."""
 
 import ast
 import importlib.util
+import os
 import pathlib
 import platform
 import shutil
@@ -55,12 +56,30 @@ def test_tool_imports_only_the_stdlib_and_fibmod(tool):
     assert _import_roots(tool) <= set(sys.stdlib_module_names) | {"fibmod"}
 
 
-def test_verify_split_at_300():
-    lines = dict(line.split() for line in _run_tool(SPLIT, "--max", "300").splitlines())
-    assert (lines["suite"], lines["max"]) == ("all", "300")
-    assert int(lines["direct_terms"]) == sum(pisano_direct(m) for m in range(2, 301))
-    for name in ("wall_s", "caller_cpu_s", "workers_cpu_s", "direct_serial_s", "direct_ns_term"):
+_SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "direct_terms",
+               "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"]
+
+
+def _verify_split(max_value: int) -> dict[str, str]:
+    rows = [line.split() for line in _run_tool(SPLIT, "--max", str(max_value)).splitlines()]
+    assert [name for name, _ in rows] == _SPLIT_ROWS
+    lines = dict(rows)
+    assert (lines["suite"], lines["max"]) == ("all", str(max_value))
+    assert int(lines["direct_terms"]) == sum(pisano_direct(m) for m in range(2, max_value + 1))
+    for name in ("wall_s", "caller_cpu_s", "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"):
         assert float(lines[name]) > 0, name
+    return lines
+
+
+def test_verify_split_at_300():
+    # one chunk of moduli: the scans run in the calling process, and no pool opens
+    assert float(_verify_split(300)["workers_cpu_s"]) == 0
+
+
+def test_verify_split_past_one_chunk():
+    # two chunks: a pool of two workers where two CPUs can run, else none
+    pooled = len(os.sched_getaffinity(0)) > 1
+    assert (float(_verify_split(2050)["workers_cpu_s"]) > 0) == pooled
 
 
 def test_kernel_ratio_at_1e5():

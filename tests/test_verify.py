@@ -24,7 +24,7 @@ from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pi
 
 from helpers import CountingExecutor, binding_calls, is_prime_trial, two_cpus
 
-_real_profile_direct = pisano_module.profile_direct
+_real_profiles_direct = pisano_module.profiles_direct
 _real_zero_count_odd = classify_module.zero_count_odd
 _real_init_worker = pool_module._init_worker
 
@@ -142,11 +142,11 @@ def test_single_suites_equal_their_slice_of_all(max_value, faulted, monkeypatch)
     assert formula.passed == (not faulted or max_value < 45)
 
 
-def _log_scan(directory, m):
-    # stands in for pisano.profile_direct in the pool's workers: one file per process
+def _log_scans(directory, moduli):
+    # stands in for pisano.profiles_direct in the pool's workers: one file per process
     with open(os.path.join(directory, str(os.getpid())), "a", encoding="utf-8") as fh:
-        fh.write(f"{m}\n")
-    return _real_profile_direct(m)
+        fh.writelines(f"{m}\n" for m in moduli)
+    return _real_profiles_direct(moduli)
 
 
 def _scans(directory):
@@ -156,39 +156,41 @@ def _scans(directory):
 
 
 def test_all_suites_scan_each_modulus_directly_once(tmp_path, monkeypatch):
+    # at 6000 both scans take more than one chunk, so a pool: 2217 odd composites
     two_cpus(monkeypatch)
     shared_dir, alone_dir = tmp_path / "shared", tmp_path / "alone"
     shared_dir.mkdir()
     alone_dir.mkdir()
-    monkeypatch.setattr(pisano_module, "profile_direct", functools.partial(_log_scan, shared_dir))
-    shared = run_suites("all", 300)
-    monkeypatch.setattr(pisano_module, "profile_direct", functools.partial(_log_scan, alone_dir))
+    monkeypatch.setattr(pisano_module, "profiles_direct", functools.partial(_log_scans, shared_dir))
+    shared = run_suites("all", 6000)
+    monkeypatch.setattr(pisano_module, "profiles_direct", functools.partial(_log_scans, alone_dir))
     # the classify suite on its own scans for itself, with the same outcome
-    alone = suite_classify(300)
+    alone = suite_classify(6000)
     monkeypatch.undo()
     scans = _scans(shared_dir)
     assert os.getpid() not in scans  # every direct scan runs in a worker
-    assert sorted(m for moduli in scans.values() for m in moduli) == list(range(2, 301))
+    assert sorted(m for moduli in scans.values() for m in moduli) == list(range(2, 6001))
     scans = _scans(alone_dir)
     assert os.getpid() not in scans
     # of the odd moduli, only the composites: the formula is trivial at primes
-    odd_composites = [m for m in range(3, 301, 2) if not is_prime_trial(m)]
+    odd_composites = [m for m in range(3, 6001, 2) if not is_prime_trial(m)]
     assert sorted(m for moduli in scans.values() for m in moduli) == odd_composites
     assert [r for r in shared if r.name in {a.name for a in alone}] == alone
 
 
 def test_direct_scans_merge_in_modulus_order(monkeypatch):
-    # a direct route wrong at one m past the first chunk: the merged stream
-    # must pair its scan with m and no other modulus
-    def wrong_at_1777(m):
-        prof = _real_profile_direct(m)
-        return dataclasses.replace(prof, gamma=prof.gamma + 1) if m == 1777 else prof
+    # a direct route wrong at one m in the first chunk and one past it: the
+    # merged stream must pair each scan with its m and no other modulus
+    def wrong_at_1777_and_2777(moduli):
+        return [dataclasses.replace(prof, gamma=prof.gamma + 1) if prof.m in (1777, 2777) else prof
+                for prof in _real_profiles_direct(moduli)]
 
-    monkeypatch.setattr(pisano_module, "profile_direct", wrong_at_1777)
-    results = {r.name: r for r in suite_pisano(2000)}
+    monkeypatch.setattr(pisano_module, "profiles_direct", wrong_at_1777_and_2777)
+    results = {r.name: r for r in suite_pisano(3000)}
     routes = results["fast-period-equals-direct"]
     assert not routes.passed
-    assert len(routes.failures) == 1 and routes.failures[0].startswith("m=1777 ")
+    assert len(routes.failures) == 2 and routes.failures[0].startswith("m=1777 ")
+    assert routes.failures[1].startswith("m=2777 ")
 
 
 def _note_worker(pids_dir, *init_args):
@@ -208,9 +210,13 @@ def _counted(run, monkeypatch):
         return run(), *(getattr(CountingExecutor, counter) for counter in counters)
 
 
-@pytest.mark.parametrize("max_value", [2, 3, 64, 65, 66, 1000])
+_CHUNK = verify_module._DIRECT_CHUNK
+
+
+@pytest.mark.parametrize("max_value", [2, 3, _CHUNK, _CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 2])
 def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, monkeypatch):
-    # one chunk of moduli [2, max_value] up to max_value = 65, two at 66
+    # one chunk of moduli [2, max_value] up to max_value = _CHUNK + 1, two at
+    # _CHUNK + 2, and three, the last of one modulus, at 2 * _CHUNK + 2
     chunks = -(-(max_value - 1) // verify_module._DIRECT_CHUNK)
     workers = min(len(os.sched_getaffinity(0)), chunks)
     reference, pools, max_workers, peak = _counted(lambda: run_suites("all", max_value), monkeypatch)
@@ -229,20 +235,21 @@ def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, m
 
 @pytest.mark.parametrize("suite", ["all", "pisano", "classify", "identities", "wss"])
 def test_one_pool_per_run_given_every_chunk_at_once(suite, monkeypatch):
+    # at 6000 every scanning suite takes at least two chunks
     moduli = {
-        "all": 1999,  # [2, 2000]
-        "pisano": 1999,
-        "classify": sum(not is_prime_trial(m) for m in range(3, 2001, 2)),
+        "all": 5999,  # [2, 6000]
+        "pisano": 5999,
+        "classify": sum(not is_prime_trial(m) for m in range(3, 6001, 2)),
     }.get(suite, 0)
     two_cpus(monkeypatch)
-    _, pools, _, peak = _counted(lambda: run_suites(suite, 2000), monkeypatch)
+    _, pools, _, peak = _counted(lambda: run_suites(suite, 6000), monkeypatch)
     assert pools == (1 if moduli else 0)
     assert peak == -(-moduli // verify_module._DIRECT_CHUNK)
 
 
-# a pooled verify run in an interpreter whose default start method is spawn:
-# a patch of pisano.profile_direct made before the run must reach the
-# workers, and a worker alone applies it
+# a pooled verify run, two chunks, in an interpreter whose default start
+# method is spawn: a patch of pisano.profiles_direct made before the run
+# must reach the workers, and a worker alone applies it
 _SPAWN_DEFAULT_RUN = """
 import dataclasses, json, multiprocessing, os
 multiprocessing.set_start_method("spawn")
@@ -251,14 +258,14 @@ from fibmod.verify import run_suites
 
 os.sched_getaffinity = lambda pid: {0, 1}  # a pool, even on a one-CPU host
 MAIN = os.getpid()
-real = pisano.profile_direct
+real = pisano.profiles_direct
 
-def wrong_in_a_worker(m):
-    prof = real(m)
-    return dataclasses.replace(prof, gamma=prof.gamma + 1) if m == 100 and os.getpid() != MAIN else prof
+def wrong_in_a_worker(moduli):
+    return [dataclasses.replace(prof, gamma=prof.gamma + 1) if prof.m == 100 and os.getpid() != MAIN else prof
+            for prof in real(moduli)]
 
-pisano.profile_direct = wrong_in_a_worker
-routes = {r.name: r for r in run_suites("pisano", 300)}["fast-period-equals-direct"]
+pisano.profiles_direct = wrong_in_a_worker
+routes = {r.name: r for r in run_suites("pisano", 2100)}["fast-period-equals-direct"]
 print(json.dumps([multiprocessing.get_start_method(), routes.passed, list(routes.failures)]))
 """
 

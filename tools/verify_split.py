@@ -4,9 +4,12 @@ pool workers' direct scans, and the serial rate of the direct scan.
 Runs run_suites(S, N) once and prints its wall time, the CPU time of the
 calling process (getrusage RUSAGE_SELF) and that of the pool workers
 (RUSAGE_CHILDREN, which counts a worker once the run's pool has joined
-it), each as the difference across the run.  Then it times
-pisano.profile_direct serially over [2, N] (time.process_time) and prints
-the terms it walks, the sum of the periods, and the time per term.
+it), each as the difference across the run; it is 0 where the run opens no
+pool, as for N up to one chunk or on one CPU.  Then it times, serially
+(time.process_time) over [2, N], pisano.profile_direct and the lane scan
+pisano.profiles_direct in verify's chunks, exits 1 if their profiles
+differ, and prints the terms each walks, the sum of the periods, and the
+time of each and per term.
 
     PYTHONPATH=src python3 tools/verify_split.py [--suite S] [--max N]
 """
@@ -16,7 +19,7 @@ import resource
 import time
 
 from fibmod import pisano
-from fibmod.verify import SUITE_NAMES, run_suites
+from fibmod.verify import _DIRECT_CHUNK, SUITE_NAMES, run_suites
 
 
 def cpu_s(who: int) -> float:
@@ -39,9 +42,17 @@ def main(argv=None) -> int:
     if not all(r.passed for r in results):
         parser.exit(1, "verify reported a failing property\n")
 
+    moduli = range(2, args.max_value + 1)
     start = time.process_time()
-    terms = sum(pisano.profile_direct(m).gamma for m in range(2, args.max_value + 1))
-    direct = time.process_time() - start
+    direct = [pisano.profile_direct(m) for m in moduli]
+    direct_s = time.process_time() - start
+    start = time.process_time()
+    lanes = [prof for i in range(0, len(moduli), _DIRECT_CHUNK)
+             for prof in pisano.profiles_direct(moduli[i : i + _DIRECT_CHUNK])]
+    lanes_s = time.process_time() - start
+    if lanes != direct:
+        parser.exit(1, "the lane scan differs from profile_direct\n")
+    terms = sum(prof.gamma for prof in direct)
 
     print(f"suite            {args.suite}")
     print(f"max              {args.max_value}")
@@ -49,8 +60,10 @@ def main(argv=None) -> int:
     print(f"caller_cpu_s     {own:.3f}")
     print(f"workers_cpu_s    {workers:.3f}")
     print(f"direct_terms     {terms}")
-    print(f"direct_serial_s  {direct:.3f}")
-    print(f"direct_ns_term   {direct / terms * 1e9:.1f}")
+    print(f"direct_serial_s  {direct_s:.3f}")
+    print(f"direct_ns_term   {direct_s / terms * 1e9:.1f}")
+    print(f"lanes_serial_s   {lanes_s:.3f}")
+    print(f"lanes_ns_term    {lanes_s / terms * 1e9:.1f}")
     return 0
 
 
