@@ -70,7 +70,7 @@ def is_good_direct(m: int) -> bool:
     rather than classified.)
     """
     if m < 2:
-        raise ValueError(f"classification starts at m = 2, got {m}")
+        raise ValueError(f"modulus must be >= 2, got {m}")
     if m % 2 == 0:
         return False
     return _half_period_is_negative_identity(m, pisano_fast(m))
@@ -116,7 +116,7 @@ def goodness_report(m: int, method: str = "both") -> GoodnessReport:
     if method not in ("direct", "fast", "both"):
         raise ValueError(f"unknown method {method!r}")
     if m < 2:
-        raise ValueError(f"classification starts at m = 2, got {m}")
+        raise ValueError(f"modulus must be >= 2, got {m}")
     factors = factorize(m)
     entries = tuple(_prime_entry(p, e) for p, e in factors)
     gamma = _period_from_factors(factors)

@@ -98,8 +98,6 @@ def _cmd_fib(args):
 
 
 def _cmd_profile(args):
-    if args.m < 2:
-        raise ValueError("profile needs m >= 2")
     prof = pisano.profile(args.m)
     output = {"m": prof.m, "gamma": prof.gamma, "alpha": prof.alpha, "upsilon": prof.upsilon}
     human = (
@@ -111,14 +109,14 @@ def _cmd_profile(args):
 def _cmd_good(args):
     if (args.m is None) == (args.range is None):
         raise ValueError("give exactly one of: a single m, or --range LO HI")
-    lo, hi = args.range or (args.m, args.m)
-    if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
     if args.m is not None:
         report = classify.goodness_report(args.m, method=args.method)
         output = asdict(report)
         human = f"m={args.m} good={report.is_good} (method={args.method})"
     else:
+        lo, hi = args.range
+        if lo < 2 or hi < lo:
+            raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
         # the reports are not kept, but the good list is: about a tenth of the
         # range (ROADMAP item 4)
         good = [m for m in range(lo, hi + 1) if classify.goodness_report(m, args.method).is_good]

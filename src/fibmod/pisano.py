@@ -8,6 +8,11 @@ invariants describe it:
   * rank(m)        — least z >= 1 with u_z == 0 mod m (rank of apparition);
   * zero count(m)  — zeros per period, always period/rank and one of 1, 2, 4.
 
+Every per-modulus route takes m >= 2, the paper's N without {0, 1}, and
+refuses any other m once, where it starts, with "modulus must be >= 2, got
+m": here in profile_direct, profiles_direct and pisano_fast, and the
+functions built on them inherit that check.
+
 Two independent routes compute all three.  The direct route
 (profile_direct) reads them from one linear scan of (u_l, u_{l+1}), two
 terms a pass by additions alone: a sum that reaches m has m subtracted,
@@ -123,10 +128,8 @@ def profile_direct(m: int) -> PisanoProfile:
     The scan reads u_3 ... u_limit, limit = 6m being even, and u_1 = u_2 = 1
     are no zero for m >= 2.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
     x = y = 1  # u_1, u_2; after a pass's two sums, u_l and u_{l+1}
     alpha = zeros = 0
     limit = _PERIOD_BOUND_FACTOR * m
@@ -151,36 +154,25 @@ def profile_direct(m: int) -> PisanoProfile:
 
 
 def profiles_direct(moduli) -> list[PisanoProfile]:
-    """profile_direct(m) for each of moduli, in their order, with the same
-    values and, if any m raises, the exception of the first such m; but up
-    to _LANES moduli are scanned at once, as the lanes of Python ints.
+    """profile_direct(m) for each of moduli, all m >= 2, in their order,
+    with the same values; but up to _LANES moduli are scanned at once, as
+    the lanes of Python ints.  A modulus below 2 raises ValueError before
+    any lane runs, and a lane past its bound raises profile_direct's
+    AnomalyError as soon as it is seen.
 
     profile_direct stays the one-modulus route: over [2, 3000] one lane
     per call took 3-6 times as long as profile_direct, and the lanes pay
     off only across many moduli."""
     moduli = list(moduli)
-    out: list = [None] * len(moduli)
-    queue = []  # positions of the moduli to scan
-    for j, m in enumerate(moduli):
-        if m >= 2:
-            queue.append(j)
-            continue
-        try:
-            out[j] = profile_direct(m)
-        except ValueError as exc:
-            out[j] = exc
-    if queue:
-        queue.sort(key=moduli.__getitem__)  # popped from the end: descending m
-        _lane_scan(moduli, queue, out)
-    for result in out:
-        if isinstance(result, Exception):
-            raise result
-    return out
+    if not moduli:
+        return []
+    if (low := min(moduli)) < 2:
+        raise ValueError(f"modulus must be >= 2, got {low}")
+    return _lane_scan(moduli)
 
 
-def _lane_scan(moduli: list[int], queue: list[int], out: list) -> None:
-    """The direct scan of moduli[j] >= 2 for each position j of queue, which
-    is sorted by modulus; out[j] gets its profile, or its AnomalyError.
+def _lane_scan(moduli: list[int]) -> list[PisanoProfile]:
+    """The direct profile of each of moduli, all m >= 2, in their order.
 
     Each lane is w = max(m).bit_length() + 2 bits of X and Y, the two
     residues of its modulus, of M, the modulus, and of K, 2^(w-1) - m.  A
@@ -197,8 +189,11 @@ def _lane_scan(moduli: list[int], queue: list[int], out: list) -> None:
     modulus's u_0 and u_{-1}, and takes that modulus in M and K; once none
     is left it is cleared and retired.  A lane that passes its bound, the
     last even term up to _PERIOD_BOUND_FACTOR * m as in profile_direct,
-    fails at its next zero, which comes at the latest one period on.
+    raises at its next zero, which comes at the latest one period on.
     """
+    out: list = [None] * len(moduli)
+    # positions of the moduli left to scan, popped from the end: descending m
+    queue = sorted(range(len(moduli)), key=moduli.__getitem__)
     w = moduli[queue[-1]].bit_length() + 2
     top = w - 1
     lane = (1 << w) - 1
@@ -240,14 +235,12 @@ def _lane_scan(moduli: list[int], queue: list[int], out: list) -> None:
                 j = pos[i]
                 m = moduli[j]
                 if t > last[i]:
-                    out[j] = AnomalyError(f"no period found for m={m} within {factor * m} steps")
-                    Y += (1 - (Y >> shift & lane)) << shift  # to (0, 1)
-                else:
-                    zeros[i] += 1
-                    alpha[i] = alpha[i] or t - base[i]
-                    if Y >> shift & lane != 1:
-                        continue
-                    out[j] = PisanoProfile(m=m, gamma=t - base[i], alpha=alpha[i], upsilon=zeros[i])
+                    raise AnomalyError(f"no period found for m={m} within {factor * m} steps")
+                zeros[i] += 1
+                alpha[i] = alpha[i] or t - base[i]
+                if Y >> shift & lane != 1:
+                    continue
+                out[j] = PisanoProfile(m=m, gamma=t - base[i], alpha=alpha[i], upsilon=zeros[i])
                 if queue:
                     after = load(i, t)
                     M += (after - m) << shift
@@ -258,6 +251,7 @@ def _lane_scan(moduli: list[int], queue: list[int], out: list) -> None:
                     Y -= 1 << shift
                     active ^= low
         X, Y = Y, X
+    return out
 
 
 def pisano_direct(m: int) -> int:
@@ -267,8 +261,6 @@ def pisano_direct(m: int) -> int:
 
 def zero_count_direct(m: int) -> int:
     """Zeros per period counted by direct iteration; test oracle."""
-    if m < 2:
-        raise ValueError(f"zero_count_direct requires m >= 2, got {m}")
     return profile_direct(m).upsilon
 
 
@@ -517,16 +509,12 @@ def _period_from_factors(factors: tuple[tuple[int, int], ...]) -> int:
 def pisano_fast(m: int) -> int:
     """Period of m >= 2 as the lcm of its prime-power periods."""
     if m < 2:
-        raise ValueError(f"pisano_fast requires m >= 2, got {m}")
+        raise ValueError(f"modulus must be >= 2, got {m}")
     return _period_from_factors(factorize(m))
 
 
 def profile(m: int) -> PisanoProfile:
-    """Full (period, rank, zero count) profile of a modulus."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return PisanoProfile(m=1, gamma=1, alpha=1, upsilon=1)
+    """Full (period, rank, zero count) profile of a modulus m >= 2."""
     return _profile_with_period(m, pisano_fast(m))
 
 
@@ -557,13 +545,9 @@ def _prime_zero_count(p: int) -> int:
 
 def rank_of_apparition(m: int) -> int:
     """Least z >= 1 with u_z == 0 mod m: the period over the zero count."""
-    if m < 2:
-        raise ValueError(f"rank_of_apparition requires m >= 2, got {m}")
     return profile(m).alpha
 
 
 def zero_count(m: int) -> int:
     """Zeros of (u_i mod m) per period, one of 1, 2, 4."""
-    if m < 2:
-        raise ValueError(f"zero_count requires m >= 2, got {m}")
     return profile(m).upsilon

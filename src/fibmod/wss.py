@@ -116,8 +116,6 @@ def wss_check(p: int) -> WssRecord:
 
 def self_square_test(m: int) -> SelfSquareRecord:
     """u_{period(m)} mod m^2, flagged when it vanishes."""
-    if m < 2:
-        raise ValueError(f"self-square test needs m >= 2, got {m}")
     gamma = pisano_fast(m)
     residue = fib_pair_mod(gamma, m * m)[0]
     return SelfSquareRecord(m=m, gamma=gamma, residue_mod_m2=residue, divisible=residue == 0)
@@ -413,9 +411,10 @@ def scan_wss(
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
-    if 2 * (hi + 1) >= 2**64:
-        # factorize, which bounds each prime's period, works below 2^64
-        raise ValueError(f"hi = {hi} is out of range: need 2 * (hi + 1) < 2^64")
+    if hi >= 2**64:
+        # primes_in_range works below 2^64, and so does the factoring of
+        # each period bound, which reads only p - chi <= p + 1
+        raise ValueError(f"hi = {hi} is out of range: need hi < 2^64")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if block_size < 1:

@@ -230,8 +230,8 @@ class TestProfileCommand:
         assert doc["output"]["gamma"] == 60
 
     def test_below_two_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "profile", "1")
-        assert code == 1
+        code, out, err = run(capsys, "profile", "1")
+        assert (code, out, err) == (1, "", "fibmod: error: modulus must be >= 2, got 1\n")
 
     def test_prime_just_below_2_64(self, capsys):
         # p = 2^64 - 59 has chi = -1: its period's bound 2 * (p + 1) is past 2^64
@@ -251,6 +251,15 @@ class TestGoodCommand:
         code, doc, _ = run_json(capsys, "good", str(2**64 - 59), "--json")
         assert code == 0
         assert (doc["output"]["is_good"], doc["output"]["method"]) == (True, "both")
+
+    def test_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "good", "1")
+        assert (code, out, err) == (1, "", "fibmod: error: modulus must be >= 2, got 1\n")
+
+    @pytest.mark.parametrize("lo,hi", [(1, 5), (9, 3)])
+    def test_bad_range_is_usage_error(self, capsys, lo, hi):
+        code, out, err = run(capsys, "good", "--range", str(lo), str(hi))
+        assert (code, out, err) == (1, "", f"fibmod: error: need 2 <= lo <= hi, got ({lo}, {hi})\n")
 
     def test_single_even(self, capsys):
         code, doc, _ = run_json(capsys, "good", "6", "--json")
@@ -323,6 +332,24 @@ class TestWssScanCommand:
         assert code == 0
         lines = (tmp_path / "r.jsonl").read_text().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["p"] == 11
+
+    def test_last_prime_below_2_64(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "wss-scan", "--from", "18446744073709551557", "--to", "18446744073709551557",
+            "--checkpoint", str(tmp_path / "ck.json"), "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert (code, err) == (0, "")
+        lines = (tmp_path / "r.jsonl").read_text().splitlines()
+        assert [json.loads(line)["p"] for line in lines] == [2**64 - 59]
+
+    def test_range_past_2_64_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "wss-scan", "--from", str(2**64 - 10), "--to", str(2**64),
+            "--checkpoint", str(tmp_path / "ck.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"fibmod: error: hi = {2**64} is out of range: need hi < 2^64\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, err = run(

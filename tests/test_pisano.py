@@ -10,7 +10,13 @@ import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import factorize, is_prime, primes_in_range, sieve_upto, two_adic_split
-from fibmod.classify import is_good_prime, period_divisor_class, zero_count_period_pattern
+from fibmod.classify import (
+    goodness_report,
+    is_good_direct,
+    is_good_prime,
+    period_divisor_class,
+    zero_count_period_pattern,
+)
 from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod, matrix_pow_mod
 from fibmod.pisano import (
@@ -27,7 +33,7 @@ from fibmod.pisano import (
     zero_count,
     zero_count_direct,
 )
-from fibmod.wss import wss_check
+from fibmod.wss import self_square_test, wss_check
 
 from helpers import (
     binding_calls,
@@ -52,26 +58,30 @@ def _refuse(*args):
 
 
 class TestPisanoDirect:
-    @pytest.mark.parametrize("m,period", [(1, 1), (2, 3), (5, 20), (7, 16), (10, 60)])
+    @pytest.mark.parametrize("m,period", [(2, 3), (5, 20), (7, 16), (10, 60)])
     def test_examples(self, m, period):
         assert pisano_direct(m) == period
 
     def test_matches_scan_oracle(self):
-        for m in range(1, 400):
+        for m in range(2, 400):
             assert pisano_direct(m) == pisano_scan(m)
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            pisano_direct(1)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 0$"):
             pisano_direct(0)
 
 
 class TestProfileDirect:
     def test_matches_scan_oracles(self):
-        for m in [1, *range(2, 3000)]:
+        for m in range(2, 3000):
             prof = profile_direct(m)
             assert (prof.gamma, prof.alpha, prof.upsilon) == (
                 pisano_scan(m), rank_scan(m), zero_scan(m)
             ), m
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            profile_direct(1)
 
     def test_matches_scan_oracles_at_the_top_of_verify_range(self):
         for m in range(9900, 10001):
@@ -104,7 +114,7 @@ class TestProfileDirect:
         assert profile_direct(2).gamma == 3
 
     @pytest.mark.parametrize("m, want", [
-        (1, (1, 1, 1)),
+        (1, ValueError("modulus must be >= 2, got 1")),  # no scan below 2
         (2, (3, 3, 1)),  # zero and return on the first sum of a pass
         (3, (8, 4, 2)),  # both on the second
         (5, (20, 5, 4)),  # first zero on the first sum, return on the second
@@ -112,6 +122,11 @@ class TestProfileDirect:
         (13, (28, 7, 4)),
     ])
     def test_zeros_and_returns_in_both_halves_of_a_pass(self, m, want):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError) as info:
+                profile_direct(m)
+            assert str(info.value) == str(want)
+            return
         prof = profile_direct(m)
         assert (prof.m, prof.gamma, prof.alpha, prof.upsilon) == (m, *want)
 
@@ -124,22 +139,22 @@ class TestProfileDirect:
                 assert zero_count_direct(m) == zero_scan(m), m
 
     def test_rejects_bad_moduli(self):
-        with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 0$"):
             profile_direct(0)
-        with pytest.raises(ValueError, match="zero_count_direct requires m >= 2, got 1"):
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
             zero_count_direct(1)
 
 
 class TestProfilesDirect:
-    # the lane scan against the scalar one, m by m; [1, 3000] refills every
+    # the lane scan against the scalar one, m by m; [2, 3000] refills every
     # lane many times, 9900..10000 fills fewer than _LANES
     @pytest.mark.parametrize("moduli", [
-        range(1, 3001),
+        range(2, 3001),
         range(9900, 10001),
-        random.Random(33).sample(range(1, 2001), 2000),
-        random.Random(34).sample(range(1, 10001), 150),
+        random.Random(33).sample(range(2, 2001), 1999),
+        random.Random(34).sample(range(2, 10001), 150),
         [],
-    ], ids=["1-3000", "9900-10000", "shuffled-1-2000", "shuffled-150", "none"])
+    ], ids=["2-3000", "9900-10000", "shuffled-2-2000", "shuffled-150", "none"])
     def test_equals_profile_direct(self, moduli):
         assert profiles_direct(moduli) == [profile_direct(m) for m in moduli]
 
@@ -148,7 +163,7 @@ class TestProfilesDirect:
         # fewer lanes than moduli: every lane takes a run of moduli, each
         # started on either residue of a pass, repeated moduli included
         monkeypatch.setattr(pisano_module, "_LANES", lanes)
-        moduli = [*range(1, 200), 13, 2, 2, 10, 5, 3, 11, 1250]
+        moduli = [*range(2, 200), 13, 2, 2, 10, 5, 3, 11, 1250]
         assert profiles_direct(moduli) == [profile_direct(m) for m in moduli]
 
     @pytest.mark.parametrize("lanes", [1, 192])
@@ -183,18 +198,33 @@ class TestProfilesDirect:
         assert profiles_direct([2])[0].gamma == 3
 
     def test_rejects_bad_moduli(self):
-        with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        # the smallest modulus is named, wherever it stands
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 0$"):
             profiles_direct([5, 0, 7])
-        with pytest.raises(ValueError, match="modulus must be >= 1, got -3"):
-            profiles_direct([-3, 0])
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got -3$"):
+            profiles_direct([0, -3])
+        with pytest.raises(ValueError, match="^modulus must be >= 2, got 1$"):
+            profiles_direct([1, 2, 3])
 
-    def test_raises_as_the_scalar_loop_would(self, monkeypatch):
-        # the exception is that of the first modulus, in the given order, that raises
+    def test_rejects_a_modulus_below_two_before_any_lane_runs(self, monkeypatch):
+        # 10 would pass its bound, but no lane may start beside a modulus below 2
         monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 5)
-        with pytest.raises(AnomalyError, match="m=10 within 50"):
-            profiles_direct([7, 10, 0])
-        with pytest.raises(ValueError, match="got 0"):
-            profiles_direct([7, 0, 10])
+        def refuse(moduli):
+            raise AssertionError(f"a lane ran for {moduli}")
+
+        monkeypatch.setattr(pisano_module, "_lane_scan", refuse)
+        for moduli in ([7, 10, 0], [7, 0, 10], [1, 10]):
+            with pytest.raises(ValueError, match="^modulus must be >= 2, got [01]$"):
+                profiles_direct(moduli)
+
+    @pytest.mark.parametrize("lanes", [1, 192])
+    def test_bound_anomaly_names_the_failing_lane(self, lanes, monkeypatch):
+        monkeypatch.setattr(pisano_module, "_LANES", lanes)
+        monkeypatch.setattr(pisano_module, "_PERIOD_BOUND_FACTOR", 5)
+        for moduli in ([7, 10, 3], [10, 7, 3], [3, 7, 10]):
+            with pytest.raises(AnomalyError) as info:
+                profiles_direct(moduli)
+            assert str(info.value) == "no period found for m=10 within 50 steps"
 
     def test_reaches_no_fast_route(self):
         with contextlib.ExitStack() as stack:
@@ -515,8 +545,9 @@ class TestZeroCount:
 
 class TestProfile:
     def test_one(self):
-        prof = profile(1)
-        assert (prof.gamma, prof.alpha, prof.upsilon) == (1, 1, 1)
+        with pytest.raises(ValueError) as info:
+            profile(1)
+        assert str(info.value) == "modulus must be >= 2, got 1"
 
     def test_examples(self):
         prof = profile(5)
@@ -609,6 +640,30 @@ def test_period_layer_rejects_non_primes(function, p):
     with pytest.raises(ValueError) as info:
         function(p)
     assert str(info.value) == want
+
+
+_PER_MODULUS_ROUTES = {
+    "pisano_direct": pisano_direct,
+    "zero_count_direct": zero_count_direct,
+    "profile_direct": profile_direct,
+    "profiles_direct": lambda m: profiles_direct([m]),
+    "pisano_fast": pisano_fast,
+    "profile": profile,
+    "rank_of_apparition": rank_of_apparition,
+    "zero_count": zero_count,
+    "self_square_test": self_square_test,
+    "is_good_direct": is_good_direct,
+    "goodness_report": goodness_report,
+}
+
+
+@pytest.mark.parametrize("route", _PER_MODULUS_ROUTES.values(), ids=_PER_MODULUS_ROUTES)
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_per_modulus_routes_share_one_domain(route, m):
+    # m >= 2, the paper's N without {0, 1}, refused in one text on every route
+    with pytest.raises(ValueError) as info:
+        route(m)
+    assert str(info.value) == f"modulus must be >= 2, got {m}"
 
 
 def test_memo_caches_are_bounded():

@@ -136,6 +136,29 @@ def test_compat_passes_this_interpreter_and_fails_a_missing_one(tmp_path):
     assert failed.startswith(f"FAIL {missing} (?): ")
 
 
+def test_compat_scans_the_top_of_the_domain(monkeypatch):
+    # wss-scan of [2^64 - 100, 2^64 - 1] must exit 0 and write its 3 primes' lines
+    compat = _load_tool(COMPAT)
+    real_run, scans, drop = compat._run, [], []
+
+    def run(python, *args):
+        if args[0] == "-c":  # the audit suites, run by the test above
+            return subprocess.CompletedProcess(args, 0, stdout="3.x\n", stderr="")
+        done = real_run(python, *args)
+        span = (args[args.index("--from") + 1], args[args.index("--to") + 1])
+        scans.append(span)
+        if drop and span[0] == str(2**64 - 100):
+            out = pathlib.Path(args[args.index("--out") + 1])
+            out.write_bytes(b"".join(out.read_bytes().splitlines(keepends=True)[:2]))
+        return done
+
+    monkeypatch.setattr(compat, "_run", run)
+    assert compat.check(sys.executable) == ("3.x", None)
+    assert scans == [("2", "30000"), ("2", "30000"), (str(2**64 - 100), str(2**64 - 1))]
+    drop.append(True)
+    assert compat.check(sys.executable) == ("3.x", "wss-scan below 2^64 wrote 2 results lines, not 3")
+
+
 def test_bench_pairs_imports_only_the_stdlib():
     assert _import_roots(PAIRS) <= set(sys.stdlib_module_names)
 
@@ -145,11 +168,15 @@ def _summary(wall_s, throughput, correct=True, failed=0, child_rss=0.0):
     return {"correct": correct, "failed": failed, "metrics": metrics, "pool_child_rss_mib": child_rss}
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+def _load_tool(path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+def _bench_pairs():
+    return _load_tool(PAIRS)
 
 
 def test_bench_pairs_summary_on_canned_numbers():

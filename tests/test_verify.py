@@ -104,7 +104,24 @@ def test_rank_and_zero_count_audited_against_direct_scan():
     assert results["fast-period-equals-direct"].passed
     structure = results["period-is-zerocount-times-rank"]
     assert not structure.passed
-    assert structure.failures[0].startswith("m=5 ")
+    assert structure.failures == (
+        "m=5 profile=PisanoProfile(m=5, gamma=20, alpha=10, upsilon=2) "
+        "direct=PisanoProfile(m=5, gamma=20, alpha=5, upsilon=4)",
+    )
+
+
+def test_passing_structure_checks_format_no_profile():
+    # the failure detail, two dataclass reprs, is built only for a failure
+    class Unprintable(PisanoProfile):
+        def __repr__(self):
+            raise AssertionError(f"formatted the profile of m={self.m}")
+
+    real_profile = pisano_module.profile
+    with mock.patch.object(pisano_module, "profile", lambda m: Unprintable(*dataclasses.astuple(real_profile(m)))):
+        results = {r.name: r for r in suite_pisano(300)}
+    assert results["period-is-zerocount-times-rank"] == verify_module.PropertyResult(
+        "period-is-zerocount-times-rank", True, 299, ()
+    )
 
 
 def _formula_wrong_at_45_and_121_raising_at_91(m):

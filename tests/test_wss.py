@@ -16,7 +16,7 @@ import fibmod.wss as wss_module
 from fibmod import arith
 from fibmod.arith import factorize, is_prime, sieve_upto, two_adic_split
 from fibmod.errors import CheckpointError
-from fibmod.fib import fib_pair_mod
+from fibmod.fib import fib_pair_mod, matrix_pow_mod
 from fibmod.pisano import pisano_fast, prime_period
 from fibmod.wss import (
     ScanCheckpoint,
@@ -454,9 +454,21 @@ class TestScan:
     def test_out_of_domain_range_rejected_up_front(self, tmp_path):
         ck = tmp_path / "ck.json"
         out = tmp_path / "res.jsonl"
-        with pytest.raises(ValueError, match="out of range"):
-            scan_wss(2**63, 2**63 + 100, checkpoint_path=str(ck), results_path=str(out))
+        with pytest.raises(ValueError, match=r"^hi = 18446744073709551616 is out of range: need hi < 2\^64$"):
+            scan_wss(2**64 - 10, 2**64, checkpoint_path=str(ck), results_path=str(out))
         assert list(tmp_path.iterdir()) == []
+
+    def test_scans_the_last_primes_below_2_64(self, tmp_path):
+        # a chi = -1 bound 2 * (p + 1) passes 2^64; the scan factors only p + 1
+        out = tmp_path / "res.jsonl"
+        ck = scan_wss(2**64 - 100, 2**64 - 1, checkpoint_path=str(tmp_path / "ck.json"),
+                      results_path=str(out))
+        assert (ck.last_completed, ck.hits, ck.anomaly_count) == (2**64 - 1, (), 0)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [2**64 - r["p"] for r in records] == [95, 83, 59]
+        for r in records:
+            assert r["residue"] == matrix_pow_mod(r["index"], r["p"] ** 2).u_cur != 0, r
+            assert not r["is_wss"]
 
     def test_fresh_scan_starts_results_empty(self, tmp_path):
         out = tmp_path / "res.jsonl"

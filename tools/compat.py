@@ -5,7 +5,9 @@ For each interpreter, with PYTHONPATH set to this checkout's src:
 
   * run_suites("all", 2000) must pass every property;
   * wss-scan of [2, 30000] with --jobs 1 and with --jobs 2 must exit 0 and
-    leave byte-identical checkpoints (modulo wall time) and results files.
+    leave byte-identical checkpoints (modulo wall time) and results files;
+  * wss-scan of [2^64 - 100, 2^64 - 1], the top of the scan's domain, must
+    exit 0 and write the results lines of its 3 primes.
 
 Prints one PASS or FAIL line per interpreter and exits 1 on any FAIL.
 Needs only the standard library, in this interpreter and in each tested one.
@@ -24,6 +26,8 @@ import tempfile
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 VERIFY_MAX = 2000
 SCAN_HI = 30_000
+TOP = (2**64 - 100, 2**64 - 1)  # holds the primes 2^64 - 95, - 83 and - 59
+TOP_PRIMES = 3
 TIMEOUT_S = 600
 
 # prints the interpreter's version, then exits non-zero naming any failed property
@@ -62,11 +66,19 @@ def check(python: str) -> tuple[str, str | None]:
                 return version, _failed(f"wss-scan --jobs {jobs}", done)
             checkpoint = re.sub(rb'"wall_time_seconds": [0-9.eE+-]+', b"", ck.read_bytes())
             outputs.append((checkpoint, out.read_bytes()))
+        ck, out = pathlib.Path(tmp, "ck-top.json"), pathlib.Path(tmp, "res-top.jsonl")
+        done = _run(python, "-m", "fibmod.cli", "wss-scan", "--from", str(TOP[0]), "--to", str(TOP[1]),
+                    "--checkpoint", str(ck), "--out", str(out))
+        if done.returncode != 0:
+            return version, _failed("wss-scan below 2^64", done)
+        top_lines = len(out.read_bytes().splitlines())
     (ck1, res1), (ck2, res2) = outputs
     if ck1 != ck2:
         return version, "--jobs 1 and --jobs 2 checkpoints differ"
     if res1 != res2:
         return version, "--jobs 1 and --jobs 2 results differ"
+    if top_lines != TOP_PRIMES:
+        return version, f"wss-scan below 2^64 wrote {top_lines} results lines, not {TOP_PRIMES}"
     return version, None
 
 
