@@ -17,27 +17,30 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 
 _ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its parent is alive
 
 
 @contextmanager
 def ordered_map(fn, items, workers: int, depth: int, lock=None):
-    """fn of each item in item order: map here if workers <= 1, else a forked
-    pool given the first depth items on entry and one more as each result
-    is read, so memory stays bounded; lock, the open file of a lock that
-    this process holds, is closed in each worker."""
-    if workers <= 1:
-        yield map(fn, items)
+    """fn of each item in item order: map here if workers <= 1, or if there
+    is at most one item, else a forked pool of at most one worker per item
+    in flight, given the first depth items on entry and one more as each
+    result is read, so memory stays bounded; lock, the open file of a lock
+    that this process holds, is closed in each worker."""
+    items = iter(items)
+    # a forked pool starts all its workers at once: no more than there are items
+    first = list(islice(items, min(workers, depth))) if workers > 1 else []
+    if len(first) <= 1:
+        yield map(fn, chain(first, items))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     held = None if lock is None else lock.fileno()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+    with ProcessPoolExecutor(len(first), mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(), held)) as pool:
-        items = iter(items)
-        pending = deque(pool.submit(fn, item) for item in islice(items, depth))
+        pending = deque(pool.submit(fn, item) for item in chain(first, islice(items, depth - len(first))))
 
         def results():
             while pending:

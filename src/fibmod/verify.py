@@ -107,10 +107,8 @@ def _direct_scans(moduli):
     is dropped once it is read.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
-    # a forked pool starts all its workers at once: no more than there are chunks
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
     chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
-    with ordered_map(_scan_chunk, chunks, workers, len(starts)) as scanned:
+    with ordered_map(_scan_chunk, chunks, len(os.sched_getaffinity(0)), len(starts)) as scanned:
         yield zip(moduli, _profiles(scanned), strict=True)
 
 

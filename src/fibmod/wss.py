@@ -15,11 +15,14 @@ m = 12; enumerate_self_square reproduces that at desk scale.
 
 scan_wss walks a prime range in fixed-size blocks: here with one worker,
 else on a pool with at most 2 * workers blocks in flight, whose queued
-blocks an early exit, Ctrl-C among them, cancels.  Results are merged in
-ascending block order, and one process, holding a flock on
-<checkpoint>.lock, writes the checkpoint, so scans are deterministic and
-resumable: identical ranges yield byte-identical checkpoints (modulo wall
-time) regardless of worker count or interruption pattern.  chi = (p/5) and
+blocks an early exit, Ctrl-C among them, cancels.  Every scan is a resume:
+a fresh one from nothing done, a resumed or finished one from its
+checkpoint, once its results file's last line up to there is that of the
+last prime there.  The blocks' records, merged in ascending order, fold
+into one ScanCheckpoint, which one process, holding a flock on
+<checkpoint>.lock, writes, so scans are deterministic and resumable:
+identical ranges yield byte-identical checkpoints (modulo wall time)
+regardless of worker count or interruption pattern.  chi = (p/5) and
 every period come from pisano.  The scan's own process sieves a window of
 whole blocks at a time, at least min(isqrt(hi), 2**20) wide and capped at
 hi, with every prime up to min(isqrt(window hi), 2**20)
@@ -40,7 +43,7 @@ import os
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .arith import _prime_window, _sieve_base, is_prime, two_adic_split
 from .errors import AnomalyError, CheckpointError
@@ -249,22 +252,11 @@ def _write_checkpoint(path: str, ck: ScanCheckpoint) -> None:
     _fsync_directory(path)
 
 
-_CHECKPOINT_FIELDS = {
-    "range_lo": int,
-    "range_hi": int,
-    "last_completed": int,
-    "hits": list,
-    "anomaly_count": int,
-    "wall_time_seconds": (int, float),
-}
-
-# each hit's fields with the types WssRecord declares
-_HIT_FIELDS = {f.name: {"int": int, "bool": bool}[f.type] for f in fields(WssRecord)}
-
-
-def _is(value, kind) -> bool:
-    """isinstance(value, kind), where a bool is no int."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+# the types json.load may give for each field type that a checkpoint holds,
+# matched exactly: a bool is no int, but an int may stand for a float
+_JSON_KINDS = {"int": (int,), "bool": (bool,), "float": (int, float), "tuple[WssRecord, ...]": (list,)}
+_CHECKPOINT_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(ScanCheckpoint)}
+_HIT_FIELDS = {f.name: _JSON_KINDS[f.type] for f in fields(WssRecord)}
 
 
 def _scanned_hit(h, lo: int, last: int) -> bool:
@@ -272,7 +264,7 @@ def _scanned_hit(h, lo: int, last: int) -> bool:
     written: WssRecord's fields with their types, for a prime p in range,
     whose symbol, index and agreement follow from p and its residues."""
     if not (isinstance(h, dict) and h.keys() == _HIT_FIELDS.keys()
-            and all(_is(h[field], kind) for field, kind in _HIT_FIELDS.items())):
+            and all(type(h[field]) in kinds for field, kinds in _HIT_FIELDS.items())):
         return False
     p, chi = h["p"], h["legendre5"]
     return (
@@ -292,29 +284,26 @@ def load_checkpoint(path: str) -> ScanCheckpoint:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CheckpointError(f"checkpoint {path} is not an object")
-    for field, kind in _CHECKPOINT_FIELDS.items():
-        if field not in raw or not _is(raw[field], kind):
+    for field, kinds in _CHECKPOINT_FIELDS.items():
+        if field not in raw or type(raw[field]) not in kinds:
             raise CheckpointError(f"checkpoint {path} missing or invalid field {field!r}")
-    values = {field: raw[field] for field in _CHECKPOINT_FIELDS}
-    lo, last, hits = values["range_lo"], values["last_completed"], values["hits"]
+    ck = ScanCheckpoint(**{field: raw[field] for field in _CHECKPOINT_FIELDS})
     # a scan writes each hit once, in p order
-    if not (all(_scanned_hit(h, lo, last) for h in hits)
-            and all(a["p"] < b["p"] for a, b in zip(hits, hits[1:]))):
+    if not (all(_scanned_hit(h, ck.range_lo, ck.last_completed) for h in ck.hits)
+            and all(a["p"] < b["p"] for a, b in zip(ck.hits, ck.hits[1:]))):
         raise CheckpointError(f"checkpoint {path} carries malformed hit records")
-    values["hits"] = tuple(WssRecord(**h) for h in hits)
-    values["wall_time_seconds"] = float(values["wall_time_seconds"])
     # json.load takes NaN and Infinity, which json.dumps would write back bare
-    if values["anomaly_count"] < 0 or not 0 <= values["wall_time_seconds"] < math.inf:
+    if ck.anomaly_count < 0 or not 0 <= ck.wall_time_seconds < math.inf:
         raise CheckpointError(
             f"checkpoint {path} carries a negative count or a negative or non-finite time"
         )
-    ck = ScanCheckpoint(**values)
     if not ck.range_lo <= ck.last_completed <= ck.range_hi:
         raise CheckpointError(
             f"checkpoint {path} progress {ck.last_completed} outside "
             f"[{ck.range_lo}, {ck.range_hi}]"
         )
-    return ck
+    return replace(ck, hits=tuple(WssRecord(**h) for h in ck.hits),
+                   wall_time_seconds=float(ck.wall_time_seconds))
 
 
 def _result_line(record: WssRecord) -> str:
@@ -334,7 +323,13 @@ def _append_results(path: str, records: list[WssRecord]) -> None:
         os.fsync(fh.fileno())
 
 
-def _trim_results(path: str, last_completed: int) -> None:
+def _last_prime(lo: int, frontier: int) -> int | None:
+    """The largest prime of [lo, frontier], or None: the p of a results file's
+    last line up to the frontier.  Below 2**64 a prime gap is under 1,550."""
+    return next((n for n in range(frontier, lo - 1, -1) if is_prime(n)), None)
+
+
+def _trim_results(path: str, lo: int, last_completed: int) -> None:
     """Cut the result lines beyond the checkpointed frontier (re-scanned on resume).
 
     The file is cut in place, at its first line past the frontier, so a
@@ -342,28 +337,47 @@ def _trim_results(path: str, last_completed: int) -> None:
     streamed, not held in memory.  A final fragment without a newline is a
     torn append, which lies past the frontier, and is cut.  Every complete
     line is parsed, and an unreadable one raises CheckpointError: cutting it
-    would lose a prime that the resumed scan never visits again.  So does a
-    missing file, which would lack every line up to the frontier.
+    would lose a prime that the resumed scan never visits again.  So does,
+    before any cut, a file that lacks lines up to the frontier: one missing,
+    or whose last line kept is not that of the largest prime of [lo, last_completed].
     """
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
         raise _missing_results(path, last_completed) from None
     with fh:
-        size, past = 0, False
+        size, past, kept = 0, False, None
         for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
             try:
-                past |= json.loads(line)["p"] > last_completed
+                p = json.loads(line)["p"]
+                past |= p > last_completed
             except (ValueError, KeyError, TypeError) as exc:
                 raise CheckpointError(
                     f"results file {path} line {number} is unreadable: {exc}"
                 ) from exc
             if not past:
-                size += len(line)
+                size, kept = size + len(line), p
+        if kept != _last_prime(lo, last_completed):
+            raise _missing_results(path, last_completed)
         fh.truncate(size)
         os.fsync(fh.fileno())
+
+
+def _check_last_result(path: str, lo: int, hi: int) -> None:
+    """Refuse a finished scan's results file unless its last line is that of
+    the largest prime of [lo, hi], or it is empty where [lo, hi] holds no
+    prime.  Only the file's last 512 bytes are read: a results line is shorter."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 512, 0))
+            *_, line, torn = (b"\n" + fh.read()).split(b"\n")
+        whole = not torn and (json.loads(line)["p"] if line else None) == _last_prime(lo, hi)
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        whole = False
+    if not whole:
+        raise _missing_results(path, hi)
 
 
 def _missing_results(path: str, frontier: int) -> CheckpointError:
@@ -404,10 +418,11 @@ def scan_wss(
 ) -> ScanCheckpoint:
     """Test every prime in [lo, hi] for the Wall-Sun-Sun property.
 
-    Progress is checkpointed after every completed block; a scan pointed at
-    an existing checkpoint for the same range resumes where it left off, or
-    returns it if it is complete, and then its results file, if it names
-    one, must exist and hold the lines up to there.
+    A fresh scan resumes from nothing done; a scan pointed at an existing
+    checkpoint for the same range resumes where it left off, or returns it
+    unchanged if it is complete.  Either way its results file, if it names
+    one, must exist and end, up to the checkpoint, with the line of the
+    largest prime there.  Progress is checkpointed after every block.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
@@ -421,49 +436,32 @@ def scan_wss(
         raise ValueError(f"block_size must be >= 1, got {block_size}")
 
     with _scan_lock(checkpoint_path) as lock:
-        start = lo
-        hits: list[WssRecord] = []
-        anomalies = 0
-        prev_wall = 0.0
+        ck = ScanCheckpoint(lo, hi, lo - 1, (), 0, 0.0)
         if os.path.exists(checkpoint_path):
-            previous = load_checkpoint(checkpoint_path)
-            if (previous.range_lo, previous.range_hi) != (lo, hi):
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_path} covers "
-                    f"[{previous.range_lo}, {previous.range_hi}], not [{lo}, {hi}]"
-                )
-            if previous.last_completed >= hi:
-                if results_path and not os.path.exists(results_path):
-                    raise _missing_results(results_path, hi)
-                return previous
-            start = previous.last_completed + 1
-            hits = list(previous.hits)
-            anomalies = previous.anomaly_count
-            prev_wall = previous.wall_time_seconds
-            if results_path:
-                _trim_results(results_path, previous.last_completed)
+            ck = load_checkpoint(checkpoint_path)
+            if (ck.range_lo, ck.range_hi) != (lo, hi):
+                raise CheckpointError(f"checkpoint {checkpoint_path} covers "
+                                      f"[{ck.range_lo}, {ck.range_hi}], not [{lo}, {hi}]")
+            if results_path and ck.last_completed < hi:
+                _trim_results(results_path, lo, ck.last_completed)
+            elif results_path:
+                _check_last_result(results_path, lo, hi)
         elif results_path:
             # a fresh scan owns the results file from its first line
             open(results_path, "w", encoding="utf-8").close()
 
-        began = time.perf_counter()
-        blocks = _blocks(start, hi, block_size)
-        # a forked pool starts all its workers at once: no more than there are blocks
-        workers = min(workers, len(range(start, hi + 1, block_size)))
-        # blocks come back in block order: merged output is worker-count invariant
+        mark = time.perf_counter()
+        blocks = _blocks(ck.last_completed + 1, hi, block_size)
+        # blocks come back in block order: merged output is worker-count invariant;
+        # a finished checkpoint has no block left, and comes back as it was
         with ordered_map(_scan_block, blocks, workers, 2 * workers, lock) as scanned:
             for block_hi, records in scanned:
                 if results_path:
                     _append_results(results_path, records)
-                hits.extend(r for r in records if r.is_wss)
-                anomalies += sum(1 for r in records if not r.criteria_agree)
-                ck = ScanCheckpoint(
-                    range_lo=lo,
-                    range_hi=hi,
-                    last_completed=block_hi,
-                    hits=tuple(hits),
-                    anomaly_count=anomalies,
-                    wall_time_seconds=prev_wall + (time.perf_counter() - began),
-                )
+                previous, mark = mark, time.perf_counter()
+                ck = replace(ck, last_completed=block_hi,
+                             hits=ck.hits + tuple(r for r in records if r.is_wss),
+                             anomaly_count=ck.anomaly_count + sum(not r.criteria_agree for r in records),
+                             wall_time_seconds=ck.wall_time_seconds + (mark - previous))
                 _write_checkpoint(checkpoint_path, ck)
         return ck

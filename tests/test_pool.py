@@ -85,3 +85,13 @@ def test_a_clean_exit_does_not_cancel(counted, monkeypatch):
     with ordered_map(_logged_square, range(10), 2, 4) as results:
         assert sum(results) == sum(x * x for x in range(10))
     assert _ShutdownLog.shutdowns == [False]
+
+
+@pytest.mark.parametrize("items, depth, pools, workers",
+                         [(3, 16, 1, 3), (1, 16, 0, 0), (0, 16, 0, 0), (10, 2, 1, 2)])
+def test_a_pool_starts_no_more_workers_than_items_in_flight(items, depth, pools, workers, counted):
+    # a forked pool starts every worker it is given at its first submit
+    with ordered_map(_logged_square, iter(range(items)), 8, depth) as results:
+        assert list(results) == [x * x for x in range(items)]
+    assert (counted.pools, counted.max_workers) == (pools, workers)
+    assert counted.peak == min(items, depth) * pools

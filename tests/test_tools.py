@@ -154,9 +154,38 @@ def test_compat_scans_the_top_of_the_domain(monkeypatch):
 
     monkeypatch.setattr(compat, "_run", run)
     assert compat.check(sys.executable) == ("3.x", None)
-    assert scans == [("2", "30000"), ("2", "30000"), (str(2**64 - 100), str(2**64 - 1))]
+    # --jobs 1, --jobs 2, the finished scan's two re-runs, then the top
+    assert scans == [("2", "30000")] * 4 + [(str(2**64 - 100), str(2**64 - 1))]
     drop.append(True)
     assert compat.check(sys.executable) == ("3.x", "wss-scan below 2^64 wrote 2 results lines, not 3")
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("rewrite", "a finished wss-scan's re-run changed its files"),
+    ("accept", "a finished wss-scan's re-run with its results emptied exited 0, not 2"),
+])
+def test_compat_reruns_the_finished_scan(monkeypatch, fault, problem):
+    # the re-run must leave both files byte-identical, and refuse (exit 2)
+    # once its results file is emptied
+    compat = _load_tool(COMPAT)
+    real_run, codes = compat._run, []
+
+    def run(python, *args):
+        if args[0] == "-c":
+            return subprocess.CompletedProcess(args, 0, stdout="3.x\n", stderr="")
+        done = real_run(python, *args)
+        codes.append(done.returncode)
+        out = pathlib.Path(args[args.index("--out") + 1])
+        if len(codes) == 3 and fault == "rewrite":
+            out.write_bytes(out.read_bytes() + b"\n")
+        if len(codes) == 4 and fault == "accept":
+            return subprocess.CompletedProcess(args, 0, stdout="", stderr="")
+        return done
+
+    monkeypatch.setattr(compat, "_run", run)
+    assert compat.check(sys.executable) == ("3.x", problem)
+    # the real re-runs: the first exits 0, the emptied one 2
+    assert codes == ([0, 0, 0] if fault == "rewrite" else [0, 0, 0, 2])
 
 
 def test_bench_pairs_imports_only_the_stdlib():

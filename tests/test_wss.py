@@ -356,6 +356,36 @@ class TestScan:
             with pytest.raises(CheckpointError, match="invalid field|malformed hit records"):
                 load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ScanCheckpoint)])
+    def test_each_checkpoint_field_must_be_there_with_its_json_kind(self, tmp_path, field):
+        path = tmp_path / "ck.json"
+        scan_wss(2, 300, checkpoint_path=str(path), block_size=100)
+        good = json.loads(path.read_text())
+        # a bool where an int belongs, a string, and a list (or, for hits, a number) in place of the value
+        wrong = [True, "1", 1 if field == "hits" else [1]]
+        docs = [{k: v for k, v in good.items() if k != field}] + [{**good, field: value} for value in wrong]
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=f"missing or invalid field '{field}'$"):
+                load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(WssRecord)])
+    def test_each_hit_field_must_be_there_with_its_json_kind(self, tmp_path, field):
+        path = tmp_path / "ck.json"
+        scan_wss(2, 300, checkpoint_path=str(path), block_size=100)
+        hit = {"p": 11, "legendre5": 1, "index": 10, "residue_fib_index_mod_p2": 0,
+               "residue_fib_gamma_mod_p2": 0, "is_wss": True, "criteria_agree": True}
+        good = {**json.loads(path.read_text()), "hits": [hit]}
+        path.write_text(json.dumps(good))
+        assert load_checkpoint(str(path)).hits == (WssRecord(**hit),)
+        # a bool is the wrong kind for every int field, and an int for every bool field
+        wrong = [1 if isinstance(hit[field], bool) else True, str(hit[field]), [hit[field]]]
+        hits = [{k: v for k, v in hit.items() if k != field}] + [{**hit, field: value} for value in wrong]
+        for bad in hits:
+            path.write_text(json.dumps({**good, "hits": [bad]}))
+            with pytest.raises(CheckpointError, match="malformed hit records$"):
+                load_checkpoint(str(path))
+
     def test_checkpoint_counts_and_times_must_be_finite_and_not_negative(self, tmp_path):
         path = tmp_path / "ck.json"
         scan_wss(2, 300, checkpoint_path=str(path), block_size=100)
@@ -450,6 +480,55 @@ class TestScan:
             scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out))
         assert ck.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == ["ck.json", "ck.json.lock"]
+
+    @pytest.mark.parametrize("kept", ["first-3", "first-3-and-orphans"])
+    def test_a_resume_refuses_a_results_file_that_lost_its_tail(self, tmp_path, kept):
+        # a valid crash state at 200, but the lines of 7 ... 199 are gone
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        ck.write_text(json.dumps({**json.loads(ck.read_text()), "last_completed": 200}))
+        lines = out.read_bytes().splitlines(keepends=True)
+        # orphans past the frontier show that the refusal comes before any cut
+        orphans = [line for line in lines if json.loads(line)["p"] > 200] if kept.endswith("orphans") else []
+        out.write_bytes(b"".join(lines[:3] + orphans))
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 200$"):
+            scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+    @pytest.mark.parametrize("cut", ["emptied", "first-3", "torn-last-line"])
+    def test_a_finished_scan_refuses_a_results_file_that_lost_its_tail(self, tmp_path, cut):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        data = out.read_bytes()
+        out.write_bytes({"emptied": b"", "first-3": b"".join(data.splitlines(keepends=True)[:3]),
+                         "torn-last-line": data[:-5]}[cut])
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 300$"):
+            scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+    def test_a_range_with_no_prime_up_to_its_frontier_keeps_an_empty_file(self, tmp_path):
+        # [24, 28] holds no prime: its results file is rightly empty
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        partial = interrupted_scan(24, 28, blocks=1, checkpoint_path=str(ck), results_path=str(out),
+                                   block_size=2)
+        assert partial.last_completed == 25 and out.read_bytes() == b""
+        done = scan_wss(24, 28, checkpoint_path=str(ck), results_path=str(out), block_size=2)
+        assert done.last_completed == 28 and out.read_bytes() == b""
+        assert scan_wss(24, 28, checkpoint_path=str(ck), results_path=str(out), block_size=2) == done
+        assert out.read_bytes() == b""
+
+    def test_a_finished_scan_reruns_with_no_pool_and_leaves_its_files_alone(self, tmp_path, monkeypatch):
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        first = scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        before = ck.read_bytes(), out.read_bytes()
+        monkeypatch.setattr(CountingExecutor, "pools", 0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+        again = scan_wss(2, 300, workers=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert CountingExecutor.pools == 0
+        assert (ck.read_bytes(), out.read_bytes()) == before
+        assert again == first
 
     def test_out_of_domain_range_rejected_up_front(self, tmp_path):
         ck = tmp_path / "ck.json"

@@ -6,6 +6,8 @@ For each interpreter, with PYTHONPATH set to this checkout's src:
   * run_suites("all", 2000) must pass every property;
   * wss-scan of [2, 30000] with --jobs 1 and with --jobs 2 must exit 0 and
     leave byte-identical checkpoints (modulo wall time) and results files;
+  * that finished scan, re-run, must exit 0 and leave both files
+    byte-identical, and re-run with its results file emptied must exit 2;
   * wss-scan of [2^64 - 100, 2^64 - 1], the top of the scan's domain, must
     exit 0 and write the results lines of its 3 primes.
 
@@ -60,12 +62,24 @@ def check(python: str) -> tuple[str, str | None]:
         outputs = []
         for jobs in (1, 2):
             ck, out = pathlib.Path(tmp, f"ck{jobs}.json"), pathlib.Path(tmp, f"res{jobs}.jsonl")
-            done = _run(python, "-m", "fibmod.cli", "wss-scan", "--from", "2", "--to", str(SCAN_HI),
-                        "--jobs", str(jobs), "--checkpoint", str(ck), "--out", str(out))
+            scan = ("-m", "fibmod.cli", "wss-scan", "--from", "2", "--to", str(SCAN_HI),
+                    "--jobs", str(jobs), "--checkpoint", str(ck), "--out", str(out))
+            done = _run(python, *scan)
             if done.returncode != 0:
                 return version, _failed(f"wss-scan --jobs {jobs}", done)
             checkpoint = re.sub(rb'"wall_time_seconds": [0-9.eE+-]+', b"", ck.read_bytes())
             outputs.append((checkpoint, out.read_bytes()))
+        finished = ck.read_bytes(), out.read_bytes()
+        done = _run(python, *scan)
+        if done.returncode != 0:
+            return version, _failed("a finished wss-scan's re-run", done)
+        if (ck.read_bytes(), out.read_bytes()) != finished:
+            return version, "a finished wss-scan's re-run changed its files"
+        out.write_bytes(b"")
+        done = _run(python, *scan)
+        if done.returncode != 2:
+            return version, (f"a finished wss-scan's re-run with its results emptied "
+                             f"exited {done.returncode}, not 2")
         ck, out = pathlib.Path(tmp, "ck-top.json"), pathlib.Path(tmp, "res-top.jsonl")
         done = _run(python, "-m", "fibmod.cli", "wss-scan", "--from", str(TOP[0]), "--to", str(TOP[1]),
                     "--checkpoint", str(ck), "--out", str(out))
