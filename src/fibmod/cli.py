@@ -30,7 +30,7 @@ from dataclasses import asdict
 
 from . import classify, pisano, verify, wss
 from .errors import AnomalyError, CheckpointError
-from .fib import fib_exact, fib_pair_mod
+from .fib import fib_exact, fib_pair_mod, matrix_pow_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,6 +92,11 @@ def _cmd_fib(args):
         output = {"n": args.n, "value": value}
     else:
         value = fib_pair_mod(args.n, args.mod)[0]
+        # computed twice: by fast doubling, then by powering the step matrix
+        twin = matrix_pow_mod(args.n, args.mod).u_cur
+        if twin != value:
+            raise AnomalyError(f"u_{args.n} mod {args.mod}: fast doubling gives {value}, "
+                               f"matrix powering {twin}")
         output = {"n": args.n, "mod": args.mod, "value": value}
     # the value, not its text: main prints it with int-to-str unlimited
     return {"n": args.n, "mod": args.mod}, output, value, EXIT_OK

@@ -17,21 +17,21 @@ scan_wss walks a prime range in fixed-size blocks: here with one worker,
 else on a pool with at most 2 * workers blocks in flight, whose queued
 blocks an early exit, Ctrl-C among them, cancels.  Every scan is a resume:
 a fresh one from nothing done, a resumed or finished one from its
-checkpoint, once its results file's last line up to there is that of the
-last prime there.  The blocks' records, merged in ascending order, fold
-into one ScanCheckpoint, which one process, holding a flock on
-<checkpoint>.lock, writes, so scans are deterministic and resumable:
-identical ranges yield byte-identical checkpoints (modulo wall time)
-regardless of worker count or interruption pattern.  chi = (p/5) and
-every period come from pisano.  The scan's own process sieves a window of
-whole blocks at a time, at least min(isqrt(hi), 2**20) wide and capped at
-hi, with every prime up to min(isqrt(window hi), 2**20)
-(arith._prime_window), so below 1.1e12 no scanned prime needs a
-Miller-Rabin proof; each block goes to _scan_block with its primes, read
-from the window's flags as the block is made.  A block's primes are
-checked inside pisano._block_facts, which holds the factors of every
-prime's period bound and each (p/5) = +1 prime's root of 5 for the block's
-checks alone.
+checkpoint, once each line of its results file matches _RESULT_LINE and
+the last up to there is that of the last prime there.  The blocks'
+records, merged in ascending order, fold into one ScanCheckpoint, which
+one process, holding a flock on <checkpoint>.lock, writes, so scans are
+deterministic and resumable: identical ranges yield byte-identical
+checkpoints (modulo wall time) regardless of worker count or interruption
+pattern.  chi = (p/5) and every period come from pisano.  The scan's own
+process sieves a window of whole blocks at a time, at least
+min(isqrt(hi), 2**20) wide and capped at hi, with every prime up to
+min(isqrt(window hi), 2**20) (arith._prime_window), so below 1.1e12 no
+scanned prime needs a Miller-Rabin proof; each block goes to _scan_block
+with its primes, read from the window's flags as the block is made.  A
+block's primes are checked inside pisano._block_facts, which holds the
+factors of every prime's period bound and each (p/5) = +1 prime's root of
+5 for the block's checks alone.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import fcntl
 import json
 import math
 import os
+import re
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
@@ -314,6 +315,15 @@ def _result_line(record: WssRecord) -> str:
     )
 
 
+# the one grammar of a results line, as _result_line writes it, with p and
+# the index below 2**64 (20 digits) and the residue below p**2 (39); group 1
+# is p, and ^ and $ pin each match to one whole line of a chunk
+_RESULT_LINE = re.compile(
+    rb'^\{"p": ([1-9][0-9]{0,19}), "legendre5": (?:-1|0|1), "index": [1-9][0-9]{0,19}, '
+    rb'"residue": (?:0|[1-9][0-9]{0,38}), "is_wss": (?:true|false)\}$', re.MULTILINE)
+_CHUNK = 1 << 20  # bytes read at a time: far more than a results line
+
+
 def _append_results(path: str, records: list[WssRecord]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for record in records:
@@ -323,67 +333,57 @@ def _append_results(path: str, records: list[WssRecord]) -> None:
         os.fsync(fh.fileno())
 
 
-def _last_prime(lo: int, frontier: int) -> int | None:
-    """The largest prime of [lo, frontier], or None: the p of a results file's
-    last line up to the frontier.  Below 2**64 a prime gap is under 1,550."""
-    return next((n for n in range(frontier, lo - 1, -1) if is_prime(n)), None)
+def _resume_results(path: str, ck: ScanCheckpoint) -> None:
+    """Check the results file of checkpoint ck; on a resume, cut the lines past
+    its frontier, which the resumed scan writes again.
 
-
-def _trim_results(path: str, lo: int, last_completed: int) -> None:
-    """Cut the result lines beyond the checkpointed frontier (re-scanned on resume).
-
-    The file is cut in place, at its first line past the frontier, so a
-    resume writes no copy and needs no free disk for one; the file is
-    streamed, not held in memory.  A final fragment without a newline is a
-    torn append, which lies past the frontier, and is cut.  Every complete
-    line is parsed, and an unreadable one raises CheckpointError: cutting it
-    would lose a prime that the resumed scan never visits again.  So does,
-    before any cut, a file that lacks lines up to the frontier: one missing,
-    or whose last line kept is not that of the largest prime of [lo, last_completed].
+    One forward pass over chunks cut at newlines matches every complete line
+    against _RESULT_LINE.  A line that fails, or a run of more than a chunk
+    without a newline, raises CheckpointError naming its line: cutting it
+    would lose a prime that the resumed scan never visits again.  The cut
+    falls at the first line, in file order, whose p is past the frontier,
+    else at a final fragment without a newline, a torn append.  Before any
+    cut, a missing file, or one whose last line kept is not that of the
+    largest prime of [range_lo, last_completed], is refused.  A resume cuts
+    in place and fsyncs, writing no copy; a finished scan refuses a file
+    that needs a cut, and writes nothing.
     """
+    resume = ck.last_completed < ck.range_hi
+    missing = CheckpointError(f"results file {path} is missing the lines up to "
+                              f"the checkpoint's frontier {ck.last_completed}")
     try:
-        fh = open(path, "r+b")
+        fh = open(path, "r+b" if resume else "rb")
     except FileNotFoundError:
-        raise _missing_results(path, last_completed) from None
+        raise missing from None
     with fh:
-        size, past, kept = 0, False, None
-        for number, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                p = json.loads(line)["p"]
-                past |= p > last_completed
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointError(
-                    f"results file {path} line {number} is unreadable: {exc}"
-                ) from exc
-            if not past:
-                size, kept = size + len(line), p
-        if kept != _last_prime(lo, last_completed):
-            raise _missing_results(path, last_completed)
-        fh.truncate(size)
-        os.fsync(fh.fileno())
-
-
-def _check_last_result(path: str, lo: int, hi: int) -> None:
-    """Refuse a finished scan's results file unless its last line is that of
-    the largest prime of [lo, hi], or it is empty where [lo, hi] holds no
-    prime.  Only the file's last 512 bytes are read: a results line is shorter."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(max(fh.seek(0, os.SEEK_END) - 512, 0))
-            *_, line, torn = (b"\n" + fh.read()).split(b"\n")
-        whole = not torn and (json.loads(line)["p"] if line else None) == _last_prime(lo, hi)
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        whole = False
-    if not whole:
-        raise _missing_results(path, hi)
-
-
-def _missing_results(path: str, frontier: int) -> CheckpointError:
-    return CheckpointError(
-        f"results file {path} is missing the lines up to the checkpoint's frontier {frontier}"
-    )
+        lines = size = 0  # complete lines and their bytes, read so far
+        cut = kept = None
+        tail = b""
+        while data := fh.read(_CHUNK):
+            chunk = tail + data
+            end = chunk.rfind(b"\n") + 1
+            chunk, tail = chunk[:end], chunk[end:]
+            ps = _RESULT_LINE.findall(chunk)
+            if len(ps) < chunk.count(b"\n") or len(tail) > _CHUNK:
+                # an overlong tail's line is the empty piece after the last newline
+                pieces = chunk.split(b"\n")
+                bad = next(i for i, line in enumerate(pieces) if not _RESULT_LINE.fullmatch(line))
+                raise CheckpointError(f"results file {path} line {lines + bad + 1} is unreadable")
+            if cut is None:
+                for i, p in enumerate(map(int, ps)):
+                    if p > ck.last_completed:
+                        cut = size + end - len(chunk.split(b"\n", i)[-1])
+                        break
+                    kept = p
+            lines, size = lines + len(ps), size + end
+        # the last line kept must be that of the largest prime up to the
+        # frontier; below 2**64 a prime gap is under 1,550
+        last = next((n for n in range(ck.last_completed, ck.range_lo - 1, -1) if is_prime(n)), None)
+        if kept != last or not resume and (cut is not None or tail):
+            raise missing
+        if resume:
+            fh.truncate(size if cut is None else cut)
+            os.fsync(fh.fileno())
 
 
 @contextmanager
@@ -421,8 +421,10 @@ def scan_wss(
     A fresh scan resumes from nothing done; a scan pointed at an existing
     checkpoint for the same range resumes where it left off, or returns it
     unchanged if it is complete.  Either way its results file, if it names
-    one, must exist and end, up to the checkpoint, with the line of the
-    largest prime there.  Progress is checkpointed after every block.
+    one, must exist, hold only well-formed lines, and end, up to the
+    checkpoint, with the line of the largest prime there; a resume cuts the
+    lines past the checkpoint, and a finished scan refuses them.  Progress
+    is checkpointed after every block.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
@@ -442,10 +444,8 @@ def scan_wss(
             if (ck.range_lo, ck.range_hi) != (lo, hi):
                 raise CheckpointError(f"checkpoint {checkpoint_path} covers "
                                       f"[{ck.range_lo}, {ck.range_hi}], not [{lo}, {hi}]")
-            if results_path and ck.last_completed < hi:
-                _trim_results(results_path, lo, ck.last_completed)
-            elif results_path:
-                _check_last_result(results_path, lo, hi)
+            if results_path:
+                _resume_results(results_path, ck)
         elif results_path:
             # a fresh scan owns the results file from its first line
             open(results_path, "w", encoding="utf-8").close()

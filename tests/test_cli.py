@@ -14,6 +14,7 @@ import tracemalloc
 
 import pytest
 
+import fibmod.cli as cli_module
 import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod.arith import sieve_upto
@@ -209,6 +210,23 @@ class TestFibCommand:
     def test_huge_index_fine_with_mod(self, capsys):
         code, out, _ = run(capsys, "fib", "10000000000", "--mod", "997")
         assert code == 0
+
+    def test_a_wrong_modular_value_is_an_anomaly(self, capsys, monkeypatch):
+        # fib N --mod M is computed twice; one wrong residue of fast doubling
+        # meets matrix powering's and exits 4 with both values
+        real = cli_module.fib_pair_mod
+
+        def one_wrong(n, m):
+            u, v = real(n, m)
+            return ((u + 1) % m, v) if (n, m) == (100, 997) else (u, v)
+
+        monkeypatch.setattr(cli_module, "fib_pair_mod", one_wrong)
+        assert run(capsys, "fib", "99", "--mod", "997")[0] == 0
+        right = fib_upto(100)[100] % 997
+        code, out, err = run(capsys, "fib", "100", "--mod", "997", "--json")
+        assert (code, out) == (4, "")
+        assert err == (f"fibmod: ANOMALY: u_100 mod 997: fast doubling gives {right + 1}, "
+                       f"matrix powering {right}\n")
 
     def test_missing_argument(self, capsys):
         code, _, _ = run(capsys, "fib")
@@ -509,6 +527,43 @@ class TestWssScanCommand:
             "up to the checkpoint's frontier 300\n"
         )
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_finished_scan_with_a_corrupt_middle_line_exits_2_and_touches_nothing(self, capsys, tmp_path):
+        # a finished re-run reads every line, as a resume does
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        argv = ("wss-scan", "--from", "2", "--to", "300", "--checkpoint", str(ck), "--out", str(out))
+        assert run(capsys, *argv)[0] == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:3] + [b"{not json\n"] + lines[4:]))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == f"fibmod: checkpoint error: results file {out} line 4 is unreadable\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_finished_scan_reruns_on_a_read_only_results_file(self, capsys, tmp_path, monkeypatch):
+        # a finished re-run opens its results file only to read; the guard
+        # refuses a write open as the mode bits would, for root too
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        argv = ("wss-scan", "--from", "2", "--to", "300", "--checkpoint", str(ck), "--out", str(out),
+                "--json")
+        code, first, _ = run_json(capsys, *argv)
+        assert code == 0
+        out.chmod(0o444)
+
+        def read_only(path, mode="r", *args, **kwargs):
+            if path == str(out) and set(mode) & set("wax+"):
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(wss_module, "open", read_only, raising=False)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        mtime = out.stat().st_mtime_ns
+        code, again, err = run_json(capsys, *argv)
+        assert code == 0, err
+        assert again["output"] == first["output"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert out.stat().st_mtime_ns == mtime
 
     def test_workers_do_not_hold_the_lock(self, capsys, tmp_path, monkeypatch):
         # a worker orphaned by a killed scan would otherwise refuse every rerun

@@ -1,10 +1,12 @@
 """Smoke tests of tools/kernel_ratio.py, the per-prime kernel report, of
 tools/bench_pairs.py, the paired benchmark report, of tools/compat.py, the
 interpreter check, of tools/verify_split.py, verify's time split, of
-tools/census.py, the zero-count census of primes, and of
-tools/import_time.py, fibmod's import time per checkout."""
+tools/census.py, the zero-count census of primes, of
+tools/import_time.py, fibmod's import time per checkout, and of
+tools/resume_time.py, the time of a scan's results-file check per checkout."""
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import pathlib
@@ -17,7 +19,9 @@ from collections import Counter
 import pytest
 
 import fibmod
+import fibmod.wss as wss_module
 from fibmod.pisano import pisano_direct, profile_direct
+from fibmod.wss import wss_check
 
 from helpers import odd_prime_tests, primes_between, route_pows
 
@@ -27,6 +31,7 @@ COMPAT = TOOL.with_name("compat.py")
 SPLIT = TOOL.with_name("verify_split.py")
 CENSUS = TOOL.with_name("census.py")
 IMPORT_TIME = TOOL.with_name("import_time.py")
+RESUME_TIME = TOOL.with_name("resume_time.py")
 
 
 def _import_roots(tool: pathlib.Path) -> set[str]:
@@ -154,8 +159,9 @@ def test_compat_scans_the_top_of_the_domain(monkeypatch):
 
     monkeypatch.setattr(compat, "_run", run)
     assert compat.check(sys.executable) == ("3.x", None)
-    # --jobs 1, --jobs 2, the finished scan's two re-runs, then the top
-    assert scans == [("2", "30000")] * 4 + [(str(2**64 - 100), str(2**64 - 1))]
+    # --jobs 1, --jobs 2, the finished scan's two re-runs, its resume past
+    # an orphan line and its re-run with a line off the grammar, then the top
+    assert scans == [("2", "30000")] * 6 + [(str(2**64 - 100), str(2**64 - 1))]
     drop.append(True)
     assert compat.check(sys.executable) == ("3.x", "wss-scan below 2^64 wrote 2 results lines, not 3")
 
@@ -186,6 +192,36 @@ def test_compat_reruns_the_finished_scan(monkeypatch, fault, problem):
     assert compat.check(sys.executable) == ("3.x", problem)
     # the real re-runs: the first exits 0, the emptied one 2
     assert codes == ([0, 0, 0] if fault == "rewrite" else [0, 0, 0, 2])
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("keep-orphan", "a wss-scan resumed from 20000 past an orphan line left other results"),
+    ("accept", 'a finished wss-scan\'s re-run with a {"p": 7} line exited 0, not 2'),
+])
+def test_compat_resumes_past_an_orphan_and_refuses_a_line_off_the_grammar(monkeypatch, fault, problem):
+    # the resume from 20000 must cut the orphan line and leave the whole
+    # scan's results, and the re-run with {"p": 7} for the line of 7 exit 2
+    compat = _load_tool(COMPAT)
+    real_run, codes = compat._run, []
+
+    def run(python, *args):
+        if args[0] == "-c":
+            return subprocess.CompletedProcess(args, 0, stdout="3.x\n", stderr="")
+        out = pathlib.Path(args[args.index("--out") + 1])
+        orphan = out.read_bytes().splitlines(keepends=True)[-1] if len(codes) == 4 else b""
+        done = real_run(python, *args)
+        codes.append(done.returncode)
+        if len(codes) == 5 and fault == "keep-orphan":
+            out.write_bytes(out.read_bytes() + orphan)
+        if len(codes) == 6 and fault == "accept":
+            return subprocess.CompletedProcess(args, 0, stdout="", stderr="")
+        return done
+
+    monkeypatch.setattr(compat, "_run", run)
+    assert compat.check(sys.executable) == ("3.x", problem)
+    # the real runs: the scans and the first re-run exit 0, the emptied one 2,
+    # the resume 0 and the re-run with a line off the grammar 2
+    assert codes == ([0, 0, 0, 2, 0] if fault == "keep-orphan" else [0, 0, 0, 2, 0, 2])
 
 
 def test_bench_pairs_imports_only_the_stdlib():
@@ -328,3 +364,30 @@ def test_import_time_reports_each_checkout(tmp_path):
     for _, median, spread, runs in rows:
         assert 0 < float(median) < 10_000 and float(spread) >= 0 and runs == "3"
     assert list((copy / "src" / "fibmod" / "__pycache__").glob("*.pyc"))  # compiled first
+
+
+def test_resume_time_imports_only_the_stdlib():
+    assert _import_roots(RESUME_TIME) <= set(sys.stdlib_module_names)
+
+
+def test_resume_time_writes_result_lines_and_reports_each_checkout_and_pass(tmp_path):
+    # its lines are _result_line's; two checkouts, this one and a copy of its
+    # src, each timed twice per pass on a 2,000-line file
+    tool = _load_tool(RESUME_TIME)
+    for p in (tool.LAST, 10**12 + 61, 5):
+        record = dataclasses.replace(wss_check(p), residue_fib_index_mod_p2=p * p // 7)
+        assert tool.line(p) == wss_module._result_line(record)
+    repo = pathlib.Path(fibmod.__file__).parents[2]
+    copy = tmp_path / "copy"
+    shutil.copytree(repo / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, str(RESUME_TIME), str(repo), str(copy), "--lines", "2000", "--runs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["checkout", "pass", "median_s", "iqr_s", "peak_rss_mib", "runs"]
+    assert [row[:2] for row in rows] == [[str(repo), "resume"], [str(repo), "finished"],
+                                         [str(copy), "resume"], [str(copy), "finished"]]
+    for _, _, median, spread, rss, runs in rows:
+        assert 0 < float(median) < 60 and float(spread) >= 0 and float(rss) > 0 and runs == "2"

@@ -508,6 +508,20 @@ class TestScan:
             scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
         assert (ck.read_bytes(), out.read_bytes()) == before
 
+    @pytest.mark.parametrize("past", [
+        b'{"p": 307, "legendre5": -1, "index": 308, "residue": 1, "is_wss": false}\n',
+        b'{"p": 307, "legendre5": -1, "ind',
+    ], ids=["orphan-line", "torn-fragment"])
+    def test_a_finished_scan_refuses_what_lies_past_its_end(self, tmp_path, past):
+        # a finished scan has nothing to cut: it refuses, and writes nothing
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        out.write_bytes(out.read_bytes() + past)
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 300$"):
+            scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
     def test_a_range_with_no_prime_up_to_its_frontier_keeps_an_empty_file(self, tmp_path):
         # [24, 28] holds no prime: its results file is rightly empty
         ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
@@ -529,6 +543,79 @@ class TestScan:
         assert CountingExecutor.pools == 0
         assert (ck.read_bytes(), out.read_bytes()) == before
         assert again == first
+
+    @pytest.mark.parametrize("side", [-1, 0], ids=["before-the-edge", "after-the-edge"])
+    def test_a_bad_line_across_a_chunk_edge_is_refused_by_its_number(self, tmp_path, monkeypatch, side):
+        # 256-byte reads of ~70-byte lines: the line across byte 1024, where
+        # the fifth read starts, gets one byte spoiled on either side of it
+        monkeypatch.setattr(wss_module, "_CHUNK", 256)
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        data = bytearray(out.read_bytes())
+        edge = 4 * 256
+        start, end = data.rindex(b"\n", 0, edge - 1) + 1, data.index(b"\n", edge + 1)
+        assert start < edge - 1 and edge < end
+        data[edge + side] = ord("#")
+        out.write_bytes(bytes(data))
+        before = ck.read_bytes(), out.read_bytes()
+        number = data.count(b"\n", 0, start) + 1
+        with pytest.raises(CheckpointError, match=f"res.jsonl line {number} is unreadable$"):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+    @pytest.mark.parametrize("finished, at", [(False, 5), (True, 5), (False, None)],
+                             ids=["resume", "finished", "resume-last"])
+    def test_a_line_longer_than_a_chunk_is_refused_not_cut(self, tmp_path, monkeypatch, finished, at):
+        # with no newline in a whole read, the line is neither a results
+        # line nor a torn append: cutting there would lose the lines after it
+        monkeypatch.setattr(wss_module, "_CHUNK", 256)
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        if finished:
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        else:
+            interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        lines = out.read_bytes().splitlines(keepends=True)
+        at = len(lines) if at is None else at
+        long = b'{"p": 13' + b"0" * 600 + (b"}\n" if at < len(lines) else b"")
+        out.write_bytes(b"".join(lines[:at] + [long] + lines[at:]))
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match=f"res.jsonl line {at + 1} is unreadable$"):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+    @pytest.mark.parametrize("line", [
+        b'{"p": 7}',
+        b'{"p": 07, "legendre5": -1, "index": 8, "residue": 13, "is_wss": false}',
+        b'{"p": 7, "legendre5": -1, "index": 8, "residue": 13, "is_wss": false} ',
+        b'{"p": 7, "legendre5": 2, "index": 8, "residue": 13, "is_wss": false}',
+        b'{"p": 7' + b"0" * 4400 + b', "legendre5": -1, "index": 8, "residue": 13, "is_wss": false}',
+    ], ids=["p-alone", "leading-zero", "trailing-space", "symbol-2", "p-of-4401-digits"])
+    def test_a_line_off_the_grammar_refuses_resume(self, tmp_path, line):
+        # {"p": 7} and the trailing space parse as JSON, but _result_line
+        # writes neither; nor a p past 2**64, whose 4401 digits int() refuses
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        interrupted_scan(2, 500, blocks=2, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert lines[3].startswith(b'{"p": 7, ')
+        out.write_bytes(b"".join(lines[:3] + [line + b"\n"] + lines[4:]))
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="res.jsonl line 4 is unreadable$"):
+            scan_wss(2, 500, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+    def test_a_resume_refuses_a_line_past_the_frontier_before_lines_up_to_it(self, tmp_path):
+        # at frontier 200, lines ... 149, 211, 151 ... 199: the cut falls at
+        # the first line past it in file order, and would lose 151 ... 199
+        ck, out = tmp_path / "ck.json", tmp_path / "res.jsonl"
+        scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        ck.write_text(json.dumps({**json.loads(ck.read_text()), "last_completed": 200}))
+        lines = {json.loads(line)["p"]: line for line in out.read_bytes().splitlines(keepends=True)}
+        order = [p for p in lines if p <= 149] + [211] + [p for p in lines if 151 <= p <= 199]
+        out.write_bytes(b"".join(lines[p] for p in order))
+        before = ck.read_bytes(), out.read_bytes()
+        with pytest.raises(CheckpointError, match="res.jsonl is missing the lines up to .* 200$"):
+            scan_wss(2, 300, checkpoint_path=str(ck), results_path=str(out), block_size=100)
+        assert (ck.read_bytes(), out.read_bytes()) == before
 
     def test_out_of_domain_range_rejected_up_front(self, tmp_path):
         ck = tmp_path / "ck.json"
@@ -866,11 +953,18 @@ def _fields(record):
 
 
 class TestResultLine:
-    @pytest.mark.parametrize("p", [11, 7, 5, 10**12 + 39], ids=["chi+1", "chi-1", "chi0", "1e12"])
+    @pytest.mark.parametrize("p", [11, 7, 5, 10**12 + 39, 2**64 - 59],
+                             ids=["chi+1", "chi-1", "chi0", "1e12", "2^64"])
     @pytest.mark.parametrize("is_wss", [False, True])
     def test_the_line_is_json_dumps_of_its_fields(self, p, is_wss):
+        # each line fullmatches the grammar that a resume reads, and gives back
+        # p; with is_wss, so does the line of a planted hit, whose residue is 0
         record = dataclasses.replace(wss_check(p), is_wss=is_wss)
-        assert wss_module._result_line(record) == json.dumps(_fields(record))
+        hit = dataclasses.replace(record, residue_fib_index_mod_p2=0)
+        for record in (record, hit) if is_wss else (record,):
+            line = wss_module._result_line(record)
+            assert line == json.dumps(_fields(record))
+            assert int(wss_module._RESULT_LINE.fullmatch(line.encode())[1]) == p
 
 
 def _reference_lines(lo, hi):

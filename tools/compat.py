@@ -8,6 +8,10 @@ For each interpreter, with PYTHONPATH set to this checkout's src:
     leave byte-identical checkpoints (modulo wall time) and results files;
   * that finished scan, re-run, must exit 0 and leave both files
     byte-identical, and re-run with its results file emptied must exit 2;
+  * set back to a checkpoint at 20000, with its results up to there and the
+    orphan line of the next prime, it must resume, exit 0, cut the orphan
+    and leave the results of the whole scan; with the line of 7 cut down to
+    {"p": 7}, off the grammar of a results line, its re-run must exit 2;
   * wss-scan of [2^64 - 100, 2^64 - 1], the top of the scan's domain, must
     exit 0 and write the results lines of its 3 primes.
 
@@ -18,6 +22,7 @@ Needs only the standard library, in this interpreter and in each tested one.
 """
 
 import argparse
+import json
 import os
 import pathlib
 import re
@@ -28,6 +33,7 @@ import tempfile
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 VERIFY_MAX = 2000
 SCAN_HI = 30_000
+RESUME_AT = 20_000
 TOP = (2**64 - 100, 2**64 - 1)  # holds the primes 2^64 - 95, - 83 and - 59
 TOP_PRIMES = 3
 TIMEOUT_S = 600
@@ -80,6 +86,9 @@ def check(python: str) -> tuple[str, str | None]:
         if done.returncode != 2:
             return version, (f"a finished wss-scan's re-run with its results emptied "
                              f"exited {done.returncode}, not 2")
+        problem = _resume_and_refuse(python, ck, out, scan, outputs[1][1])
+        if problem:
+            return version, problem
         ck, out = pathlib.Path(tmp, "ck-top.json"), pathlib.Path(tmp, "res-top.jsonl")
         done = _run(python, "-m", "fibmod.cli", "wss-scan", "--from", str(TOP[0]), "--to", str(TOP[1]),
                     "--checkpoint", str(ck), "--out", str(out))
@@ -94,6 +103,26 @@ def check(python: str) -> tuple[str, str | None]:
     if top_lines != TOP_PRIMES:
         return version, f"wss-scan below 2^64 wrote {top_lines} results lines, not {TOP_PRIMES}"
     return version, None
+
+
+def _resume_and_refuse(python: str, ck: pathlib.Path, out: pathlib.Path, scan: tuple[str, ...],
+                       results: bytes) -> str | None:
+    """Resume the finished scan from RESUME_AT past an orphan line, then re-run
+    it with a line off the grammar; None if both do as they must."""
+    ck.write_text(json.dumps({**json.loads(ck.read_text()), "last_completed": RESUME_AT}))
+    lines = results.splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["p"] <= RESUME_AT]
+    out.write_bytes(b"".join(kept + lines[len(kept):len(kept) + 1]))
+    done = _run(python, *scan)
+    if done.returncode != 0:
+        return _failed(f"a wss-scan resumed from {RESUME_AT} past an orphan line", done)
+    if out.read_bytes() != results:
+        return f"a wss-scan resumed from {RESUME_AT} past an orphan line left other results"
+    out.write_bytes(re.sub(rb'(?m)^\{"p": 7, .*$', b'{"p": 7}', results))
+    done = _run(python, *scan)
+    if done.returncode != 2:
+        return f'a finished wss-scan\'s re-run with a {{"p": 7}} line exited {done.returncode}, not 2'
+    return None
 
 
 def main() -> int:
