@@ -156,26 +156,15 @@ def binomial_expansion_rhs(k: int, n: int, mod: int) -> int:
     """
     if k < 1 or n < 1:
         raise ValueError(f"binomial expansion needs k, n >= 1, got ({k}, {n})")
-    if mod < 1:
-        raise ValueError(f"modulus must be >= 1, got {mod}")
-    return _binomial_sum(k, n, mod, shift=0)
-
-
-def _binomial_sum(k: int, n: int, mod: int, shift: int) -> int:
-    """sum_{i=1}^{n} C(n,i) * u_i * u_k^(i-shift) * u_{k-1}^(n-i) mod mod.
-
-    shift 0 gives u_{k*n}; shift 1, for u_k == 0 mod the base of mod, gives
-    the quotient u_{k*n} / u_k.  Arguments are checked by the public callers.
-    """
     u_km1, u_k = fib_pair_mod(k - 1, mod)
     pow_km1 = [1 % mod]  # u_{k-1}^j for j = 0 .. n-1
     for _ in range(n - 1):
         pow_km1.append(pow_km1[-1] * u_km1 % mod)
-    # c steps exactly from C(n, i-1) to C(n, i); u_i, u_{i+1} and u_k^(i-shift)
-    # are carried from one i to the next
+    # c steps exactly from C(n, i-1) to C(n, i); u_i, u_{i+1} and u_k^i are
+    # carried from one i to the next
     c = 1
     u_i, u_next = 1 % mod, 1 % mod
-    pow_k = 1 % mod if shift else u_k
+    pow_k = u_k
     total = 0
     for i in range(1, n + 1):
         c = c * (n - i + 1) // i

@@ -12,7 +12,7 @@ run here and share no cache with them, as the direct scans hold none.
 Each chunk of _DIRECT_CHUNK moduli is one call of pisano.profiles_direct,
 which scans up to 192 of them at once as the lanes of Python ints.  At
 --max 10000 on 2 CPUs the workers' scans take about 0.3-0.5 s of CPU and
-the calling process about 0.8-1.1 s, for about 0.9-1.2 s of wall
+the calling process about 0.6-1.0 s, for about 0.65-1.1 s of wall
 (tools/verify_split.py): the checks run here are the critical path.  A
 run opens at most one pool and queues every chunk on it at the start, so
 the workers scan while every check that needs no scan runs here.  Then

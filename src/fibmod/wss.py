@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .arith import _prime_window, _sieve_base, is_prime, two_adic_split
 from .errors import AnomalyError, CheckpointError
-from .fib import _binomial_sum, fib_pair_mod
+from .fib import fib_pair_mod
 from .pisano import (
     _block_facts,
     _index_residue,
@@ -135,18 +135,26 @@ def enumerate_self_square(m_max: int) -> list[SelfSquareRecord]:
 def cofactor_mod(a: int, g: int, n_l: int) -> int:
     """The quotient u_{a*g} / u_g reduced mod n_l, without any division.
 
-    Valid whenever u_g == 0 mod the base of n_l (e.g. g a period index):
-    the quotient then equals
-        sum_{i=1}^{a} C(a,i) * u_i * u_g^(i-1) * u_{g-1}^(a-i)
-    with exact binomials reduced mod n_l.
+    By Lucas's law u_{a*g} = u_g * U_a(L_g, (-1)^g), which holds for every
+    g >= 1, the quotient is the Lucas sequence term U_a(P, Q) with
+    P = L_g = 2 u_{g+1} - u_g and Q = (-1)^g, taken by a doubling ladder
+    over the bits of a.
     """
     if a < 1:
         raise ValueError(f"multiplier must be >= 1, got {a}")
     if g < 1:
         raise ValueError(f"period index must be >= 1, got {g}")
-    if n_l < 1:
-        raise ValueError(f"modulus must be >= 1, got {n_l}")
-    return _binomial_sum(g, a, n_l, shift=1)
+    u_g, u_next = fib_pair_mod(g, n_l)
+    p, q = (2 * u_next - u_g) % n_l, 1 - 2 * (g & 1)
+    x, y = 0, 1  # (U_0, U_1)
+    for bit in bin(a)[2:]:
+        # (U_k, U_{k+1}) -> (U_2k, U_2k+1), U_2k = U_k*(2*U_{k+1} - P*U_k),
+        # U_2k+1 = U_{k+1}^2 - Q*U_k^2; a set bit steps once more by the
+        # recurrence U_{k+2} = P*U_{k+1} - Q*U_k
+        x, y = x * (2 * y - p * x) % n_l, (y * y - q * x * x) % n_l
+        if bit == "1":
+            x, y = y, (p * y - q * x) % n_l
+    return x
 
 
 def two_power_valuation_check(k: int) -> tuple[int, bool]:

@@ -73,6 +73,15 @@ def test_odd_moduli_read_the_self_square_test(monkeypatch):
     assert odd_moduli.failures == ("m=25", "m=75", "m=175")
 
 
+def test_a_wrong_cofactor_fails_its_product_check(monkeypatch):
+    real = wss_module.cofactor_mod
+    monkeypatch.setattr(wss_module, "cofactor_mod", lambda a, g, n_l: (real(a, g, n_l) + 1) % n_l)
+    results = {r.name: r for r in run_suites("wss", 1000)}
+    cofactor = results["cofactor-times-u-g-gives-u-ag"]
+    assert not cofactor.passed
+    assert cofactor.failures == ("n=2 k=1 a=1 mod=4", "n=2 k=1 a=1 mod=997", "n=2 k=1 a=2 mod=4")
+
+
 def test_each_odd_modulus_residue_is_computed_once():
     with binding_calls(fib_pair_mod) as calls:
         results = suite_wss(2000)

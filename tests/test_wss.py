@@ -8,8 +8,11 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
@@ -113,11 +116,14 @@ class TestCofactor:
         assert cofactor_mod(2, 12, 9) == 322 % 9 == 7
 
     def test_matches_exact_quotient(self):
+        # odd g puts Q = (-1)^g = -1 into the ladder; u_1 = u_2 = 1
         fib = fib_upto(1200)
-        for a, g in [(2, 12), (3, 12), (5, 12), (2, 24), (4, 20), (7, 8), (10, 6)]:
+        pairs = [(2, 12), (3, 12), (5, 12), (2, 24), (4, 20), (7, 8), (10, 6)]
+        pairs += [(2, 3), (5, 7), (8, 15), (13, 9), (30, 25), (1, 1), (40, 1), (17, 2), (6, 2)]
+        for a, g in pairs:
             assert fib[a * g] % fib[g] == 0
             quotient = fib[a * g] // fib[g]
-            for n_l in (9, 25, 49, 343, 10**9 + 7):
+            for n_l in (1, 2, 9, 25, 49, 343, 1000, 10**9 + 7):
                 assert cofactor_mod(a, g, n_l) == quotient % n_l, (a, g, n_l)
 
     def test_product_recovers_numerator(self):
@@ -142,6 +148,25 @@ class TestCofactor:
     def test_zero_multiplier_rejected(self):
         with pytest.raises(ValueError):
             cofactor_mod(0, 12, 9)
+        with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+            cofactor_mod(2, 12, 0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 3000),
+    n=st.integers(1, 200),
+    mod=st.one_of(st.just(1), st.integers(2, 10**9)),
+)
+def test_cofactor_matches_the_binomial_quotient(k, n, mod):
+    # u_{nk} / u_k = sum C(n,i) u_i u_k^(i-1) u_{k-1}^(n-i), the binomial
+    # expansion of u_{nk} divided through by u_k
+    fib = fib_upto(max(k, n))
+    want = sum(
+        comb(n, i) * fib[i] * pow(fib[k], i - 1, mod) * pow(fib[k - 1], n - i, mod)
+        for i in range(1, n + 1)
+    ) % mod
+    assert cofactor_mod(n, k, mod) == want
 
 
 class TestTwoPowerValuation:
