@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="fibmod", description=__doc__, add_help=True)
+    parser = _Parser(prog="fibmod", description=__doc__, add_help=True,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fib", help="Fibonacci value, exact or mod m")

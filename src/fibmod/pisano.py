@@ -50,7 +50,8 @@ block gets them for all its primes from one strike pass
 base-prime array, strike the block's neighbours p - chi, and only a
 cofactor of at least (B + 1)^2 goes to is_prime and rho.  The factors,
 and each chi = +1 prime's root of 5, sit in the block store only while the
-block is checked (_block_facts), and prime_period takes its keys, which the
+block is checked (_block_facts), and _prime_period, which a scan calls past
+prime_period's memo as it meets each prime once, takes its keys, which the
 window sieve proved, as prime; any other p meets is_prime and factorize.
 """
 
@@ -81,12 +82,13 @@ _LANES = 192
 # never silently truncated.
 _LIFTING_SEARCH_BOUND = 8
 
-# Entries per per-prime memo (prime_period, lifting_exponent, _prime_zero_count):
-# bounded so a long scan keeps flat memory, and small, as a bounded lru_cache
-# entry costs about 56 B more than an unbounded one.  _prime_zero_count holds a
-# small int per prime, ~92 B an entry (1.4 MiB full); a PisanoProfile per prime
-# would take ~4.1 MiB.  Per-modulus values are not memoized: each is computed
-# from its caller's one factorization of the modulus.
+# Entries per per-prime memo (prime_period, lifting_exponent, _prime_zero_count),
+# which good --range and verify fill, as they meet primes again, and a scan
+# does not: bounded so a long run keeps flat memory, and small, as a bounded
+# lru_cache entry costs ~56 B more than an unbounded one.  _prime_zero_count
+# holds a small int per prime, ~92 B an entry (1.4 MiB full); a PisanoProfile
+# per prime would take ~4.1 MiB.  Per-modulus values are not memoized: each is
+# computed from its caller's one factorization of the modulus.
 _CACHE_SIZE = 1 << 14
 
 # The odd primes up to this bound, read from arith's base-prime array,
@@ -271,6 +273,11 @@ def _legendre5(p: int) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def prime_period(p: int) -> int:
+    """Period of a prime modulus: _prime_period, memoized for callers that meet p again."""
+    return _prime_period(p)
+
+
+def _prime_period(p: int) -> int:
     """Period of a prime modulus without iterating the full cycle.
 
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,

@@ -23,15 +23,17 @@ records, merged in ascending order, fold into one ScanCheckpoint, which
 one process, holding a flock on <checkpoint>.lock, writes, so scans are
 deterministic and resumable: identical ranges yield byte-identical
 checkpoints (modulo wall time) regardless of worker count or interruption
-pattern.  chi = (p/5) and every period come from pisano.  The scan's own
-process sieves a window of whole blocks at a time, at least
-min(isqrt(hi), 2**20) wide and capped at hi, with every prime up to
-min(isqrt(window hi), 2**20) (arith._prime_window), so below 1.1e12 no
-scanned prime needs a Miller-Rabin proof; each block goes to _scan_block
-with its primes, read from the window's flags as the block is made.  A
-block's primes are checked inside pisano._block_facts, which holds the
-factors of every prime's period bound and each (p/5) = +1 prime's root of
-5 for the block's checks alone.
+pattern.  chi = (p/5) and every period come from pisano; wss_check takes
+its prime's period from _prime_period, past prime_period's memo, since a
+scan meets each prime once, so no process keeps anything per prime past
+its block.  The scan's own process sieves a window of whole blocks at a
+time, at least min(isqrt(hi), 2**20) wide and capped at hi, with every
+prime up to min(isqrt(window hi), 2**20) (arith._prime_window), so below
+1.1e12 no scanned prime needs a Miller-Rabin proof; each block goes to
+_scan_block with its primes, read from the window's flags as the block is
+made.  A block's primes are checked inside pisano._block_facts, which
+holds the factors of every prime's period bound and each (p/5) = +1
+prime's root of 5 for the block's checks alone.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .pisano import (
     _block_facts,
     _index_residue,
     _legendre5,
+    _prime_period,
     pisano_fast,
-    prime_period,
     prime_power_period,
 )
 from .pool import ordered_map
@@ -99,7 +101,7 @@ class ScanCheckpoint:
 
 def wss_check(p: int) -> WssRecord:
     """Evaluate both Wall-Sun-Sun criteria for a prime."""
-    gamma = prime_period(p)  # rejects a non-prime p
+    gamma = _prime_period(p)  # unmemoized, as a scan meets p once; rejects a non-prime p
     chi = _legendre5(p)
     index = p - chi
     p2 = p * p

@@ -836,3 +836,5 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+        # the module docstring's command table keeps its lines
+        assert "    fib       exact or modular Fibonacci values" in capsys.readouterr().out.splitlines()

@@ -79,7 +79,26 @@ def test_a_wrong_cofactor_fails_its_product_check(monkeypatch):
     results = {r.name: r for r in run_suites("wss", 1000)}
     cofactor = results["cofactor-times-u-g-gives-u-ag"]
     assert not cofactor.passed
-    assert cofactor.failures == ("n=2 k=1 a=1 mod=4", "n=2 k=1 a=1 mod=997", "n=2 k=1 a=2 mod=4")
+    assert cofactor.failures == ("n=2 k=1 a=1 mod=4", "n=2 k=1 a=1 mod=8", "n=2 k=1 a=1 mod=997")
+
+
+# the cofactor check's moduli for n in (2, 3, 5, 6, 7) and k in (1, 2); n^k
+# is not one, as there u_g == u_ag == 0 for g = period(n^k) whatever the cofactor
+_COFACTOR_MODULI = {
+    "n^2k": {n ** (2 * k) for n in (2, 3, 5, 6, 7) for k in (1, 2)},
+    "n^3k": {n ** (3 * k) for n in (2, 3, 5, 6, 7) for k in (1, 2)},
+    "997": {997},
+}
+
+
+@pytest.mark.parametrize("slot", list(_COFACTOR_MODULI))
+def test_each_cofactor_modulus_catches_a_wrong_cofactor(monkeypatch, slot):
+    moduli = _COFACTOR_MODULI[slot]
+    real = wss_module.cofactor_mod
+    monkeypatch.setattr(wss_module, "cofactor_mod", lambda a, g, n_l: (real(a, g, n_l) + (n_l in moduli)) % n_l)
+    cofactor = {r.name: r for r in suite_wss(100)}["cofactor-times-u-g-gives-u-ag"]
+    assert not cofactor.passed
+    assert {int(failure.split("mod=")[1]) for failure in cofactor.failures} <= moduli
 
 
 def test_each_odd_modulus_residue_is_computed_once():

@@ -864,7 +864,6 @@ def _scan_proofs(monkeypatch, tmp_path, lo, hi):
         return real(n, bases)
 
     monkeypatch.setattr(arith, "_strong_test", counting)
-    prime_period.cache_clear()  # so that the gate runs for every prime
     out = tmp_path / "results.jsonl"
     scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"), results_path=str(out))
     return [json.loads(line)["p"] for line in out.read_text().splitlines()], proofs
@@ -967,6 +966,48 @@ class TestScanProvesEachPrimeOnce:
         assert [key for key, value in before.items() if after[key] is not value] == []
 
 
+def _memo_untouched():
+    info = prime_period.cache_info()
+    return (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+class TestScanKeepsNoMemo:
+    """A scan meets each prime once, so it takes every period past
+    prime_period's memo and holds nothing per prime past its block."""
+
+    def test_a_scan_and_a_lone_check_leave_the_memo_empty(self, tmp_path):
+        prime_period.cache_clear()
+        try:
+            scan_wss(10**7, 10**7 + 3999, checkpoint_path=str(tmp_path / "ck.json"),
+                     results_path=str(tmp_path / "res.jsonl"), block_size=1000)
+            assert _memo_untouched()
+            for p, chi in [(11, 1), (7, -1), (5, 0)]:
+                assert wss_check(p).legendre5 == chi
+            assert _memo_untouched()
+        finally:
+            prime_period.cache_clear()
+
+    def test_the_peak_over_many_blocks_is_that_of_one(self):
+        # 20 blocks of 1000 near 1e5 check ~1,700 primes; a memo entry per
+        # prime would add ~260 KiB to the peak of one block's ~40 KiB
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                for block in wss_module._blocks(10**5, 10**5 + 1000 * blocks - 1, 1000):
+                    wss_module._scan_block(block)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wss_module._scan_block(next(wss_module._blocks(10**5, 10**5 + 999, 1000)))  # first-use state
+        prime_period.cache_clear()
+        try:
+            one, many = peak(1), peak(20)
+        finally:
+            prime_period.cache_clear()
+        assert many - one < 64 << 10, (one, many)
+
+
 def _fields(record):
     return {
         "p": record.p,
@@ -995,8 +1036,7 @@ class TestResultLine:
 def _reference_lines(lo, hi):
     """The results file of a scan of [lo, hi], built prime by prime apart
     from any scan: the primes from a full sieve, each record from wss_check
-    with a cold prime_period, so each bound is factored by factorize."""
-    prime_period.cache_clear()
+    outside a block, so each bound is factored by factorize."""
     return "".join(json.dumps(_fields(wss_check(p))) + "\n" for p in primes_between(lo, hi))
 
 

@@ -2,9 +2,8 @@
 
 For each magnitude M, over the block [M, M + width): the kernel, which is
 the block's share of its window sieve plus the block's check (_scan_block,
-wss_check of each prime, with prime_period's cache cleared); the bare
-ladder u_{p - chi} mod p^2; each the best of --repeat runs; and their
-ratio.  The window is the one a scan from M sieves at once (wss._blocks):
+wss_check of each prime); the bare ladder u_{p - chi} mod p^2; each the
+best of --repeat runs; and their ratio.  The window is the one a scan from M sieves at once (wss._blocks):
 the fewest whole blocks at least min(isqrt(hi), 2**20) wide, and its sieve
 costs each of its primes the same, so the sieve us/p column is the window
 sieve's time over the window's primes.  The strike us/p column is the
@@ -29,18 +28,13 @@ import timeit
 
 from fibmod import arith, pisano, wss
 from fibmod.fib import fib_pair_mod
-from fibmod.pisano import _legendre5, prime_period
+from fibmod.pisano import _legendre5
 from fibmod.wss import _blocks, _scan_block, _window_blocks
 
 
 def sieve(lo: int, width: int) -> list[tuple[int, int, list[int]]]:
     """The blocks, with their primes, of the window a scan from lo sieves."""
     return list(_blocks(lo, lo + _window_blocks(lo + width - 1, width) * width - 1, width))
-
-
-def check(block: tuple[int, int, list[int]]) -> None:
-    prime_period.cache_clear()
-    _scan_block(block)
 
 
 def ladder(primes: list[int]) -> None:
@@ -58,7 +52,7 @@ def counts(fn) -> tuple[int, int, int, int]:
     arith.pow = lambda *args: pows.append(args) or builtins.pow(*args)
     pisano.pow = lambda *args: route.append(args) or builtins.pow(*args)
     arith._rho_factor = lambda n: rhos.append(n) or rho(n)
-    # the kernel's ladders: prime_period's through pisano, wss_check's through wss
+    # the kernel's ladders: the period's through pisano, wss_check's through wss
     for module in (pisano, wss):
         module.fib_pair_mod = lambda *args: ladders.append(args) or fib_pair_mod(*args)
     try:
@@ -87,7 +81,7 @@ def main() -> None:
         runs = (
             lambda: sieve(lo, args.width),
             lambda: pisano._bound_factor_sieve(block[2]),
-            lambda: check(block),
+            lambda: _scan_block(block),
             lambda: ladder(block[2]),
         )
         repeats = [[timeit.timeit(fn, number=1) for fn in runs] for _ in range(args.repeat)]
@@ -95,7 +89,7 @@ def main() -> None:
         s, x, c, b = (min(times) * 1e6 for times in zip(*per_prime))
         ratio = statistics.median((ps + pc) / pl for ps, _, pc, pl in per_prime)
         sieve_pows = counts(lambda: sieve(lo, args.width))[0]
-        pows, route, ladders, rhos = (n / primes for n in counts(lambda: check(block)))
+        pows, route, ladders, rhos = (n / primes for n in counts(lambda: _scan_block(block)))
         print(f"{text:>6} {primes:>7} {s + c:>10.1f} {s:>11.1f} {x:>12.1f} {b:>10.1f} {ratio:>6.1f} "
               f"{sieve_pows / window + pows:>9.2f} {route:>12.2f} {ladders:>10.2f} {rhos:>6.2f}")
 
