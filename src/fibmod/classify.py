@@ -27,6 +27,7 @@ from .arith import factorize, two_adic_split
 from .errors import AnomalyError
 from .fib import matrix_pow_mod
 from .pisano import (
+    PisanoProfile,
     _period_from_factors,
     _prime_zero_count,
     _profile_with_period,
@@ -118,9 +119,16 @@ def goodness_report(m: int, method: str = "both") -> GoodnessReport:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     factors = factorize(m)
+    # the profile raises if that lcm is no period of m
+    return _report(factors, _profile_with_period(m, _period_from_factors(factors)), method)
+
+
+def _report(factors: tuple[tuple[int, int], ...], prof: PisanoProfile, method: str) -> GoodnessReport:
+    """goodness_report(prof.m, method) from the factors of m and its fast
+    profile, which the caller took: the per-prime entries and the verdicts
+    of the chosen routes, with no factorization and no period of m."""
+    m, gamma = prof.m, prof.gamma
     entries = tuple(_prime_entry(p, e) for p, e in factors)
-    gamma = _period_from_factors(factors)
-    upsilon_m = _profile_with_period(m, gamma).upsilon  # raises if gamma is no period
     is_odd = m % 2 == 1
     ks = {entry.two_adic for entry in entries}
     good = is_odd and all(entry.good_prime for entry in entries) and len(ks) == 1
@@ -137,7 +145,7 @@ def goodness_report(m: int, method: str = "both") -> GoodnessReport:
         gamma=gamma,
         prime_entries=entries,
         is_good=good,
-        upsilon_m=upsilon_m,
+        upsilon_m=prof.upsilon,
         method=method,
     )
 
@@ -153,10 +161,16 @@ def zero_count_odd(m: int) -> int:
     if m < 3 or m % 2 == 0:
         raise ValueError(f"zero_count_odd needs odd m >= 3, got {m}")
     factors = factorize(m)
+    ranks = [_profile_with_period(p**e, prime_power_period(p, e)).alpha for p, e in factors]
+    return _zero_count_odd(m, factors, _period_from_factors(factors), ranks)
+
+
+def _zero_count_odd(m: int, factors: tuple[tuple[int, int], ...], gamma: int, ranks: list[int]) -> int:
+    """zero_count_odd(m) from the factors of m, its fast period gamma and the
+    rank of each p^e of factors, in their order, which the caller took."""
     per_prime = [_prime_zero_count(p) for p, _ in factors]
     case_value = per_prime[0] if len(set(per_prime)) == 1 else 2
-    ranks = [_profile_with_period(p**e, prime_power_period(p, e)).alpha for p, e in factors]
-    lattice_value = _period_from_factors(factors) // math.lcm(*ranks)
+    lattice_value = gamma // math.lcm(*ranks)
     if case_value != lattice_value:
         raise AnomalyError(
             f"zero-count formulas disagree at m={m}: "

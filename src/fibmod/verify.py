@@ -11,19 +11,22 @@ or here, as they are read, where that is one; the fast routes they audit
 run here and share no cache with them, as the direct scans hold none.
 Each chunk of _DIRECT_CHUNK moduli is one call of pisano.profiles_direct,
 which scans up to 192 of them at once as the lanes of Python ints.  At
---max 10000 on 2 CPUs the workers' scans take about 0.3-0.5 s of CPU and
-the calling process about 0.6-1.0 s, for about 0.65-1.1 s of wall
+--max 10000 on 2 CPUs the workers' scans take about 0.25-0.45 s of CPU
+and the calling process about 0.35-0.7 s, for about 0.4-0.8 s of wall
 (tools/verify_split.py): the checks run here are the critical path.  A
 run opens at most one pool and queues every chunk on it at the start, so
-the workers scan while every check that needs no scan runs here.  Then
-each scanned modulus is checked, in m order, as its chunk arrives, by
-every suite that audits it against its scan; no suite reads another's
-results.  Each chunk comes back as one flat array of (m, gamma, alpha,
-upsilon), about 32 B per modulus; an early exit cancels the queued chunks.
+the workers scan while every check that needs no pass runs here.  Then
+one pass takes each modulus in m order, as its chunk arrives: it factors
+m once and takes its fast period and profile once, and hands that record
+to every suite's checks of m, against m's scan among them.  Suites share
+each modulus's one fast record, never each other's verdicts.  Each chunk
+comes back as one flat array of (m, gamma, alpha, upsilon), about 32 B
+per modulus; an early exit cancels the queued chunks.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from array import array
@@ -113,11 +116,16 @@ def _direct_scans(moduli):
 
 
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:
-    """Fibonacci identity and matrix-route audits against the exact values."""
+    """Fibonacci identity and matrix-route audits against the defining
+    recurrence, carried mod the lcm of the moduli they are read at."""
     rng = random.Random(seed)
-    exact = [0, 1]
-    while len(exact) <= 2 * max_value + 2:
-        exact.append(exact[-1] + exact[-2])
+    # the defining recurrence mod L, the lcm of the pool: each pool modulus
+    # divides L, so u[n] % m is u_n mod m, from an int of 77 bits where
+    # u_6002 itself has 4,166
+    lcm = math.lcm(*_MODULUS_POOL)
+    u = [0, 1]
+    while len(u) <= 2 * max_value + 2:
+        u.append((u[-1] + u[-2]) % lcm)
     props = [_Property(name) for name in (
         "matrix-entries-match-exact",
         "matrix-agrees-with-fast-doubling",
@@ -132,11 +140,11 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
         n = rng.randrange(0, max_value + 1)
         m = rng.choice(_MODULUS_POOL)
         mat = matrix_pow_mod(n, m)
-        want_prev = 1 % m if n == 0 else exact[n - 1] % m
+        want_prev = 1 % m if n == 0 else u[n - 1] % m
         ok = (
             mat.u_prev == want_prev
-            and mat.u_cur == exact[n] % m
-            and mat.u_next == exact[n + 1] % m
+            and mat.u_cur == u[n] % m
+            and mat.u_next == u[n + 1] % m
         )
         entries.check(ok, f"n={n} m={m}")
 
@@ -156,14 +164,14 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     for _ in range(400):
         n = rng.randrange(1, max_value + 1)
         m = rng.choice(_MODULUS_POOL)
-        doubling.check(doubling_rhs(n, m) == exact[2 * n] % m, f"n={n} m={m}")
+        doubling.check(doubling_rhs(n, m) == u[2 * n] % m, f"n={n} m={m}")
 
     for _ in range(400):
         n = rng.randrange(0, max_value + 1)
         k = rng.randrange(0, n + 1)
         m = rng.choice(_MODULUS_POOL)
         subtraction.check(
-            subtraction_rhs(n, k, m) == exact[n - k] % m, f"m_idx={n} n_idx={k} mod={m}"
+            subtraction_rhs(n, k, m) == u[n - k] % m, f"m_idx={n} n_idx={k} mod={m}"
         )
 
     for _ in range(400):
@@ -176,24 +184,44 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
-def _against_scans(scans, *checks) -> list[PropertyResult]:
-    """Each (props, against) of checks run against every scanned (m, direct),
-    in m order; the results of their props."""
-    for m, direct in scans:
-        for _, against in checks:
-            against(m, direct)
-    return [prop.result() for props, _ in checks for prop in props]
+def _checked(moduli, scans, checks, profiled: bool = True) -> list[PropertyResult]:
+    """The results of checks, each (props, at, then), from one pass over moduli.
+
+    Each m of moduli, ascending, is factored once and given its fast period
+    and, where profiled, its fast profile: one record, which every
+    at(m, factors, gamma, prof, direct) reads, direct being m's direct
+    profile where scans, a stream of (m, direct) over some of moduli in
+    their order, holds it, else None.  Then each then() runs.
+    """
+    ats = [at for _, at, _ in checks]
+    scanned = next(scans, None)
+    for m in moduli:
+        factors = factorize(m)
+        gamma = pisano._period_from_factors(factors)
+        prof = pisano._profile_with_period(m, gamma) if profiled else None
+        direct = None
+        if scanned is not None and scanned[0] == m:
+            direct = scanned[1]
+            scanned = next(scans, None)
+        for at in ats:
+            at(m, factors, gamma, prof, direct)
+    for _, _, then in checks:
+        then()
+    return [prop.result() for props, _, _ in checks for prop in props]
 
 
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
-    with _direct_scans(range(2, max_value + 1)) as scans:
-        return _against_scans(scans, _pisano_checks(max_value))
+    moduli = range(2, max_value + 1)
+    with _direct_scans(moduli) as scans:
+        return _checked(moduli, scans, [_pisano_checks(max_value)])
 
 
 def _pisano_checks(max_value: int):
-    """suite_pisano's checks that need no direct scan, run now; returns its
-    properties and the function that checks one m against its direct scan."""
+    """suite_pisano's checks that need no pass, run now; returns its
+    properties, the checks of one m's record against its direct scan, which
+    at a prime p also read p's period, rank and zero count, and no check to
+    run after the pass."""
     props = [_Property(name) for name in (
         "fast-period-equals-direct",
         "period-is-zerocount-times-rank",
@@ -204,30 +232,14 @@ def _pisano_checks(max_value: int):
     )]
     routes, structure, stable, two_powers, even_period, neighbors = props
 
-    for p in sieve_upto(min(499, max_value)):
-        if p == 2:
-            continue
-        base = pisano.zero_count(p)
-        for e in (2, 3):
-            if p**e > 1_000_000:
-                break
-            stable.check(pisano.zero_count(p**e) == base, f"p={p} e={e}")
-
     two_powers.check(pisano.zero_count(2) == 1, "m=2")
     two_powers.check(pisano.zero_count(4) == 1, "m=4")
     for e in range(3, 13):
         two_powers.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
 
-    for p in sieve_upto(max_value):
-        if p != 2:
-            even_period.check(pisano.prime_period(p) % 2 == 0, f"p={p}")
-        rank = pisano.rank_of_apparition(p)
-        before = fib_pair_mod(rank - 1, p)[0]
-        after = fib_pair_mod(rank + 1, p)[0]
-        neighbors.check(before != 0 and after != 0, f"p={p} rank={rank}")
+    primes = set(sieve_upto(max_value))
 
-    def against(m: int, direct: pisano.PisanoProfile) -> None:
-        prof = pisano.profile(m)
+    def at(m, factors, gamma, prof, direct) -> None:
         routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
         ok = (
             prof.gamma == prof.upsilon * prof.alpha and prof.upsilon in (1, 2, 4)
@@ -235,26 +247,40 @@ def _pisano_checks(max_value: int):
         )
         # two dataclass reprs cost ~4 us: formatted only for a failure
         structure.check(ok, "" if ok else f"m={m} profile={prof} direct={direct}")
+        if m not in primes:
+            return
+        if m != 2:
+            even_period.check(gamma % 2 == 0, f"p={m}")
+        if 2 < m <= 499:
+            for e in (2, 3):
+                if m**e > 1_000_000:
+                    break
+                stable.check(pisano.zero_count(m**e) == prof.upsilon, f"p={m} e={e}")
+        rank = prof.alpha
+        before = fib_pair_mod(rank - 1, m)[0]
+        after = fib_pair_mod(rank + 1, m)[0]
+        neighbors.check(before != 0 and after != 0, f"p={m} rank={rank}")
 
-    return props, against
+    return props, at, lambda: None
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     """Goodness criteria, zero-count patterns, and divisor classes.
 
-    The odd-composite zero-count formula is checked against a direct scan
-    of the odd composites alone.
+    The pass runs over the odd moduli, and the odd-composite zero-count
+    formula is checked against a direct scan of the odd composites alone.
     """
     primes = set(sieve_upto(max_value))
     composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
     with _direct_scans(composites) as scans:
-        return _against_scans(scans, _classify_checks(max_value))
+        return _checked(range(3, max_value + 1, 2), scans, [_classify_checks(max_value)])
 
 
 def _classify_checks(max_value: int):
-    """suite_classify's checks that need no direct scan, run now; returns its
-    properties and the function that checks the zero-count formula at one m
-    against its direct scan."""
+    """suite_classify's checks that need no pass, run now; returns its
+    properties, the checks of one odd m's record, the zero-count formula
+    against m's direct scan among them, and the checks over the primes that
+    read the pass's verdicts on their powers, run after it."""
     props = [_Property(name) for name in (
         "fast-goodness-equals-direct",
         "even-never-good",
@@ -267,15 +293,22 @@ def _classify_checks(max_value: int):
     )]
     routes, even, powers, pattern, structure, force, formula, covers = props
 
+    for m in range(2, min(2000, max_value) + 1, 2):
+        even.check(not classify.is_good_direct(m), f"m={m}")
+
     primes = sieve_upto(max_value)
     prime_set = set(primes)
-    good_odd = set()  # odd m the direct route calls good, reused for prime powers
-    for m in range(3, max_value + 1, 2):
-        report = classify.is_good_fast(m)
-        direct = classify.is_good_direct(m)
-        if direct:
-            good_odd.add(m)
-        routes.check(report.is_good == direct, f"m={m} fast={report.is_good} direct={direct}")
+    # of the odd prime powers alone: each p^e exactly dividing m is at most
+    # m, so passed before it
+    ranks = {}  # the rank of each, for the lattice formula
+    good_powers = set()  # those the direct route calls good
+
+    def at(m, factors, gamma, prof, direct) -> None:
+        if m % 2 == 0:
+            return  # goodness and the formula are for odd m
+        report = classify._report(factors, prof, "fast")
+        good = classify._half_period_is_negative_identity(m, gamma)
+        routes.check(report.is_good == good, f"m={m} fast={report.is_good} direct={good}")
         entries = report.prime_entries
         if report.is_good:
             counts = {entry.upsilon_p for entry in entries}
@@ -284,42 +317,53 @@ def _classify_checks(max_value: int):
                 f"m={m} counts={sorted(counts)} upsilon_m={report.upsilon_m}",
             )
         if all(entry.upsilon_p == 4 for entry in entries):
-            force.check(direct, f"m={m}")
-
-    for m in range(2, min(2000, max_value) + 1, 2):
-        even.check(not classify.is_good_direct(m), f"m={m}")
-
-    for p in primes:
-        if p != 5:
-            cls = classify.period_divisor_class(p)
-            covers.check(cls != "neither", f"p={p} class={cls}")
-        if p == 2:
-            continue
-        e = 1
-        while p**e <= max_value:
-            powers.check((p**e in good_odd) == classify.is_good_prime(p), f"p={p} e={e}")
-            e += 1
+            force.check(good, f"m={m}")
+        if len(factors) == 1:
+            ranks[m] = prof.alpha
+            if good:
+                good_powers.add(m)
+        if m in prime_set:
+            return  # the formula is trivial at primes
         try:
-            classify.zero_count_period_pattern(p)
-            pattern.check(True, "")
-        except AnomalyError as exc:
-            pattern.check(False, str(exc))
-
-    def against(m: int, direct: pisano.PisanoProfile) -> None:
-        if m % 2 == 0 or m in prime_set:
-            return  # the formula is for odd m, and trivial at primes
-        try:
-            value = classify.zero_count_odd(m)
+            value = classify._zero_count_odd(m, factors, gamma, [ranks[p**e] for p, e in factors])
         except AnomalyError as exc:
             formula.check(False, str(exc))
         else:
             formula.check(value == direct.upsilon, f"m={m} value={value}")
 
-    return props, against
+    def then() -> None:
+        for p in primes:
+            if p != 5:
+                cls = classify.period_divisor_class(p)
+                covers.check(cls != "neither", f"p={p} class={cls}")
+            if p == 2:
+                continue
+            e = 1
+            while p**e <= max_value:
+                powers.check((p**e in good_powers) == classify.is_good_prime(p), f"p={p} e={e}")
+                e += 1
+            try:
+                classify.zero_count_period_pattern(p)
+                pattern.check(True, "")
+            except AnomalyError as exc:
+                pattern.check(False, str(exc))
+
+    return props, at, then
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
-    """Wall-Sun-Sun criteria, self-square enumeration, cofactor structure."""
+    """Wall-Sun-Sun criteria, self-square enumeration, cofactor structure.
+
+    Its pass over [2, max_value] takes each m's factors and period, which the
+    self-square test reads, and no profile.
+    """
+    return _checked(range(2, max_value + 1), iter(()), [_wss_checks(max_value)], profiled=False)
+
+
+def _wss_checks(max_value: int):
+    """suite_wss's checks that need no pass, run now; returns its properties,
+    the self-square test of one m's record, and the check of the set that
+    test found, run after the pass."""
     props = [_Property(name) for name in (
         "no-wss-primes-and-criteria-agree",
         "self-square-set-is-6-12",
@@ -336,10 +380,6 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
             not record.is_wss and record.criteria_agree,
             f"p={p} is_wss={record.is_wss} agree={record.criteria_agree}",
         )
-
-    found = {record.m for record in wss.enumerate_self_square(max_value)}
-    expected = {m for m in (6, 12) if m <= max_value}
-    self_square.check(found == expected, f"found={sorted(found)}")
 
     for k in range(1, 31):
         valuation, ok = wss.two_power_valuation_check(k)
@@ -367,15 +407,24 @@ def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
                     else:
                         multiplier.check(True, "")
 
-    # every p^e exactly dividing m is at most m <= max_value, so found
-    # already holds the test of m and of each of its prime powers
-    for m in range(3, min(2000, max_value) + 1, 2):
-        odd_moduli.check(
-            m not in found and not any(p**e in found for p, e in factorize(m)),
-            f"m={m}",
-        )
+    found = set()  # the m passed so far with m^2 | u_{period(m)}
+    odd_top = min(2000, max_value)
 
-    return [prop.result() for prop in props]
+    def at(m, factors, gamma, prof, direct) -> None:
+        if wss._self_square_test(m, gamma).divisible:
+            found.add(m)
+        # every p^e exactly dividing m is at most m, so found already holds
+        # the test of m and of each of its prime powers
+        if m % 2 and m <= odd_top:
+            odd_moduli.check(
+                m not in found and not any(p**e in found for p, e in factors), f"m={m}"
+            )
+
+    def then() -> None:
+        expected = {m for m in (6, 12) if m <= max_value}
+        self_square.check(found == expected, f"found={sorted(found)}")
+
+    return props, at, then
 
 
 def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult]:
@@ -392,10 +441,10 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
         return suite_classify(max_value)
     if suite == "wss":
         return suite_wss(max_value)
-    # one pool scans each m once while every check that needs no scan runs
-    # here; then the pisano and classify checks read each m's scan in turn
-    with _direct_scans(range(2, max_value + 1)) as scans:
+    # one pool scans each m once while every check that needs no pass runs
+    # here; then the pass hands each m's one record to every suite's checks
+    moduli = range(2, max_value + 1)
+    with _direct_scans(moduli) as scans:
         identities = suite_identities(min(max_value, 3000), seed=seed)
-        checks = _pisano_checks(max_value), _classify_checks(max_value)
-        wss_results = suite_wss(max_value)
-        return identities + _against_scans(scans, *checks) + wss_results
+        checks = [_pisano_checks(max_value), _classify_checks(max_value), _wss_checks(max_value)]
+        return identities + _checked(moduli, scans, checks)

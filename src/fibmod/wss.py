@@ -122,7 +122,11 @@ def wss_check(p: int) -> WssRecord:
 
 def self_square_test(m: int) -> SelfSquareRecord:
     """u_{period(m)} mod m^2, flagged when it vanishes."""
-    gamma = pisano_fast(m)
+    return _self_square_test(m, pisano_fast(m))
+
+
+def _self_square_test(m: int, gamma: int) -> SelfSquareRecord:
+    """self_square_test(m) from gamma, the fast period of m the caller took."""
     residue = fib_pair_mod(gamma, m * m)[0]
     return SelfSquareRecord(m=m, gamma=gamma, residue_mod_m2=residue, divisible=residue == 0)
 

@@ -79,10 +79,11 @@ def _fake_hit_check(real_check):
 
 
 def _fake_good_direct(real_direct):
-    # the direct goodness route answers wrongly at four odd moduli: one prime,
+    # the direct goodness route, the half-period test that verify and
+    # is_good_direct read, answers wrongly at four odd moduli: one prime,
     # three composites whose prime factors all have zero count 4
-    def direct(m):
-        return not real_direct(m) if m in (13, 65, 85, 221) else real_direct(m)
+    def direct(m, gamma):
+        return not real_direct(m, gamma) if m in (13, 65, 85, 221) else real_direct(m, gamma)
 
     return direct
 
@@ -109,9 +110,9 @@ def run_case(name: str) -> dict:
             fake = _fake_hit_check(wss_module.wss_check)
             stack.enter_context(mock.patch.object(wss_module, "wss_check", fake))
         if "injected faults" in name:
-            good = _fake_good_direct(classify_module.is_good_direct)
+            good = _fake_good_direct(classify_module._half_period_is_negative_identity)
             prof = _fake_profiles_direct(pisano_module.profiles_direct)
-            stack.enter_context(mock.patch.object(classify_module, "is_good_direct", good))
+            stack.enter_context(mock.patch.object(classify_module, "_half_period_is_negative_identity", good))
             stack.enter_context(mock.patch.object(pisano_module, "profiles_direct", prof))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

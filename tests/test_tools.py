@@ -19,11 +19,13 @@ from collections import Counter
 import pytest
 
 import fibmod
+import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod.pisano import pisano_direct, profile_direct
+from fibmod.verify import run_suites
 from fibmod.wss import wss_check
 
-from helpers import odd_prime_tests, primes_between, route_pows
+from helpers import binding_calls, factorize_calls, odd_prime_tests, primes_between, route_pows
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "kernel_ratio.py"
 PAIRS = TOOL.with_name("bench_pairs.py")
@@ -61,8 +63,18 @@ def test_tool_imports_only_the_stdlib_and_fibmod(tool):
     assert _import_roots(tool) <= set(sys.stdlib_module_names) | {"fibmod"}
 
 
-_SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "direct_terms",
-               "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"]
+_SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "factorize_calls", "profile_calls",
+               "direct_terms", "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"]
+
+
+def _fresh_verify_calls(max_value: int) -> tuple[int, int]:
+    """The factorize and fast-profile calls of run_suites("all", max_value)
+    with the period memos empty, as in a new process."""
+    for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
+        memo.cache_clear()
+    with factorize_calls() as factored, binding_calls(pisano_module._profile_with_period) as profiled:
+        run_suites("all", max_value)
+    return len(factored), len(profiled)
 
 
 def _verify_split(max_value: int) -> dict[str, str]:
@@ -73,6 +85,8 @@ def _verify_split(max_value: int) -> dict[str, str]:
     assert int(lines["direct_terms"]) == sum(pisano_direct(m) for m in range(2, max_value + 1))
     for name in ("wall_s", "caller_cpu_s", "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"):
         assert float(lines[name]) > 0, name
+    # the counted run counts what the test's own counters count
+    assert (int(lines["factorize_calls"]), int(lines["profile_calls"])) == _fresh_verify_calls(max_value)
     return lines
 
 

@@ -22,10 +22,11 @@ from fibmod.fib import fib_pair_mod
 from fibmod.pisano import PisanoProfile
 from fibmod.verify import run_suites, suite_classify, suite_identities, suite_pisano, suite_wss
 
-from helpers import CountingExecutor, binding_calls, is_prime_trial, two_cpus
+from helpers import CountingExecutor, binding_calls, factorize_calls, is_prime_trial, two_cpus
 
 _real_profiles_direct = pisano_module.profiles_direct
-_real_zero_count_odd = classify_module.zero_count_odd
+_real_zero_count_odd = classify_module._zero_count_odd
+_real_self_square_test = wss_module._self_square_test
 _real_init_worker = pool_module._init_worker
 
 
@@ -60,17 +61,28 @@ def test_run_all_passes_below_and_across_the_self_square_moduli(max_value):
         assert r.passed, f"max={max_value} {r.name}: {r.failures}"
 
 
+def _twenty_five_divisible(m, gamma):
+    record = _real_self_square_test(m, gamma)
+    return dataclasses.replace(record, divisible=True) if m == 25 else record
+
+
 def test_odd_moduli_read_the_self_square_test(monkeypatch):
-    real = wss_module.self_square_test
-
-    def twenty_five_divisible(m):
-        record = real(m)
-        return dataclasses.replace(record, divisible=True) if m == 25 else record
-
-    monkeypatch.setattr(wss_module, "self_square_test", twenty_five_divisible)
+    # the pass's self-square test, which verify reads in place of self_square_test
+    monkeypatch.setattr(wss_module, "_self_square_test", _twenty_five_divisible)
     odd_moduli = {r.name: r for r in suite_wss(300)}["odd-moduli-never-self-square"]
     assert not odd_moduli.passed
     assert odd_moduli.failures == ("m=25", "m=75", "m=175")
+
+
+def test_odd_moduli_read_the_test_of_m_itself(monkeypatch):
+    # 15 is no prime power, so only its own test can flag it
+    def fifteen_divisible(m, gamma):
+        record = _real_self_square_test(m, gamma)
+        return dataclasses.replace(record, divisible=True) if m == 15 else record
+
+    monkeypatch.setattr(wss_module, "_self_square_test", fifteen_divisible)
+    odd_moduli = {r.name: r for r in suite_wss(300)}["odd-moduli-never-self-square"]
+    assert odd_moduli.failures == ("m=15",)
 
 
 def test_a_wrong_cofactor_fails_its_product_check(monkeypatch):
@@ -121,13 +133,14 @@ def test_unknown_suite_rejected():
 
 
 def test_rank_and_zero_count_audited_against_direct_scan():
-    # a fast profile that is wrong at m = 5 yet keeps period = zero count * rank
-    real_profile = pisano_module.profile
+    # a fast profile that is wrong at m = 5 yet keeps period = zero count * rank,
+    # from the pass's profile, which verify reads in place of profile
+    real_profile = pisano_module._profile_with_period
 
-    def fake(m):
-        return PisanoProfile(m=5, gamma=20, alpha=10, upsilon=2) if m == 5 else real_profile(m)
+    def fake(m, gamma):
+        return PisanoProfile(m=5, gamma=20, alpha=10, upsilon=2) if m == 5 else real_profile(m, gamma)
 
-    with mock.patch.object(pisano_module, "profile", fake):
+    with mock.patch.object(pisano_module, "_profile_with_period", fake):
         results = {r.name: r for r in suite_pisano(50)}
     assert results["fast-period-equals-direct"].passed
     structure = results["period-is-zerocount-times-rank"]
@@ -144,18 +157,26 @@ def test_passing_structure_checks_format_no_profile():
         def __repr__(self):
             raise AssertionError(f"formatted the profile of m={self.m}")
 
-    real_profile = pisano_module.profile
-    with mock.patch.object(pisano_module, "profile", lambda m: Unprintable(*dataclasses.astuple(real_profile(m)))):
+    real_profile = pisano_module._profile_with_period
+    reached = set()
+
+    def unprintable(m, gamma):
+        reached.add(m)
+        return Unprintable(*dataclasses.astuple(real_profile(m, gamma)))
+
+    with mock.patch.object(pisano_module, "_profile_with_period", unprintable):
         results = {r.name: r for r in suite_pisano(300)}
+    assert reached >= set(range(2, 301))  # the pass's profile of every m is the unprintable one
     assert results["period-is-zerocount-times-rank"] == verify_module.PropertyResult(
         "period-is-zerocount-times-rank", True, 299, ()
     )
 
 
-def _formula_wrong_at_45_and_121_raising_at_91(m):
+def _formula_wrong_at_45_and_121_raising_at_91(m, factors, gamma, ranks):
+    # stands in for the pass's formula, which verify reads in place of zero_count_odd
     if m == 91:
         raise AnomalyError("injected at m=91")
-    return _real_zero_count_odd(m) + (m in (45, 121))
+    return _real_zero_count_odd(m, factors, gamma, ranks) + (m in (45, 121))
 
 
 @pytest.mark.parametrize("run", [
@@ -166,7 +187,7 @@ def _formula_wrong_at_45_and_121_raising_at_91(m):
 def test_formula_checks_fail_in_modulus_order(run, monkeypatch):
     # each odd composite's formula value is compared with its scan as the
     # scan arrives, in m order, a value that raised kept as its message
-    monkeypatch.setattr(classify_module, "zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
+    monkeypatch.setattr(classify_module, "_zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
     results = {r.name: r for r in run()}
     formula = results.pop("odd-zero-count-formula-matches-scan")
     assert formula.checked == 88  # the odd composites in [3, 300]
@@ -174,17 +195,76 @@ def test_formula_checks_fail_in_modulus_order(run, monkeypatch):
     assert all(r.passed for r in results.values())
 
 
+def test_formula_reads_the_ranks_of_the_prime_powers(monkeypatch):
+    # the pass hands each odd composite's formula the rank of each p^e
+    # exactly dividing it, kept from p^e's own record, in the factors' order
+    given = {}
+
+    def spy(m, factors, gamma, ranks):
+        given[m] = ranks
+        return _real_zero_count_odd(m, factors, gamma, ranks)
+
+    monkeypatch.setattr(classify_module, "_zero_count_odd", spy)
+    assert all(r.passed for r in run_suites("all", 300))
+    assert given == {
+        m: [pisano_module.rank_of_apparition(p**e) for p, e in factorize(m)]
+        for m in range(3, 301, 2) if not is_prime_trial(m)
+    }
+
+
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
 @pytest.mark.parametrize("max_value", [2, 65, 66, 300])
 def test_single_suites_equal_their_slice_of_all(max_value, faulted, monkeypatch):
-    # no suite reads what another fills: each alone gives what it gives in all
+    # suites share each modulus's one record, never each other's verdicts:
+    # each alone gives what it gives in all
     if faulted:
-        monkeypatch.setattr(classify_module, "zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
+        monkeypatch.setattr(classify_module, "_zero_count_odd", _formula_wrong_at_45_and_121_raising_at_91)
+        monkeypatch.setattr(wss_module, "_self_square_test", _twenty_five_divisible)
     shared = run_suites("all", max_value)
-    for alone in (suite_pisano(max_value), suite_classify(max_value)):
+    for alone in (
+        suite_identities(max_value), suite_pisano(max_value), suite_classify(max_value), suite_wss(max_value)
+    ):
         assert [r for r in shared if r.name in {a.name for a in alone}] == alone
-    formula = {r.name: r for r in shared}["odd-zero-count-formula-matches-scan"]
-    assert formula.passed == (not faulted or max_value < 45)
+    shared = {r.name: r for r in shared}
+    assert shared["odd-zero-count-formula-matches-scan"].passed == (not faulted or max_value < 45)
+    assert shared["odd-moduli-never-self-square"].passed == (not faulted or max_value < 25)
+
+
+def test_all_factors_each_modulus_once(monkeypatch):
+    # on one CPU every call runs here; with the period memos empty, the only
+    # factorizations besides the pass's one of each m are the prime-period
+    # layer's of each prime's bound (once through prime_period's memo, once
+    # more through wss_check, which a scan calls past it) and those of the
+    # moduli the fixed-input checks build and hand to a public route
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
+        memo.cache_clear()
+    with factorize_calls() as calls, binding_calls(pisano_module._profile_with_period) as profiles:
+        results = run_suites("all", 2000)
+    assert all(r.passed for r in results)
+    primes = [p for p in range(2, 2001) if is_prime_trial(p)]
+    bounds = [{1: p - 1, 2: p + 1, 3: p + 1, 4: p - 1, 0: 20}[p % 5] if p != 2 else 3 for p in primes]
+    built = [p**e for p in primes if 2 < p <= 499 for e in (2, 3) if p**e <= 10**6]  # zero-count stability
+    built += [2**e for e in range(1, 13)]  # two-power zero counts
+    built += [n**k for n in (2, 3, 5, 6, 7) for k in (1, 2)]  # cofactor products
+    built += [n**k for n in range(2, 8) for k in (1, 2)]  # cofactor multipliers
+    assert Counter(calls) == Counter(range(2, 2001)) + Counter(bounds * 2) + Counter(built)
+    assert (len(calls), len(profiles)) == (2757, 2431)
+
+
+def test_a_wrong_matrix_entry_at_the_top_of_the_table_fails(monkeypatch):
+    # the table is carried mod the lcm of the pool up to u_6002: an entry wrong
+    # only near its top, at n >= 2900, still disagrees with it
+    real = verify_module.matrix_pow_mod
+
+    def late_wrong(n, m):
+        mat = real(n, m)
+        return dataclasses.replace(mat, u_cur=(mat.u_cur + 1) % m) if n >= 2900 else mat
+
+    monkeypatch.setattr(verify_module, "matrix_pow_mod", late_wrong)
+    entries = {r.name: r for r in suite_identities(3000)}["matrix-entries-match-exact"]
+    assert not entries.passed
+    assert all(int(failure.split()[0][2:]) >= 2900 for failure in entries.failures)
 
 
 def _log_scans(directory, moduli):

@@ -5,7 +5,11 @@ Runs run_suites(S, N) once and prints its wall time, the CPU time of the
 calling process (getrusage RUSAGE_SELF) and that of the pool workers
 (RUSAGE_CHILDREN, which counts a worker once the run's pool has joined
 it), each as the difference across the run; it is 0 where the run opens no
-pool, as for N up to one chunk or on one CPU.  Then it times, serially
+pool, as for N up to one chunk or on one CPU.  A second run, with the
+package's memos emptied first, counts the calls of arith.factorize and of
+pisano._profile_with_period, the fast profile, made through every fibmod
+module's binding of each, which it restores after; the timed run is not
+patched.  Then it times, serially
 (time.process_time) over [2, N], pisano.profile_direct and the lane scan
 pisano.profiles_direct in verify's chunks, exits 1 if their profiles
 differ, and prints the terms each walks, the sum of the periods, and the
@@ -16,15 +20,49 @@ time of each and per term.
 
 import argparse
 import resource
+import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
 
 from fibmod import pisano
+from fibmod.arith import factorize
 from fibmod.verify import _DIRECT_CHUNK, SUITE_NAMES, run_suites
 
 
 def cpu_s(who: int) -> float:
     usage = resource.getrusage(who)
     return usage.ru_utime + usage.ru_stime
+
+
+def fibmod_modules():
+    return [module for name, module in list(sys.modules.items()) if name.split(".")[0] == "fibmod"]
+
+
+@contextmanager
+def counted_calls(*functions):
+    """A Counter of the calls of each of functions, by name, made through
+    any fibmod module's binding of it; every binding is restored on exit."""
+    calls = Counter()
+    patched = []
+
+    def counting(function):
+        def wrapper(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+        return wrapper
+
+    try:
+        for function in functions:
+            wrapper = counting(function)
+            for module in fibmod_modules():
+                if getattr(module, function.__name__, None) is function:
+                    patched.append((module, function))
+                    setattr(module, function.__name__, wrapper)
+        yield calls
+    finally:
+        for module, function in patched:
+            setattr(module, function.__name__, function)
 
 
 def main(argv=None) -> int:
@@ -41,6 +79,12 @@ def main(argv=None) -> int:
     workers = cpu_s(resource.RUSAGE_CHILDREN) - workers
     if not all(r.passed for r in results):
         parser.exit(1, "verify reported a failing property\n")
+    for module in fibmod_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    with counted_calls(factorize, pisano._profile_with_period) as calls:
+        run_suites(args.suite, args.max_value)
 
     moduli = range(2, args.max_value + 1)
     start = time.process_time()
@@ -59,6 +103,8 @@ def main(argv=None) -> int:
     print(f"wall_s           {wall:.3f}")
     print(f"caller_cpu_s     {own:.3f}")
     print(f"workers_cpu_s    {workers:.3f}")
+    print(f"factorize_calls  {calls['factorize']}")
+    print(f"profile_calls    {calls['_profile_with_period']}")
     print(f"direct_terms     {terms}")
     print(f"direct_serial_s  {direct_s:.3f}")
     print(f"direct_ns_term   {direct_s / terms * 1e9:.1f}")
