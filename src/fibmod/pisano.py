@@ -48,18 +48,17 @@ Every prime's period is reduced over the factors of its bound t.  A scan
 block gets them for all its primes from one strike pass
 (_bound_factor_sieve): the odd primes up to a bound B, read from arith's
 base-prime array, strike the block's neighbours p - chi, and only a
-cofactor of at least (B + 1)^2 goes to is_prime and rho.  The factors,
-and each chi = +1 prime's root of 5, sit in the block store only while the
-block is checked (_block_facts), and _prime_period, which a scan calls past
-prime_period's memo as it meets each prime once, takes its keys, which the
-window sieve proved, as prime; any other p meets is_prime and factorize.
+cofactor of at least (B + 1)^2 goes to is_prime and rho.  _block_facts
+returns each prime's facts, its factors and for chi = +1 its root of 5, and
+a scan passes each to _prime_period past prime_period's memo.  A p given
+facts is taken as proven by the window sieve; a p given none meets
+is_prime, factorize and _root5 in _prime_facts.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice
@@ -98,11 +97,6 @@ _CACHE_SIZE = 1 << 14
 # ~25-36 for 2^16, with a fifth of the rho calls, and the array holds its
 # primes in 4 bytes each.
 _SIEVE_LIMIT = 1 << 18
-
-# The block store: each proven prime of the scan block mapped to its bound's
-# factors and, for chi = +1, its root of 5 mod p^2 (None otherwise).  Only
-# _block_facts fills it, one block at a time, and empties it in place.
-_BLOCK_STORE: dict[int, tuple[tuple[tuple[int, int], ...], int | None]] = {}
 
 
 @dataclass(frozen=True)
@@ -277,29 +271,25 @@ def prime_period(p: int) -> int:
     return _prime_period(p)
 
 
-def _prime_period(p: int) -> int:
+def _prime_period(p: int, facts: tuple | None = None) -> int:
     """Period of a prime modulus without iterating the full cycle.
 
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
     2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
     reduction over the factors of that bound (p = 2 and p = 5 included),
-    read from the scan block's store or from factorize.  The reduction
-    reads only the odd ones, so for chi = -1 factorize takes p + 1, below
-    2^64 for every p < 2^64, as 2*(p + 1) need not be.  For chi = 1 the
-    reduction runs on the eigenvalue phi with builtin pow.  Otherwise the
-    premise and the halvings read one ladder at the bound's odd part and
-    its doublings, and each odd prime factor's test is a ladder of its own.
-    A p outside the block store meets the period layer's one primality
-    check, is_prime.
+    read from p's facts: the bound's factors and, for chi = 1, a root of 5
+    mod p^2.  Given facts, from _block_facts or _prime_facts, state that
+    the caller proved p prime; without them p meets the period layer's one
+    primality check in _prime_facts.  For chi = 1 the reduction runs on the
+    eigenvalue phi with builtin pow.  Otherwise the premise and the halvings
+    read one ladder at the bound's odd part and its doublings, and each odd
+    prime factor's test is a ladder of its own.
     """
-    facts = _BLOCK_STORE.get(p)
-    if facts is None and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    factors, root = facts or _prime_facts(p)
     chi = _legendre5(p)
     t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
-    factors, root = facts or (factorize(t >> (chi == -1)), None)
     if chi == 1:
-        return _eigen_period(p, factors, _root5(p) if root is None else root)
+        return _eigen_period(p, factors, root)
     # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd
     # and its v doublings: the premise reads the last, and the period's 2-part
     # is the first i where P^(odd * 2^i) is the identity
@@ -397,14 +387,14 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _index_residue(p: int) -> int:
+def _index_residue(p: int, facts: tuple | None = None) -> int:
     """u_{p-1} mod p^2 for a prime p with chi = +1, without a ladder.
 
     With s^2 == 5 mod p^2, u_n == (phi^n - psi^n)/s mod p^2, and
     psi^n = phi^-n for even n; so with x = phi^(p-1) mod p^2 the residue is
-    (x - 1/x)/s = (x^2 - 1)/(x*s).
+    (x - 1/x)/s = (x^2 - 1)/(x*s).  s is the root in p's facts, whose
+    caller proved p prime, or else computed here.
     """
-    facts = _BLOCK_STORE.get(p)
     s = _root5(p) if facts is None else facts[1]
     p2 = p * p
     x = pow((1 + s) * ((p2 + 1) // 2), p - 1, p2)
@@ -461,18 +451,24 @@ def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], .
     }
 
 
-@contextmanager
-def _block_facts(primes: list[int]):
-    """Hold the facts of a scan block's proven primes in the block store
-    while the block is checked; empty it on exit, also when anything raises."""
-    try:
-        _BLOCK_STORE.update(
-            (p, (factors, _root5(p) if _legendre5(p) == 1 else None))
-            for p, factors in _bound_factor_sieve(primes).items()
-        )
-        yield
-    finally:
-        _BLOCK_STORE.clear()
+def _block_facts(primes: list[int]) -> dict[int, tuple]:
+    """The facts of each of a scan block's proven primes but 5: its bound's
+    factors, by one strike pass, and for chi = +1 its root of 5 mod p^2
+    (None otherwise).  5 is left out, as _prime_facts factors 20 at once."""
+    return {
+        p: (factors, _root5(p) if _legendre5(p) == 1 else None)
+        for p, factors in _bound_factor_sieve(primes).items()
+    }
+
+
+def _prime_facts(p: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+    """_block_facts's facts for a p no block proved, after is_prime rejects a
+    non-prime p.  The reduction reads only the bound's odd factors, so for
+    chi = -1 factorize takes p + 1, below 2^64 for every p < 2^64."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    chi = _legendre5(p)
+    return factorize((p - chi) * (4 if chi == 0 else 1)), _root5(p) if chi == 1 else None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -31,9 +31,9 @@ time, at least min(isqrt(hi), 2**20) wide and capped at hi, with every
 prime up to min(isqrt(window hi), 2**20) (arith._prime_window), so below
 1.1e12 no scanned prime needs a Miller-Rabin proof; each block goes to
 _scan_block with its primes, read from the window's flags as the block is
-made.  A block's primes are checked inside pisano._block_facts, which
-holds the factors of every prime's period bound and each (p/5) = +1
-prime's root of 5 for the block's checks alone.
+made.  pisano._block_facts gives each of a block's primes its facts, the
+factors of its period bound and, for (p/5) = +1, its root of 5, and
+_scan_block passes each prime's facts to that prime's wss_check alone.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .pisano import (
     _block_facts,
     _index_residue,
     _legendre5,
+    _prime_facts,
     _prime_period,
     pisano_fast,
     prime_power_period,
@@ -99,15 +100,17 @@ class ScanCheckpoint:
     wall_time_seconds: float
 
 
-def wss_check(p: int) -> WssRecord:
-    """Evaluate both Wall-Sun-Sun criteria for a prime."""
-    gamma = _prime_period(p)  # unmemoized, as a scan meets p once; rejects a non-prime p
+def wss_check(p: int, facts: tuple | None = None) -> WssRecord:
+    """Evaluate both Wall-Sun-Sun criteria for a prime, given with its facts
+    by a block that proved it, or else rejected by _prime_facts if not prime."""
+    facts = facts or _prime_facts(p)  # one root of 5 for both criteria
+    gamma = _prime_period(p, facts)  # unmemoized, as a scan meets p once
     chi = _legendre5(p)
     index = p - chi
     p2 = p * p
     # two algorithms for the two criteria: for chi = +1 the index residue
     # comes from the eigenvalue route, the period's residue from a ladder
-    residue_index = _index_residue(p) if chi == 1 else fib_pair_mod(index, p2)[0]
+    residue_index = _index_residue(p, facts) if chi == 1 else fib_pair_mod(index, p2)[0]
     residue_gamma = fib_pair_mod(gamma, p2)[0]
     return WssRecord(
         p=p,
@@ -206,10 +209,10 @@ def _blocks(start: int, hi: int, size: int) -> Iterator[tuple[int, int, list[int
 
 
 def _scan_block(block: tuple[int, int, list[int]]) -> tuple[int, list[WssRecord]]:
-    """Check the primes of the block (lo, hi, primes), every one proven."""
+    """Check the primes of the block (lo, hi, primes), every one proven and given its facts."""
     _, hi, primes = block
-    with _block_facts(primes):
-        return hi, [wss_check(p) for p in primes]
+    facts = _block_facts(primes)
+    return hi, [wss_check(p, facts.get(p)) for p in primes]
 
 
 def _fsync_directory(path: str) -> None:

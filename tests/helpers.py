@@ -3,7 +3,8 @@
 Everything here is deliberately naive — plain recurrences, linear scans,
 trial division — so the library's fast paths are checked against code that
 shares none of their structure.  binding_calls records how often the
-library calls one of its functions, not what it computes;
+library calls one of its functions, not what it computes; module_state
+snapshots what a module holds, so that a call can be shown to change none;
 interrupted_scan stops a real scan between two of its blocks;
 CountingExecutor runs a process pool's calls in the calling process; and
 two_cpus lets verify start a pool on any host.
@@ -80,6 +81,19 @@ def binding_calls(function):
             if module_name.split(".")[0] == "fibmod" and getattr(module, name, None) is function:
                 stack.enter_context(mock.patch.object(module, name, counting))
         yield calls
+
+
+def module_state(*modules) -> dict:
+    """Every global of modules, keyed by (module name, global name), as its
+    object's id, the object and, for a dict, list or set, a copy of its
+    items: two snapshots are equal exactly when each name is bound to the
+    same object and each such container holds the same items."""
+    return {
+        (module.__name__, name): (id(value), value,
+                                  type(value)(value) if isinstance(value, (dict, list, set)) else None)
+        for module in modules
+        for name, value in vars(module).items()
+    }
 
 
 def factorize_calls():

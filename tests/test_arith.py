@@ -20,7 +20,7 @@ from fibmod.arith import (
     two_adic_split,
 )
 
-from helpers import is_prime_trial, primes_between
+from helpers import is_prime_trial, module_state, period_bound, primes_between
 
 
 class TestTwoAdicSplit:
@@ -391,75 +391,88 @@ class TestWitnessTiers:
         assert checked > 70_000
 
 
-def _store_during_block(lo, hi):
-    """The block store as each wss_check of the scan block [lo, hi] sees it:
-    (the store object, its keys), with wss_check a stand-in that checks nothing."""
+def _facts_during_block(lo, hi):
+    """(p, facts) as each wss_check of the scan block [lo, hi] receives them,
+    with wss_check a stand-in that checks nothing; and that the block left
+    every global of pisano and wss as it was."""
     seen = []
-
-    def record(p):
-        seen.append((pisano_module._BLOCK_STORE, set(pisano_module._BLOCK_STORE)))
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wss_module, "wss_check", record)
+        patch.setattr(wss_module, "wss_check", lambda p, facts=None: seen.append((p, facts)))
+        before = module_state(pisano_module, wss_module)
         wss_module._scan_block((lo, hi, primes_in_range(lo, hi)))
-    return seen
+        return seen, module_state(pisano_module, wss_module) == before
+
+
+def _true_facts(p, facts):
+    """Whether facts are those of the prime p: the factors of its period bound
+    and, for chi = +1 alone, a root of 5 mod p^2."""
+    factors, root = facts
+    return (math.prod(q**e for q, e in factors) == period_bound(p)
+            and all(is_prime_trial(q) if q < 10**6 else is_prime(q) for q, _ in factors)
+            and (root is None) == (p % 5 not in (1, 4))
+            and (root is None or (root * root - 5) % (p * p) == 0))
 
 
 class TestWindowMemo:
-    """The block store holds one scan block's proven primes while the block is
-    checked, and only those; primes_in_range alone stores nothing."""
+    """A scan block hands each wss_check its own proven prime's facts and no
+    other's, and keeps none of them; primes_in_range alone holds nothing."""
 
     @pytest.mark.parametrize("lo,hi", [(10**9, 10**9 + 999), (10**12, 10**12 + 2000), (2**63 - 3000, 2**63)])
     def test_the_set_holds_the_window_proved_primes_and_composites_stay_composite(self, lo, hi, monkeypatch):
-        store = pisano_module._BLOCK_STORE
         primes = primes_in_range(lo, hi)
-        assert pisano_module._BLOCK_STORE is store and store == {}
-        keys, verdicts = [], []
+        seen, verdicts = [], []
 
-        def check(p):
-            keys.append(set(store))
-            if not verdicts:  # is_prime over the whole window, while the store is full
+        def check(p, facts=None):
+            seen.append((p, facts))
+            if not verdicts:  # is_prime over the whole window, while the block is checked
                 verdicts.extend(is_prime(n) for n in range(lo, hi + 1))
 
         monkeypatch.setattr(wss_module, "wss_check", check)
+        before = module_state(pisano_module, wss_module)
         wss_module._scan_block((lo, hi, primes))
-        assert pisano_module._BLOCK_STORE is store and store == {}
-        assert keys == [set(primes)] * len(primes)
+        assert module_state(pisano_module, wss_module) == before
+        assert [p for p, _ in seen] == primes
+        assert dict(seen) == pisano_module._block_facts(primes)
+        assert all(_true_facts(p, facts) for p, facts in seen)
         assert verdicts == [_seven_base_is_prime(n) for n in range(lo, hi + 1)]
 
     def test_a_new_window_replaces_the_last(self):
-        first = _store_during_block(10**12, 10**12 + 2000)
-        second = _store_during_block(10**15, 10**15 + 2000)
-        assert {frozenset(keys) for _, keys in first} == {frozenset(primes_in_range(10**12, 10**12 + 2000))}
-        assert {frozenset(keys) for _, keys in second} == {frozenset(primes_in_range(10**15, 10**15 + 2000))}
-        assert {id(store) for store, _ in first + second} == {id(pisano_module._BLOCK_STORE)}
-        assert pisano_module._BLOCK_STORE == {}
+        first, first_kept = _facts_during_block(10**12, 10**12 + 2000)
+        second, second_kept = _facts_during_block(10**15, 10**15 + 2000)
+        assert [p for p, _ in first] == primes_in_range(10**12, 10**12 + 2000)
+        assert [p for p, _ in second] == primes_in_range(10**15, 10**15 + 2000)
+        # each check gets its own prime's facts, none the other block's
+        assert all(_true_facts(p, facts) for p, facts in first + second)
+        assert first_kept and second_kept
 
     def test_a_full_sieve_window_adds_nothing(self):
-        # nor does a narrower one: only a scan block fills the store
-        store = pisano_module._BLOCK_STORE
+        # nor does a narrower one: a sieve changes nothing in pisano or wss
+        before = module_state(pisano_module, wss_module)
         assert len(sieve_upto(10**5)) == 9592
         root = math.isqrt(10**9 + 31622)
         assert primes_in_range(10**9, 10**9 + root - 1)
         assert primes_in_range(10**12, 10**12 + 2000)
-        assert pisano_module._BLOCK_STORE is store and store == {}
+        assert module_state(pisano_module, wss_module) == before
 
     def test_a_direct_call_keeps_only_its_window_proved_primes(self):
-        # what stays alive while a block is checked: its primes' entries, no more
+        # what a check receives: its own prime's facts, no more
         lo, hi = 10**15, 10**15 + 9999
         primes = primes_in_range(lo, hi)
-        seen = _store_during_block(lo, hi)
-        assert [keys for _, keys in seen] == [set(primes)] * len(primes)
+        seen, kept = _facts_during_block(lo, hi)
+        assert [p for p, _ in seen] == primes and kept
+        assert all(_true_facts(p, facts) for p, facts in seen)
         assert len(primes) < (hi - lo + 1) // 30
-        # 5 is the one prime the store leaves out: its bound 20 factors at once
-        assert [keys for _, keys in _store_during_block(2, 100)] == [set(sieve_upto(100)) - {5}] * 25
-        assert pisano_module._BLOCK_STORE == {}
+        # 5 is the one prime given no facts: its bound 20 factors at once
+        seen, kept = _facts_during_block(2, 100)
+        assert [p for p, _ in seen] == sieve_upto(100) and kept
+        assert [p for p, facts in seen if facts is None] == [5]
+        assert all(_true_facts(p, facts) for p, facts in seen if p != 5)
 
-    def test_is_prime_reads_no_block_store(self, monkeypatch):
-        # composites planted in pisano's store stay composite for arith
+    def test_is_prime_reads_no_given_facts(self):
+        # composites handed to the period as proven, with facts, stay composite for arith
         composites = (91, 999_983 * 1_000_003)
         for n in composites:
-            monkeypatch.setitem(pisano_module._BLOCK_STORE, n, ((), None))
+            pisano_module._prime_period(n, (((2, 1), (3, 1), (5, 1)), 1))
         assert [is_prime(n) for n in composites] == [False, False]
         assert [factorize(n) for n in composites] == [((7, 1), (13, 1)), ((999_983, 1), (1_000_003, 1))]
         assert primes_in_range(85, 95) == [89]

@@ -661,8 +661,8 @@ class TestWssScanCommand:
 
         real_check = wss_module.wss_check
 
-        def fake_check(p):
-            record = real_check(p)
+        def fake_check(p, facts=None):
+            record = real_check(p, facts)
             if p == 11:
                 import dataclasses
 
@@ -684,8 +684,8 @@ class TestWssScanCommand:
 
         real_check = wss_module.wss_check
 
-        def fake_check(p):
-            record = real_check(p)
+        def fake_check(p, facts=None):
+            record = real_check(p, facts)
             if p == 13:
                 import dataclasses
 

@@ -67,8 +67,8 @@ _MASKED = re.compile(r'("(?:elapsed_ms|wall_time_seconds)": )[0-9.eE+-]+')
 
 def _fake_hit_check(real_check):
     # p = 11 becomes a WSS hit whose two criteria disagree, as in test_hit_exit_code
-    def check(p):
-        record = real_check(p)
+    def check(p, facts=None):
+        record = real_check(p, facts)
         if p == 11:
             record = dataclasses.replace(
                 record, residue_fib_index_mod_p2=0, is_wss=True, criteria_agree=False

@@ -40,6 +40,7 @@ from helpers import (
     factorize_calls,
     fib_upto,
     ladder_prime_period,
+    module_state,
     odd_prime_tests,
     period_bound,
     pisano_scan,
@@ -365,9 +366,10 @@ class TestEigenRoute:
                 prime_period(29)
             with pytest.raises(AnomalyError):
                 wss_check(29)
+            before = module_state(pisano_module, wss_module)
             with pytest.raises(AnomalyError):
                 wss_module._scan_block(next(wss_module._blocks(20, 40, 21)))
-            assert pisano_module._BLOCK_STORE == {}
+            assert module_state(pisano_module, wss_module) == before
             # a root right mod p but lifted wrong: an inverse off by one
             monkeypatch.setattr(pisano_module, "_sqrt5_mod_p", real)
             monkeypatch.setattr(

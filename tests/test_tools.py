@@ -135,8 +135,8 @@ def test_kernel_ratio_at_1e5():
     assert 0 < float(sieve_us) < float(kernel_us)
     assert 0 < float(strike_us) < float(kernel_us)
     assert float(ratio) > 1
-    # the window sieve strikes with every prime up to isqrt(hi), and
-    # prime_period's gate finds each prime in the block store; at
+    # the window sieve strikes with every prime up to isqrt(hi), and the
+    # period's gate takes each prime given its block's facts as proven; at
     # B = isqrt(hi + 1) every cofactor of a period bound is 1 or prime, so
     # none goes to is_prime or rho
     assert pows == "0.00"

@@ -33,7 +33,7 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import CountingExecutor, fib_upto, interrupted_scan, primes_between
+from helpers import CountingExecutor, fib_upto, interrupted_scan, module_state, primes_between
 
 
 class TestLegendre5:
@@ -82,6 +82,22 @@ class TestWssCheck:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             wss_check(49)
+
+    def test_a_lone_check_takes_one_root_of_5(self, monkeypatch):
+        # verify's no-wss-primes check: 1,229 primes, 609 of them with chi = +1,
+        # each given one root for both criteria
+        roots = []
+        real = pisano_module._root5
+        monkeypatch.setattr(pisano_module, "_root5", lambda p: roots.append(p) or real(p))
+        primes = sieve_upto(10**4)
+        records = [wss_check(p) for p in primes]
+        assert len(records) == 1229
+        assert roots == [p for p in primes if p % 5 in (1, 4)] and len(roots) == 609
+        # a non-prime is refused before any root is sought: 49 = 4 mod 5 has chi = +1
+        for n in (15, 49):
+            with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+                wss_check(n)
+        assert len(roots) == 609
 
 
 class TestSelfSquare:
@@ -891,67 +907,84 @@ class TestScanProvesEachPrimeOnce:
         # what is proved are the strike pass's large cofactors of the period bounds
         assert all(n > 2**36 for n in proofs) and sum(proofs.values()) < len(scanned) / 2
 
-    def test_a_scan_block_leaves_no_proof_behind(self, tmp_path):
-        store = pisano_module._BLOCK_STORE
-        store.update(dict.fromkeys(primes_between(10**9, 10**9 + 999), ((), None)))
+    def test_a_scan_block_leaves_no_proof_behind(self, tmp_path, monkeypatch):
+        # a block, a scan and a block whose check raises each leave every
+        # global of pisano and wss as it was, and a block prime met again
+        # after its block meets the period gate
+        primes = primes_between(10**12, 10**12 + 2000)
+        before = module_state(pisano_module, wss_module)
         hi, records = wss_module._scan_block(next(wss_module._blocks(10**12, 10**12 + 2000, 2001)))
-        assert [r.p for r in records] == primes_between(10**12, 10**12 + 2000)
-        assert pisano_module._BLOCK_STORE is store and store == {}
+        assert [r.p for r in records] == primes
+        assert module_state(pisano_module, wss_module) == before
         scan_wss(10**12, 10**12 + 2000, checkpoint_path=str(tmp_path / "ck.json"))
-        assert pisano_module._BLOCK_STORE is store and store == {}
-        # nor does a block whose check raises
+        assert module_state(pisano_module, wss_module) == before
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wss_module, "wss_check", lambda p: 1 / 0)
+            patch.setattr(wss_module, "wss_check", lambda p, facts=None: 1 / 0)
+            raising = module_state(pisano_module, wss_module)
             with pytest.raises(ZeroDivisionError):
-                wss_module._scan_block((10**12, 10**12 + 2000, primes_between(10**12, 10**12 + 2000)))
-        assert pisano_module._BLOCK_STORE is store and store == {}
-
-    def test_the_period_gate_takes_a_block_prime_as_proven(self, monkeypatch):
-        # prime_period calls is_prime only for a p outside the block store
+                wss_module._scan_block((10**12, 10**12 + 2000, primes))
+            assert module_state(pisano_module, wss_module) == raising
+        assert module_state(pisano_module, wss_module) == before
         calls = []
         real = pisano_module.is_prime
         monkeypatch.setattr(pisano_module, "is_prime", lambda n: calls.append(n) or real(n))
+        assert wss_check(primes[0]).p == primes[0]
+        assert calls == [primes[0]]
+
+    def test_the_period_gate_takes_a_block_prime_as_proven(self, monkeypatch):
+        # a block's primes come with their facts: the period gate's is_prime,
+        # factorize and _root5 run only for a p given none, and the block
+        # seeks each chi = +1 prime's root once
+        calls, factored, roots = [], [], []
+        real_is_prime, real_factorize, real_root5 = pisano_module.is_prime, pisano_module.factorize, pisano_module._root5
+        monkeypatch.setattr(pisano_module, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
+        monkeypatch.setattr(pisano_module, "factorize", lambda n: factored.append(n) or real_factorize(n))
+        monkeypatch.setattr(pisano_module, "_root5", lambda p: roots.append(p) or real_root5(p))
         prime_period.cache_clear()
         try:
             block = next(wss_module._blocks(10**9, 10**9 + 9999, 10**4))
             hi, records = wss_module._scan_block(block)
             assert [r.p for r in records] == block[2] == primes_between(10**9, 10**9 + 9999)
-            assert calls == []
+            assert calls == [] and factored == []
+            assert roots == [p for p in block[2] if p % 5 in (1, 4)]
             # a prime outside the block meets the gate, once
             assert prime_period(999_999_937) == pisano_fast(999_999_937)
             assert calls == [999_999_937]
         finally:
             prime_period.cache_clear()
 
-    def test_each_block_fills_and_empties_the_one_store(self, tmp_path, monkeypatch):
-        # wss_check sees its block's primes, and nothing else, in the same store;
-        # after each block, and after the scan, the store is empty
-        store = pisano_module._BLOCK_STORE
+    def test_each_check_gets_its_own_primes_facts(self, tmp_path, monkeypatch):
+        # each wss_check of a scan's blocks receives its own prime's facts, as
+        # _block_facts gives them for its block; each block, and the scan,
+        # leave every global of pisano and wss as it was
         real_scan_block = wss_module._scan_block
         blocks = []
 
         def scan_block(bounds):
             seen = []
             real_check = wss_module.wss_check
-            wss_module.wss_check = lambda p: seen.append((pisano_module._BLOCK_STORE is store, set(store))) or real_check(p)
+            wss_module.wss_check = lambda p, facts=None: seen.append((p, facts)) or real_check(p, facts)
             try:
+                before = module_state(pisano_module, wss_module)
                 scanned = real_scan_block(bounds)
+                kept = module_state(pisano_module, wss_module) == before
             finally:
                 wss_module.wss_check = real_check
-            blocks.append((bounds, seen, pisano_module._BLOCK_STORE is store, dict(store)))
+            blocks.append((bounds, seen, kept))
             return scanned
 
         monkeypatch.setattr(wss_module, "_scan_block", scan_block)
+        before = module_state(pisano_module, wss_module)
         lo, hi = 10**9, 10**9 + 3999
         scan_wss(lo, hi, checkpoint_path=str(tmp_path / "ck.json"),
                  results_path=str(tmp_path / "res.jsonl"), block_size=1000)
+        assert module_state(pisano_module, wss_module) == before
         assert [block[:2] for block, *_ in blocks] == [(s, s + 999) for s in range(lo, hi, 1000)]
-        for (b_lo, b_hi, b_primes), seen, same, after in blocks:
+        for (b_lo, b_hi, b_primes), seen, kept in blocks:
             assert b_primes == primes_between(b_lo, b_hi)
-            primes = set(b_primes)
-            assert seen == [(True, primes)] * len(primes)
-            assert same and after == {}
-        assert pisano_module._BLOCK_STORE is store and store == {}
+            assert [p for p, _ in seen] == b_primes
+            assert dict(seen) == pisano_module._block_facts(b_primes)
+            assert kept
 
     def test_the_scan_rebinds_no_module_global(self, tmp_path):
         # the benchmark's traced run requires every fibmod binding back as it was
