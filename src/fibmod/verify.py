@@ -5,32 +5,39 @@ PropertyResult per property, carrying counterexamples when a check fails.
 The CLI exposes them via `fibmod verify`; they are the same statements the
 test suite pins down, packaged for ad-hoc, larger-range runs.
 
-The brute-force direct scans run on forked worker processes, one per CPU
-this process may use and no more than there are chunks of moduli to scan,
-or here, as they are read, where that is one; the fast routes they audit
-run here and share no cache with them, as the direct scans hold none.
-Each chunk of _DIRECT_CHUNK moduli is one call of pisano.profiles_direct,
-which scans up to 192 of them at once as the lanes of Python ints.  At
---max 10000 on 2 CPUs the workers' scans take about 0.25-0.45 s of CPU
-and the calling process about 0.35-0.7 s, for about 0.4-0.8 s of wall
-(tools/verify_split.py): the checks run here are the critical path.  A
-run opens at most one pool and queues every chunk on it at the start, so
-the workers scan while every check that needs no pass runs here.  Then
-one pass takes each modulus in m order, as its chunk arrives: it factors
-m once and takes its fast period and profile once, and hands that record
-to every suite's checks of m, against m's scan among them.  Suites share
-each modulus's one fast record, never each other's verdicts.  Each chunk
-comes back as one flat array of (m, gamma, alpha, upsilon), about 32 B
-per modulus; an early exit cancels the queued chunks.
+A suite's checks of each modulus m run in one pass over its moduli, m
+ascending, cut in chunks of _DIRECT_CHUNK moduli, each one call of
+_pass_chunk, on forked worker processes, one per CPU this process may use
+and no more than there are chunks, or here, as they are read, where that
+is one.  A chunk first runs the brute-force direct scans of its moduli,
+one call of pisano.profiles_direct, which scans up to 192 of them at once
+as the lanes of Python ints.  Then it factors each m once, takes its fast
+period and profile once, and hands that record to every suite's checks of
+m, against m's scan among them, and, at a prime p, to the checks of p's
+period, rank and criteria.  Suites share each modulus's one fast record,
+never each other's verdicts, and the fast routes share no cache with the
+direct scans, which hold none.  What a check reads of a smaller modulus
+stays in the chunk: the rank and the self-square test of a prime power
+below the chunk are taken again there, by the same fast routes.  A chunk
+comes back as each property's count of checks and first three failures,
+with the few moduli that the checks after the pass read (the self-square
+moduli, and the odd prime powers whose goodness is not their prime's):
+about 1.1 KB a chunk, where it was 32 B per modulus.  A run opens at most
+one pool and queues every chunk on it at the start; meanwhile the calling
+process runs every check that needs no pass.  Then it folds the chunks in
+order, counts adding and failures cut at three, which gives the results of
+one pass check for check, and runs the checks after the pass.  At --max
+10000 on 2 CPUs the calling process takes about 0.07-0.1 s of CPU and
+the workers about 0.65-0.9 s, for about 0.4-0.6 s of wall
+(tools/verify_split.py).  An early exit cancels the queued chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
-from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import classify, pisano, wss
@@ -49,9 +56,10 @@ from .pool import ordered_map
 SUITE_NAMES = ("identities", "pisano", "classify", "wss", "all")
 
 _MODULUS_POOL = (2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 25, 36, 97, 144, 1000, 999983, 10**9 + 7)
-# moduli per worker call of the direct scans: enough that the lanes of
-# profiles_direct stay full (over [2, 1e4] they took 0.23 s in chunks of
-# 2048, 0.27 s in chunks of 1024), and at --max 1e4 five chunks for two workers
+# moduli per chunk of the pass: enough that the lanes of profiles_direct
+# stay full (over [2, 1e4] they took 0.22 s in chunks of 2048, 0.26 s in
+# chunks of 1024), beside which the pass costs about 30 us a modulus; at
+# --max 1e4 five chunks for two workers, of 0.1-0.15 s of CPU each
 _DIRECT_CHUNK = 2048
 
 
@@ -74,6 +82,11 @@ class _Property:
         if not ok and len(self.failures) < 3:
             self.failures.append(detail)
 
+    def fold(self, later: _Property) -> None:
+        """Take in later's tally, of checks made after every check here."""
+        self.checked += later.checked
+        self.failures += later.failures[: 3 - len(self.failures)]
+
     def result(self) -> PropertyResult:
         return PropertyResult(
             name=self.name,
@@ -81,38 +94,6 @@ class _Property:
             checked=self.checked,
             failures=tuple(self.failures),
         )
-
-
-def _scan_chunk(moduli) -> array:
-    """The direct profile of each of moduli, flat as (m, gamma, alpha, upsilon):
-    an array comes back from a worker far smaller than PisanoProfile objects."""
-    flat = array("q")
-    for prof in pisano.profiles_direct(moduli):
-        flat.extend((prof.m, prof.gamma, prof.alpha, prof.upsilon))
-    return flat
-
-
-def _profiles(chunks):
-    """The profiles of each scanned chunk, in chunk order."""
-    for flat in chunks:
-        for i in range(0, len(flat), 4):
-            yield pisano.PisanoProfile(*flat[i : i + 4])
-
-
-@contextmanager
-def _direct_scans(moduli):
-    """Each of moduli with its direct profile, in their order.
-
-    Every chunk of _DIRECT_CHUNK moduli is handed to a pool of worker
-    processes on entry, where two can run, so they scan while the caller
-    does the work that needs no scan; then every check against the scans
-    runs on each modulus in turn, as its chunk arrives, and a chunk's array
-    is dropped once it is read.
-    """
-    starts = range(0, len(moduli), _DIRECT_CHUNK)
-    chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
-    with ordered_map(_scan_chunk, chunks, len(os.sched_getaffinity(0)), len(starts)) as scanned:
-        yield zip(moduli, _profiles(scanned), strict=True)
 
 
 def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResult]:
@@ -184,60 +165,103 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
-def _checked(moduli, scans, checks, profiled: bool = True) -> list[PropertyResult]:
-    """The results of checks, each (props, at, then), from one pass over moduli.
+def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, before=list) -> list[PropertyResult]:
+    """before()'s results, then those of each of suites, one pass over moduli.
 
-    Each m of moduli, ascending, is factored once and given its fast period
-    and, where profiled, its fast profile: one record, which every
-    at(m, factors, gamma, prof, direct) reads, direct being m's direct
-    profile where scans, a stream of (m, direct) over some of moduli in
-    their order, holds it, else None.  Then each then() runs.
+    The pass runs chunk by chunk, each chunk of _DIRECT_CHUNK moduli one
+    call of _pass_chunk, which scans directly the moduli scans(chunk) names
+    and, where profiled, hands each m its fast profile.  Every chunk is
+    queued on a pool of worker processes on entry, where two can run, so
+    the workers take the pass while the caller runs before() and each
+    suite's checks that need no pass.  Each chunk's tallies are then folded
+    in chunk order, after the checks made here, and each then() runs.
     """
-    ats = [at for _, at, _ in checks]
-    scanned = next(scans, None)
+    starts = range(0, len(moduli), _DIRECT_CHUNK)
+    chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
+    tasks = ((suites, chunk, scans(chunk), max_value, profiled) for chunk in chunks)
+    with ordered_map(_pass_chunk, tasks, len(os.sched_getaffinity(0)), len(starts)) as tallies:
+        results = before()
+        checks = [_CHECKS[suite](max_value) for suite in suites]
+        found = [set() for _ in suites]
+        for tally in tallies:
+            for (props, _), (theirs, their_found), seen in zip(checks, tally, found, strict=True):
+                for prop, their in zip(props, theirs, strict=True):
+                    prop.fold(their)
+                seen |= their_found
+    for (_, then), seen in zip(checks, found):
+        then(seen)
+    return results + [prop.result() for props, _ in checks for prop in props]
+
+
+def _pass_chunk(task):
+    """One chunk's share of the pass, in a pool worker or, with one worker,
+    in the caller: its direct scans first, then each m of the chunk,
+    ascending, is factored once and given its fast period and, where
+    profiled, its fast profile: one record, which every suite's
+    at(m, factors, gamma, prof, direct) reads, direct being m's direct
+    profile where the chunk scanned m, else None.  Returns, for each suite,
+    its properties as the chunk checked them and the set its then() reads.
+    """
+    suites, moduli, scanned, max_value, profiled = task
+    scans = zip(scanned, pisano.profiles_direct(scanned), strict=True)
+    passes = [_PASSES[suite](max_value) for suite in suites]
+    ats = [at for _, at, _ in passes]
+    scan = next(scans, None)
     for m in moduli:
         factors = factorize(m)
         gamma = pisano._period_from_factors(factors)
         prof = pisano._profile_with_period(m, gamma) if profiled else None
         direct = None
-        if scanned is not None and scanned[0] == m:
-            direct = scanned[1]
-            scanned = next(scans, None)
+        if scan is not None and scan[0] == m:
+            direct = scan[1]
+            scan = next(scans, None)
         for at in ats:
             at(m, factors, gamma, prof, direct)
-    for _, _, then in checks:
-        then()
-    return [prop.result() for props, _, _ in checks for prop in props]
+    return [(props, found) for props, _, found in passes]
+
+
+def _properties(names) -> list[_Property]:
+    return [_Property(name) for name in names]
 
 
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
-    moduli = range(2, max_value + 1)
-    with _direct_scans(moduli) as scans:
-        return _checked(moduli, scans, [_pisano_checks(max_value)])
+    return _checked(("pisano",), range(2, max_value + 1), _every, max_value)
+
+
+def _every(chunk):
+    """Every modulus of chunk: the ones to scan where the pass covers [2, max]."""
+    return chunk
+
+
+_PISANO = (
+    "fast-period-equals-direct",
+    "period-is-zerocount-times-rank",
+    "odd-prime-power-zero-count-stable",
+    "two-power-zero-counts",
+    "odd-prime-period-even",
+    "rank-neighbors-nonzero",
+)
 
 
 def _pisano_checks(max_value: int):
     """suite_pisano's checks that need no pass, run now; returns its
-    properties, the checks of one m's record against its direct scan, which
-    at a prime p also read p's period, rank and zero count, and no check to
-    run after the pass."""
-    props = [_Property(name) for name in (
-        "fast-period-equals-direct",
-        "period-is-zerocount-times-rank",
-        "odd-prime-power-zero-count-stable",
-        "two-power-zero-counts",
-        "odd-prime-period-even",
-        "rank-neighbors-nonzero",
-    )]
-    routes, structure, stable, two_powers, even_period, neighbors = props
-
+    properties and no check to run after the pass."""
+    props = _properties(_PISANO)
+    _, _, _, two_powers, _, _ = props
     two_powers.check(pisano.zero_count(2) == 1, "m=2")
     two_powers.check(pisano.zero_count(4) == 1, "m=4")
     for e in range(3, 13):
         two_powers.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
+    return props, lambda found: None
 
-    primes = set(sieve_upto(max_value))
+
+def _pisano_pass(max_value: int):
+    """suite_pisano's properties for one chunk, and the checks of one m's
+    record against its direct scan, which at a prime p also read p's
+    period, rank and zero count; it finds no set."""
+    props = _properties(_PISANO)
+    routes, structure, stable, _, even_period, neighbors = props
 
     def at(m, factors, gamma, prof, direct) -> None:
         routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
@@ -247,8 +271,8 @@ def _pisano_checks(max_value: int):
         )
         # two dataclass reprs cost ~4 us: formatted only for a failure
         structure.check(ok, "" if ok else f"m={m} profile={prof} direct={direct}")
-        if m not in primes:
-            return
+        if factors != ((m, 1),):
+            return  # the rest reads primes alone
         if m != 2:
             even_period.check(gamma % 2 == 0, f"p={m}")
         if 2 < m <= 499:
@@ -261,7 +285,7 @@ def _pisano_checks(max_value: int):
         after = fib_pair_mod(rank + 1, m)[0]
         neighbors.check(before != 0 and after != 0, f"p={m} rank={rank}")
 
-    return props, at, lambda: None
+    return props, at, set()
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
@@ -271,37 +295,64 @@ def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     formula is checked against a direct scan of the odd composites alone.
     """
     primes = set(sieve_upto(max_value))
-    composites = [m for m in range(3, max_value + 1, 2) if m not in primes]
-    with _direct_scans(composites) as scans:
-        return _checked(range(3, max_value + 1, 2), scans, [_classify_checks(max_value)])
+    return _checked(
+        ("classify",), range(3, max_value + 1, 2), lambda chunk: [m for m in chunk if m not in primes], max_value
+    )
+
+
+_CLASSIFY = (
+    "fast-goodness-equals-direct",
+    "even-never-good",
+    "prime-power-goodness-follows-prime",
+    "zero-count-pins-period-two-part",
+    "good-number-zero-count-structure",
+    "all-zero-count-4-factors-force-good",
+    "odd-zero-count-formula-matches-scan",
+    "period-divisor-class-covers",
+)
 
 
 def _classify_checks(max_value: int):
     """suite_classify's checks that need no pass, run now; returns its
-    properties, the checks of one odd m's record, the zero-count formula
-    against m's direct scan among them, and the checks over the primes that
-    read the pass's verdicts on their powers, run after it."""
-    props = [_Property(name) for name in (
-        "fast-goodness-equals-direct",
-        "even-never-good",
-        "prime-power-goodness-follows-prime",
-        "zero-count-pins-period-two-part",
-        "good-number-zero-count-structure",
-        "all-zero-count-4-factors-force-good",
-        "odd-zero-count-formula-matches-scan",
-        "period-divisor-class-covers",
-    )]
-    routes, even, powers, pattern, structure, force, formula, covers = props
+    properties and the check that each odd prime power's goodness follows
+    its prime's, run after the pass on the set of those it does not."""
+    props = _properties(_CLASSIFY)
+    _, even, powers, _, _, _, _, covers = props
 
     for m in range(2, min(2000, max_value) + 1, 2):
         even.check(not classify.is_good_direct(m), f"m={m}")
+    # the pass checks the odd primes, and may pass over the odd moduli alone
+    cls = classify.period_divisor_class(2)
+    covers.check(cls != "neither", f"p=2 class={cls}")
+    odd_primes = sieve_upto(max_value)[1:]
 
-    primes = sieve_upto(max_value)
-    prime_set = set(primes)
-    # of the odd prime powers alone: each p^e exactly dividing m is at most
-    # m, so passed before it
-    ranks = {}  # the rank of each, for the lattice formula
-    good_powers = set()  # those the direct route calls good
+    def then(unlike) -> None:
+        for p in odd_primes:
+            e = 1
+            while p**e <= max_value:
+                powers.check(p**e not in unlike, f"p={p} e={e}")
+                e += 1
+
+    return props, then
+
+
+def _classify_pass(max_value: int):
+    """suite_classify's properties for one chunk, the checks of one odd m's
+    record, the zero-count formula against m's direct scan among them and,
+    at a prime p, the checks of p's period, and the set of the chunk's odd
+    prime powers whose goodness, by the direct route, is not their prime's."""
+    props = _properties(_CLASSIFY)
+    routes, _, _, pattern, structure, force, formula, covers = props
+    # the rank of each odd prime power, for the lattice formula: from its
+    # own record where the chunk passed it, which it did before any m that
+    # it divides, else, below the chunk, from its lifted period
+    ranks = {}
+    unlike = set()
+
+    def rank(p: int, e: int) -> int:
+        if p**e not in ranks:
+            ranks[p**e] = pisano._profile_with_period(p**e, pisano.prime_power_period(p, e)).alpha
+        return ranks[p**e]
 
     def at(m, factors, gamma, prof, direct) -> None:
         if m % 2 == 0:
@@ -320,66 +371,54 @@ def _classify_checks(max_value: int):
             force.check(good, f"m={m}")
         if len(factors) == 1:
             ranks[m] = prof.alpha
-            if good:
-                good_powers.add(m)
-        if m in prime_set:
-            return  # the formula is trivial at primes
-        try:
-            value = classify._zero_count_odd(m, factors, gamma, [ranks[p**e] for p, e in factors])
-        except AnomalyError as exc:
-            formula.check(False, str(exc))
-        else:
-            formula.check(value == direct.upsilon, f"m={m} value={value}")
-
-    def then() -> None:
-        for p in primes:
-            if p != 5:
-                cls = classify.period_divisor_class(p)
-                covers.check(cls != "neither", f"p={p} class={cls}")
-            if p == 2:
-                continue
-            e = 1
-            while p**e <= max_value:
-                powers.check((p**e in good_powers) == classify.is_good_prime(p), f"p={p} e={e}")
-                e += 1
+            if good != classify.is_good_prime(factors[0][0]):
+                unlike.add(m)
+        if factors != ((m, 1),):
             try:
-                classify.zero_count_period_pattern(p)
-                pattern.check(True, "")
+                value = classify._zero_count_odd(m, factors, gamma, [rank(p, e) for p, e in factors])
             except AnomalyError as exc:
-                pattern.check(False, str(exc))
+                formula.check(False, str(exc))
+            else:
+                formula.check(value == direct.upsilon, f"m={m} value={value}")
+            return
+        # the formula is trivial at primes
+        if m != 5:
+            cls = classify.period_divisor_class(m)
+            covers.check(cls != "neither", f"p={m} class={cls}")
+        try:
+            classify.zero_count_period_pattern(m)
+            pattern.check(True, "")
+        except AnomalyError as exc:
+            pattern.check(False, str(exc))
 
-    return props, at, then
+    return props, at, unlike
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
     """Wall-Sun-Sun criteria, self-square enumeration, cofactor structure.
 
     Its pass over [2, max_value] takes each m's factors and period, which the
-    self-square test reads, and no profile.
+    self-square test reads, and no profile, and scans nothing directly.
     """
-    return _checked(range(2, max_value + 1), iter(()), [_wss_checks(max_value)], profiled=False)
+    return _checked(("wss",), range(2, max_value + 1), lambda chunk: (), max_value, profiled=False)
+
+
+_WSS = (
+    "no-wss-primes-and-criteria-agree",
+    "self-square-set-is-6-12",
+    "two-power-valuation-is-k-plus-1",
+    "cofactor-times-u-g-gives-u-ag",
+    "cofactor-divisibility-forces-multiplier",
+    "odd-moduli-never-self-square",
+)
 
 
 def _wss_checks(max_value: int):
-    """suite_wss's checks that need no pass, run now; returns its properties,
-    the self-square test of one m's record, and the check of the set that
-    test found, run after the pass."""
-    props = [_Property(name) for name in (
-        "no-wss-primes-and-criteria-agree",
-        "self-square-set-is-6-12",
-        "two-power-valuation-is-k-plus-1",
-        "cofactor-times-u-g-gives-u-ag",
-        "cofactor-divisibility-forces-multiplier",
-        "odd-moduli-never-self-square",
-    )]
-    criteria, self_square, two_power, cofactor, multiplier, odd_moduli = props
-
-    for p in sieve_upto(max_value):
-        record = wss.wss_check(p)
-        criteria.check(
-            not record.is_wss and record.criteria_agree,
-            f"p={p} is_wss={record.is_wss} agree={record.criteria_agree}",
-        )
+    """suite_wss's checks that need no pass, run now; returns its properties
+    and the check of the set of self-square m that the pass found, run
+    after it."""
+    props = _properties(_WSS)
+    _, self_square, two_power, cofactor, multiplier, _ = props
 
     for k in range(1, 31):
         valuation, ok = wss.two_power_valuation_check(k)
@@ -407,24 +446,53 @@ def _wss_checks(max_value: int):
                     else:
                         multiplier.check(True, "")
 
-    found = set()  # the m passed so far with m^2 | u_{period(m)}
-    odd_top = min(2000, max_value)
-
-    def at(m, factors, gamma, prof, direct) -> None:
-        if wss._self_square_test(m, gamma).divisible:
-            found.add(m)
-        # every p^e exactly dividing m is at most m, so found already holds
-        # the test of m and of each of its prime powers
-        if m % 2 and m <= odd_top:
-            odd_moduli.check(
-                m not in found and not any(p**e in found for p, e in factors), f"m={m}"
-            )
-
-    def then() -> None:
+    def then(found) -> None:
         expected = {m for m in (6, 12) if m <= max_value}
         self_square.check(found == expected, f"found={sorted(found)}")
 
-    return props, at, then
+    return props, then
+
+
+def _wss_pass(max_value: int):
+    """suite_wss's properties for one chunk, the self-square test of one m's
+    record and, at a prime p, p's two Wall-Sun-Sun criteria, and the set of
+    the chunk's m that the test finds."""
+    props = _properties(_WSS)
+    criteria, _, _, _, _, odd_moduli = props
+    found = set()  # the m passed so far with m^2 | u_{period(m)}
+    # the test of each prime power: from its own record where the chunk
+    # passed it, which it did before any m that it divides, else, below
+    # the chunk, from its lifted period
+    powers = {}
+    odd_top = min(2000, max_value)
+
+    def square(p: int, e: int) -> bool:
+        if p**e not in powers:
+            powers[p**e] = wss._self_square_test(p**e, pisano.prime_power_period(p, e)).divisible
+        return powers[p**e]
+
+    def at(m, factors, gamma, prof, direct) -> None:
+        divisible = wss._self_square_test(m, gamma).divisible
+        if divisible:
+            found.add(m)
+        if len(factors) == 1:
+            powers[m] = divisible
+        if m % 2 and m <= odd_top:
+            odd_moduli.check(not divisible and not any(square(p, e) for p, e in factors), f"m={m}")
+        if factors == ((m, 1),):
+            record = wss.wss_check(m)
+            criteria.check(
+                not record.is_wss and record.criteria_agree,
+                f"p={m} is_wss={record.is_wss} agree={record.criteria_agree}",
+            )
+
+    return props, at, found
+
+
+# each suite that the pass serves: its checks made here, before the pass
+# or after it, and those of each chunk of the pass
+_CHECKS = {"pisano": _pisano_checks, "classify": _classify_checks, "wss": _wss_checks}
+_PASSES = {"pisano": _pisano_pass, "classify": _classify_pass, "wss": _wss_pass}
 
 
 def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult]:
@@ -441,10 +509,7 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
         return suite_classify(max_value)
     if suite == "wss":
         return suite_wss(max_value)
-    # one pool scans each m once while every check that needs no pass runs
-    # here; then the pass hands each m's one record to every suite's checks
-    moduli = range(2, max_value + 1)
-    with _direct_scans(moduli) as scans:
-        identities = suite_identities(min(max_value, 3000), seed=seed)
-        checks = [_pisano_checks(max_value), _classify_checks(max_value), _wss_checks(max_value)]
-        return identities + _checked(moduli, scans, checks)
+    # one pass over [2, max] serves every suite, in the pool's workers,
+    # while the identities and every check that needs no pass run here
+    identities = functools.partial(suite_identities, min(max_value, 3000), seed=seed)
+    return _checked(("pisano", "classify", "wss"), range(2, max_value + 1), _every, max_value, before=identities)

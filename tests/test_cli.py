@@ -19,7 +19,7 @@ import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
 from fibmod.arith import sieve_upto
 from fibmod.cli import main
-from fibmod.errors import CheckpointError
+from fibmod.errors import AnomalyError, CheckpointError
 from fibmod.fib import fib_exact
 from fibmod.wss import load_checkpoint
 
@@ -31,6 +31,7 @@ _HIT_7 = {"p": 7, "legendre5": -1, "index": 8, "residue_fib_index_mod_p2": 0,
           "residue_fib_gamma_mod_p2": 0, "is_wss": True, "criteria_agree": True}
 _real_scan_block = wss_module._scan_block
 _real_profiles_direct = pisano_module.profiles_direct
+_real_profile_with_period = pisano_module._profile_with_period
 
 
 def _die_after_two_blocks(block):
@@ -49,6 +50,16 @@ def _die_past_m_1000(moduli):
     if max(moduli) > 1000:
         os._exit(1)
     return _real_profiles_direct(moduli)
+
+
+def _anomaly_at_3003(in_worker, m, gamma):
+    # stands in for pisano._profile_with_period in verify's pass; it raises at
+    # m = 3003, in the second chunk, in a pool worker where in_worker, else here
+    if m == 3003:
+        if (os.getpid() != _TEST_PID) != in_worker:
+            raise RuntimeError("the pass ran in the wrong process")
+        raise AnomalyError("injected at m=3003")
+    return _real_profile_with_period(m, gamma)
 
 
 def _refuse_inherited_lock(lock_path, block):
@@ -828,6 +839,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("fibmod: worker process died: ")
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["one-cpu", "pool"])
+    def test_anomaly_raised_in_the_pass_exits_4(self, capsys, monkeypatch, pooled):
+        # the pass runs in the pool's workers: an anomaly raised there comes
+        # back to exit 4 with its message, as it does from the pass run here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if pooled else {0})
+        monkeypatch.setattr(pisano_module, "_profile_with_period", functools.partial(_anomaly_at_3003, pooled))
+        code, out, err = run(capsys, "verify", "--suite", "all", "--max", "6000")
+        assert code == 4 and out == ""
+        assert err.splitlines() == ["fibmod: ANOMALY: injected at m=3003"]
 
 
 class TestUsage:

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -69,10 +70,12 @@ _SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "facto
 
 def _fresh_verify_calls(max_value: int) -> tuple[int, int]:
     """The factorize and fast-profile calls of run_suites("all", max_value)
-    with the period memos empty, as in a new process."""
+    with the period memos empty, as in a new process, on one CPU, so that
+    the pass runs here and every call is counted."""
     for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
         memo.cache_clear()
-    with factorize_calls() as factored, binding_calls(pisano_module._profile_with_period) as profiled:
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), factorize_calls() as factored, \
+            binding_calls(pisano_module._profile_with_period) as profiled:
         run_suites("all", max_value)
     return len(factored), len(profiled)
 
@@ -99,6 +102,20 @@ def test_verify_split_past_one_chunk():
     # two chunks: a pool of two workers where two CPUs can run, else none
     pooled = len(os.sched_getaffinity(0)) > 1
     assert (float(_verify_split(2050)["workers_cpu_s"]) > 0) == pooled
+
+
+def test_verify_split_counts_the_whole_run_whether_or_not_a_pool_starts(monkeypatch, capsys):
+    # two chunks at 2050: the timed run opens a pool on two CPUs and none on
+    # one, and the counted run counts the same calls either way
+    tool = _load_tool(SPLIT)
+    counts = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert tool.main(["--max", "2050"]) == 0
+        lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert (float(lines["workers_cpu_s"]) > 0) == (len(cpus) > 1)
+        counts[len(cpus)] = (int(lines["factorize_calls"]), int(lines["profile_calls"]))
+    assert counts[1] == counts[2] == _fresh_verify_calls(2050)
 
 
 def test_kernel_ratio_at_1e5():

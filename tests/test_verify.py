@@ -358,13 +358,66 @@ def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, m
     assert len(os.listdir(tmp_path)) == (0 if workers == 1 else workers)
 
 
+def _formula_wrong_in_three_chunks(m, factors, gamma, ranks):
+    # stands in for the pass's formula: wrong at odd composites in the first
+    # and third chunks of [2, 6000], and raising in the second
+    if m == 2051:
+        raise AnomalyError("injected at m=2051")
+    return _real_zero_count_odd(m, factors, gamma, ranks) + (m in (45, 4101, 4105))
+
+
+def _three_hundred_seven_divisible(m, gamma):
+    record = _real_self_square_test(m, gamma)
+    return dataclasses.replace(record, divisible=True) if m == 307 else record
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, 300])
+def test_chunk_tallies_fold_to_the_one_pass(chunk, monkeypatch):
+    # each chunk's failures come back in m order and are cut at 3 across the
+    # chunks, and its counts add: pooled, on one CPU and in one chunk, the
+    # run is the same.  In chunks of 300 a modulus reads the rank and the
+    # self-square test of a prime power below its chunk, as 921 = 3 * 307
+    # and 1535 = 5 * 307 read those of 307
+    monkeypatch.setattr(classify_module, "_zero_count_odd", _formula_wrong_in_three_chunks)
+    monkeypatch.setattr(wss_module, "_self_square_test", _three_hundred_seven_divisible)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(verify_module, "_DIRECT_CHUNK", 10**6)
+    one_pass = run_suites("all", 6000)
+    monkeypatch.setattr(verify_module, "_DIRECT_CHUNK", chunk)
+    one_cpu = run_suites("all", 6000)
+    two_cpus(monkeypatch)
+    pooled, pools, _, _ = _counted(lambda: run_suites("all", 6000), monkeypatch)
+    assert pools == 1
+    assert run_suites("all", 6000) == pooled == one_cpu == one_pass
+    results = {r.name: r for r in pooled}
+    formula = results.pop("odd-zero-count-formula-matches-scan")
+    assert formula.checked == 2217  # the odd composites in [3, 6000]
+    value = pisano_module.zero_count_direct(4101) + 1
+    assert formula.failures == ("m=45 value=3", "injected at m=2051", f"m=4101 value={value}")
+    assert results.pop("odd-moduli-never-self-square").failures == ("m=307", "m=921", "m=1535")
+    assert results.pop("self-square-set-is-6-12").failures == ("found=[6, 12, 307]",)
+    assert all(r.passed for r in results.values())
+
+
+@pytest.mark.parametrize("suite", ["pisano", "classify", "wss"])
+def test_single_suites_pooled_equal_one_cpu(suite, monkeypatch):
+    # 4100 takes three chunks of [2, 4100] and two of its odd moduli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = run_suites(suite, 4100)
+    two_cpus(monkeypatch)
+    assert run_suites(suite, 4100) == one_cpu
+    assert all(r.passed for r in one_cpu)
+
+
 @pytest.mark.parametrize("suite", ["all", "pisano", "classify", "identities", "wss"])
 def test_one_pool_per_run_given_every_chunk_at_once(suite, monkeypatch):
-    # at 6000 every scanning suite takes at least two chunks
+    # at 6000 every suite with a pass takes at least two chunks of the
+    # moduli it passes over; the identities have none
     moduli = {
         "all": 5999,  # [2, 6000]
         "pisano": 5999,
-        "classify": sum(not is_prime_trial(m) for m in range(3, 6001, 2)),
+        "classify": 2999,  # the odd m in [3, 6000]
+        "wss": 5999,
     }.get(suite, 0)
     two_cpus(monkeypatch)
     _, pools, _, peak = _counted(lambda: run_suites(suite, 6000), monkeypatch)

@@ -1,5 +1,6 @@
 """Where the time of a verify run goes: the calling process against the
-pool workers' direct scans, and the serial rate of the direct scan.
+pool workers, which run the pass and its direct scans, and the serial
+rate of the direct scan.
 
 Runs run_suites(S, N) once and prints its wall time, the CPU time of the
 calling process (getrusage RUSAGE_SELF) and that of the pool workers
@@ -8,8 +9,11 @@ it), each as the difference across the run; it is 0 where the run opens no
 pool, as for N up to one chunk or on one CPU.  A second run, with the
 package's memos emptied first, counts the calls of arith.factorize and of
 pisano._profile_with_period, the fast profile, made through every fibmod
-module's binding of each, which it restores after; the timed run is not
-patched.  Then it times, serially
+module's binding of each, which it restores after.  It runs in this
+process on one CPU, os.sched_getaffinity reading one until it ends, so
+that no pool starts and the pass's calls, which a pool's workers would
+make, are counted too: the counts are those of the whole run, wherever
+its pass runs.  The timed run is not patched.  Then it times, serially
 (time.process_time) over [2, N], pisano.profile_direct and the lane scan
 pisano.profiles_direct in verify's chunks, exits 1 if their profiles
 differ, and prints the terms each walks, the sum of the periods, and the
@@ -19,6 +23,7 @@ time of each and per term.
 """
 
 import argparse
+import os
 import resource
 import sys
 import time
@@ -65,6 +70,17 @@ def counted_calls(*functions):
             setattr(module, function.__name__, function)
 
 
+@contextmanager
+def one_cpu():
+    """os.sched_getaffinity reads one CPU inside, so verify opens no pool."""
+    real = os.sched_getaffinity
+    os.sched_getaffinity = lambda pid: {0}
+    try:
+        yield
+    finally:
+        os.sched_getaffinity = real
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--suite", choices=SUITE_NAMES, default="all")
@@ -83,7 +99,7 @@ def main(argv=None) -> int:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    with counted_calls(factorize, pisano._profile_with_period) as calls:
+    with one_cpu(), counted_calls(factorize, pisano._profile_with_period) as calls:
         run_suites(args.suite, args.max_value)
 
     moduli = range(2, args.max_value + 1)
