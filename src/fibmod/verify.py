@@ -5,30 +5,34 @@ PropertyResult per property, carrying counterexamples when a check fails.
 The CLI exposes them via `fibmod verify`; they are the same statements the
 test suite pins down, packaged for ad-hoc, larger-range runs.
 
-A suite's checks of each modulus m run in one pass over its moduli, m
-ascending, cut in chunks of _DIRECT_CHUNK moduli, each one call of
-_pass_chunk, on forked worker processes, one per CPU this process may use
-and no more than there are chunks, or here, as they are read, where that
-is one.  A chunk first runs the brute-force direct scans of its moduli,
-one call of pisano.profiles_direct, which scans up to 192 of them at once
-as the lanes of Python ints.  Then it factors each m once, takes its fast
-period and profile once, and hands that record to every suite's checks of
-m, against m's scan among them, and, at a prime p, to the checks of p's
-period, rank and criteria.  Suites share each modulus's one fast record,
-never each other's verdicts, and the fast routes share no cache with the
-direct scans, which hold none.  What a check reads of a smaller modulus
-stays in the chunk: the rank and the self-square test of a prime power
-below the chunk are taken again there, by the same fast routes.  A chunk
-comes back as each property's count of checks and first three failures,
-with the few moduli that the checks after the pass read (the self-square
-moduli, and the odd prime powers whose goodness is not their prime's):
+Each suite with a pass is one builder, which states its properties once
+and returns them with the set its pass finds and three checkers: here(),
+the checks that need no pass, at(), those of one modulus's record, and
+then(), those after the pass.  Its checks of each modulus m run in one
+pass over its moduli, m ascending, cut in chunks of _DIRECT_CHUNK moduli,
+each one call of _pass_chunk, on forked worker processes, one per CPU this
+process may use and no more than there are chunks, or here, as they are
+read, where that is one.  A chunk first runs the brute-force direct scans
+of its moduli, one call of pisano.profiles_direct, which scans up to 192
+of them at once as the lanes of Python ints.  Then it builds each suite,
+factors each m once, takes its fast period and profile once, and hands
+that record to each suite's at(): the checks of m, against m's scan among
+them, at a prime power p^e the goodness of p^e against p's, and, at a
+prime p, the checks of p's period and rank, and p's Wall-Sun-Sun
+criteria from the scan's own kernel on a one-prime block.  Suites share
+each modulus's one fast record, never each other's verdicts, and the fast
+routes share no cache with the direct scans, which hold none.  What a
+check reads of a smaller modulus stays in the chunk: the rank and the
+self-square test of a prime power below the chunk are taken again there,
+by the same fast routes.  A chunk comes back as each property's count of
+checks and first three failures, with the self-square moduli it found:
 about 1.1 KB a chunk, where it was 32 B per modulus.  A run opens at most
 one pool and queues every chunk on it at the start; meanwhile the calling
-process runs every check that needs no pass.  Then it folds the chunks in
-order, counts adding and failures cut at three, which gives the results of
-one pass check for check, and runs the checks after the pass.  At --max
-10000 on 2 CPUs the calling process takes about 0.07-0.1 s of CPU and
-the workers about 0.65-0.9 s, for about 0.4-0.6 s of wall
+process builds each suite and runs its here().  Then it folds the chunks
+in order, counts adding and failures cut at three, which gives the
+results of one pass check for check, and runs each then().  At --max
+10000 on 2 CPUs the calling process takes about 0.06-0.12 s of CPU and
+the workers about 0.6-1.1 s, for about 0.4-0.7 s of wall
 (tools/verify_split.py).  An early exit cancels the queued chunks.
 """
 
@@ -172,52 +176,47 @@ def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, befor
     call of _pass_chunk, which scans directly the moduli scans(chunk) names
     and, where profiled, hands each m its fast profile.  Every chunk is
     queued on a pool of worker processes on entry, where two can run, so
-    the workers take the pass while the caller runs before() and each
-    suite's checks that need no pass.  Each chunk's tallies are then folded
-    in chunk order, after the checks made here, and each then() runs.
+    the workers take the pass while the caller builds each suite and runs
+    before() and each suite's here().  Each chunk's tallies are then folded
+    in chunk order, after the checks made here, and each suite's then() runs.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
     tasks = ((suites, chunk, scans(chunk), max_value, profiled) for chunk in chunks)
     with ordered_map(_pass_chunk, tasks, len(os.sched_getaffinity(0)), len(starts)) as tallies:
         results = before()
-        checks = [_CHECKS[suite](max_value) for suite in suites]
-        found = [set() for _ in suites]
+        built = [_SUITES[suite](max_value) for suite in suites]
+        for _, _, here, _, _ in built:
+            here()
         for tally in tallies:
-            for (props, _), (theirs, their_found), seen in zip(checks, tally, found, strict=True):
+            for (props, found, *_), (theirs, their_found) in zip(built, tally, strict=True):
                 for prop, their in zip(props, theirs, strict=True):
                     prop.fold(their)
-                seen |= their_found
-    for (_, then), seen in zip(checks, found):
-        then(seen)
-    return results + [prop.result() for props, _ in checks for prop in props]
+                found |= their_found
+    for *_, then in built:
+        then()
+    return results + [prop.result() for props, *_ in built for prop in props]
 
 
 def _pass_chunk(task):
     """One chunk's share of the pass, in a pool worker or, with one worker,
     in the caller: its direct scans first, then each m of the chunk,
     ascending, is factored once and given its fast period and, where
-    profiled, its fast profile: one record, which every suite's
+    profiled, its fast profile: one record, which each suite's
     at(m, factors, gamma, prof, direct) reads, direct being m's direct
     profile where the chunk scanned m, else None.  Returns, for each suite,
-    its properties as the chunk checked them and the set its then() reads.
+    its properties as the chunk checked them and the set its pass found.
     """
     suites, moduli, scanned, max_value, profiled = task
-    scans = zip(scanned, pisano.profiles_direct(scanned), strict=True)
-    passes = [_PASSES[suite](max_value) for suite in suites]
-    ats = [at for _, at, _ in passes]
-    scan = next(scans, None)
+    direct = dict(zip(scanned, pisano.profiles_direct(scanned), strict=True))
+    built = [_SUITES[suite](max_value) for suite in suites]
     for m in moduli:
         factors = factorize(m)
         gamma = pisano._period_from_factors(factors)
         prof = pisano._profile_with_period(m, gamma) if profiled else None
-        direct = None
-        if scan is not None and scan[0] == m:
-            direct = scan[1]
-            scan = next(scans, None)
-        for at in ats:
-            at(m, factors, gamma, prof, direct)
-    return [(props, found) for props, _, found in passes]
+        for _, _, _, at, _ in built:
+            at(m, factors, gamma, prof, direct.get(m))
+    return [(props, found) for props, found, *_ in built]
 
 
 def _properties(names) -> list[_Property]:
@@ -244,24 +243,19 @@ _PISANO = (
 )
 
 
-def _pisano_checks(max_value: int):
-    """suite_pisano's checks that need no pass, run now; returns its
-    properties and no check to run after the pass."""
+def _pisano(max_value: int):
+    """suite_pisano's properties, the set its pass finds (none), here(), the
+    checks that need no pass, at(), the checks of one m's record against
+    its direct scan, which at a prime p also read p's period, rank and zero
+    count, and then(), which has none to make."""
     props = _properties(_PISANO)
-    _, _, _, two_powers, _, _ = props
-    two_powers.check(pisano.zero_count(2) == 1, "m=2")
-    two_powers.check(pisano.zero_count(4) == 1, "m=4")
-    for e in range(3, 13):
-        two_powers.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
-    return props, lambda found: None
+    routes, structure, stable, two_powers, even_period, neighbors = props
 
-
-def _pisano_pass(max_value: int):
-    """suite_pisano's properties for one chunk, and the checks of one m's
-    record against its direct scan, which at a prime p also read p's
-    period, rank and zero count; it finds no set."""
-    props = _properties(_PISANO)
-    routes, structure, stable, _, even_period, neighbors = props
+    def here() -> None:
+        two_powers.check(pisano.zero_count(2) == 1, "m=2")
+        two_powers.check(pisano.zero_count(4) == 1, "m=4")
+        for e in range(3, 13):
+            two_powers.check(pisano.zero_count(2**e) == 2, f"m=2^{e}")
 
     def at(m, factors, gamma, prof, direct) -> None:
         routes.check(prof.gamma == direct.gamma, f"m={m} fast={prof.gamma} direct={direct.gamma}")
@@ -285,7 +279,7 @@ def _pisano_pass(max_value: int):
         after = fib_pair_mod(rank + 1, m)[0]
         neighbors.check(before != 0 and after != 0, f"p={m} rank={rank}")
 
-    return props, at, set()
+    return props, set(), here, at, lambda: None
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
@@ -312,47 +306,30 @@ _CLASSIFY = (
 )
 
 
-def _classify_checks(max_value: int):
-    """suite_classify's checks that need no pass, run now; returns its
-    properties and the check that each odd prime power's goodness follows
-    its prime's, run after the pass on the set of those it does not."""
+def _classify(max_value: int):
+    """suite_classify's properties, the set its pass finds (none), here(),
+    the checks that need no pass, at(), the checks of one odd m's record,
+    the zero-count formula against m's direct scan among them, at an odd
+    prime power p^e the goodness of p^e against p's and, at a prime p, the
+    checks of p's period, and then(), which has none to make."""
     props = _properties(_CLASSIFY)
-    _, even, powers, _, _, _, _, covers = props
-
-    for m in range(2, min(2000, max_value) + 1, 2):
-        even.check(not classify.is_good_direct(m), f"m={m}")
-    # the pass checks the odd primes, and may pass over the odd moduli alone
-    cls = classify.period_divisor_class(2)
-    covers.check(cls != "neither", f"p=2 class={cls}")
-    odd_primes = sieve_upto(max_value)[1:]
-
-    def then(unlike) -> None:
-        for p in odd_primes:
-            e = 1
-            while p**e <= max_value:
-                powers.check(p**e not in unlike, f"p={p} e={e}")
-                e += 1
-
-    return props, then
-
-
-def _classify_pass(max_value: int):
-    """suite_classify's properties for one chunk, the checks of one odd m's
-    record, the zero-count formula against m's direct scan among them and,
-    at a prime p, the checks of p's period, and the set of the chunk's odd
-    prime powers whose goodness, by the direct route, is not their prime's."""
-    props = _properties(_CLASSIFY)
-    routes, _, _, pattern, structure, force, formula, covers = props
+    routes, even, powers, pattern, structure, force, formula, covers = props
     # the rank of each odd prime power, for the lattice formula: from its
     # own record where the chunk passed it, which it did before any m that
     # it divides, else, below the chunk, from its lifted period
     ranks = {}
-    unlike = set()
 
     def rank(p: int, e: int) -> int:
         if p**e not in ranks:
             ranks[p**e] = pisano._profile_with_period(p**e, pisano.prime_power_period(p, e)).alpha
         return ranks[p**e]
+
+    def here() -> None:
+        for m in range(2, min(2000, max_value) + 1, 2):
+            even.check(not classify.is_good_direct(m), f"m={m}")
+        # the pass checks the odd primes, and may pass over the odd moduli alone
+        cls = classify.period_divisor_class(2)
+        covers.check(cls != "neither", f"p=2 class={cls}")
 
     def at(m, factors, gamma, prof, direct) -> None:
         if m % 2 == 0:
@@ -371,8 +348,8 @@ def _classify_pass(max_value: int):
             force.check(good, f"m={m}")
         if len(factors) == 1:
             ranks[m] = prof.alpha
-            if good != classify.is_good_prime(factors[0][0]):
-                unlike.add(m)
+            [(p, e)] = factors
+            powers.check(good == classify.is_good_prime(p), f"p={p} e={e}")
         if factors != ((m, 1),):
             try:
                 value = classify._zero_count_odd(m, factors, gamma, [rank(p, e) for p, e in factors])
@@ -391,7 +368,7 @@ def _classify_pass(max_value: int):
         except AnomalyError as exc:
             pattern.check(False, str(exc))
 
-    return props, at, unlike
+    return props, set(), here, at, lambda: None
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
@@ -413,52 +390,13 @@ _WSS = (
 )
 
 
-def _wss_checks(max_value: int):
-    """suite_wss's checks that need no pass, run now; returns its properties
-    and the check of the set of self-square m that the pass found, run
-    after it."""
+def _wss(max_value: int):
+    """suite_wss's properties, the set of self-square m its pass finds,
+    here(), the checks that need no pass, at(), the self-square test of one
+    m's record and, at a prime p, p's two Wall-Sun-Sun criteria, and
+    then(), the check of the set found."""
     props = _properties(_WSS)
-    _, self_square, two_power, cofactor, multiplier, _ = props
-
-    for k in range(1, 31):
-        valuation, ok = wss.two_power_valuation_check(k)
-        want = 1 if k == 1 else k + 1
-        two_power.check(valuation == want and ok, f"k={k} valuation={valuation} ok={ok}")
-
-    for n in (2, 3, 5, 6, 7):
-        for k in (1, 2):
-            g = pisano.pisano_fast(n**k)
-            for a in range(1, 40):
-                # not n^k, where u_g == u_ag == 0 at g = period(n^k) whatever the cofactor
-                for modulus in (n ** (2 * k), n ** (3 * k), 997):
-                    lhs = wss.cofactor_mod(a, g, modulus) * fib_pair_mod(g, modulus)[0]
-                    rhs = fib_pair_mod(a * g, modulus)[0]
-                    cofactor.check(lhs % modulus == rhs, f"n={n} k={k} a={a} mod={modulus}")
-
-    for n in range(2, 8):
-        for k in (1, 2):
-            g = pisano.pisano_fast(n**k)
-            for l in range(1, k + 1):
-                n_l = n**l
-                for a in range(1, 201):
-                    if wss.cofactor_mod(a, g, n_l) % n_l == 0:
-                        multiplier.check(a % n_l == 0, f"n={n} k={k} l={l} a={a}")
-                    else:
-                        multiplier.check(True, "")
-
-    def then(found) -> None:
-        expected = {m for m in (6, 12) if m <= max_value}
-        self_square.check(found == expected, f"found={sorted(found)}")
-
-    return props, then
-
-
-def _wss_pass(max_value: int):
-    """suite_wss's properties for one chunk, the self-square test of one m's
-    record and, at a prime p, p's two Wall-Sun-Sun criteria, and the set of
-    the chunk's m that the test finds."""
-    props = _properties(_WSS)
-    criteria, _, _, _, _, odd_moduli = props
+    criteria, self_square, two_power, cofactor, multiplier, odd_moduli = props
     found = set()  # the m passed so far with m^2 | u_{period(m)}
     # the test of each prime power: from its own record where the chunk
     # passed it, which it did before any m that it divides, else, below
@@ -471,28 +409,61 @@ def _wss_pass(max_value: int):
             powers[p**e] = wss._self_square_test(p**e, pisano.prime_power_period(p, e)).divisible
         return powers[p**e]
 
+    def here() -> None:
+        for k in range(1, 31):
+            valuation, ok = wss.two_power_valuation_check(k)
+            want = 1 if k == 1 else k + 1
+            two_power.check(valuation == want and ok, f"k={k} valuation={valuation} ok={ok}")
+
+        for n in (2, 3, 5, 6, 7):
+            for k in (1, 2):
+                g = pisano.pisano_fast(n**k)
+                for a in range(1, 40):
+                    # not n^k, where u_g == u_ag == 0 at g = period(n^k) whatever the cofactor
+                    for modulus in (n ** (2 * k), n ** (3 * k), 997):
+                        lhs = wss.cofactor_mod(a, g, modulus) * fib_pair_mod(g, modulus)[0]
+                        rhs = fib_pair_mod(a * g, modulus)[0]
+                        cofactor.check(lhs % modulus == rhs, f"n={n} k={k} a={a} mod={modulus}")
+
+        for n in range(2, 8):
+            for k in (1, 2):
+                g = pisano.pisano_fast(n**k)
+                for l in range(1, k + 1):
+                    n_l = n**l
+                    for a in range(1, 201):
+                        if wss.cofactor_mod(a, g, n_l) % n_l == 0:
+                            multiplier.check(a % n_l == 0, f"n={n} k={k} l={l} a={a}")
+                        else:
+                            multiplier.check(True, "")
+
     def at(m, factors, gamma, prof, direct) -> None:
-        divisible = wss._self_square_test(m, gamma).divisible
-        if divisible:
+        test = wss._self_square_test(m, gamma)
+        if test.divisible:
             found.add(m)
         if len(factors) == 1:
-            powers[m] = divisible
+            powers[m] = test.divisible
         if m % 2 and m <= odd_top:
-            odd_moduli.check(not divisible and not any(square(p, e) for p, e in factors), f"m={m}")
+            odd_moduli.check(not test.divisible and not any(square(p, e) for p, e in factors), f"m={m}")
         if factors == ((m, 1),):
-            record = wss.wss_check(m)
+            # the scan's own kernel on a one-prime block: its u_gamma mod p^2,
+            # of the period from the block's facts, must be the test's
+            _, [record] = wss._scan_block((m, m, [m]))
+            residue = record.residue_fib_gamma_mod_p2
             criteria.check(
-                not record.is_wss and record.criteria_agree,
-                f"p={m} is_wss={record.is_wss} agree={record.criteria_agree}",
+                not record.is_wss and record.criteria_agree and residue == test.residue_mod_m2,
+                f"p={m} is_wss={record.is_wss} agree={record.criteria_agree} "
+                f"u_gamma={residue} test={test.residue_mod_m2}",
             )
 
-    return props, at, found
+    def then() -> None:
+        expected = {m for m in (6, 12) if m <= max_value}
+        self_square.check(found == expected, f"found={sorted(found)}")
+
+    return props, found, here, at, then
 
 
-# each suite that the pass serves: its checks made here, before the pass
-# or after it, and those of each chunk of the pass
-_CHECKS = {"pisano": _pisano_checks, "classify": _classify_checks, "wss": _wss_checks}
-_PASSES = {"pisano": _pisano_pass, "classify": _classify_pass, "wss": _wss_pass}
+# each suite that the pass serves, by the builder of its checks
+_SUITES = {"pisano": _pisano, "classify": _classify, "wss": _wss}
 
 
 def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult]:

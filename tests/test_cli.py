@@ -115,32 +115,45 @@ sys.exit(main(sys.argv[2:]))
 
 
 # verify whose direct-scan workers each record their pid in argv[1] at
-# their first scan, and whose fast route takes argv[2] more seconds per
-# modulus: with a delay the workers wait idle for chunks, without one they
-# are busy; argv[3:] is the verify command line.  SIGINT gets its default
-# handler, as in _SLOW_SCAN.
+# their first scan, and each chunk's first modulus in argv[2] once the chunk
+# has run, and whose wss.cofactor_mod takes argv[3] more seconds a call:
+# only the calling process calls it, in the wss checks that need no pass,
+# so with a delay the workers run every chunk and then wait idle, and
+# without one they are busy; argv[4:] is the verify command line.  It sees
+# two CPUs at least, so that a pool starts even on a one-CPU host.  SIGINT
+# gets its default handler, as in _SLOW_SCAN.
 _REPORTING_VERIFY = """
 import os, signal, sys, time
 import fibmod.pisano as pisano
+import fibmod.verify as verify
+import fibmod.wss as wss
 from fibmod.cli import main
 
 signal.signal(signal.SIGINT, signal.default_int_handler)
+if len(os.sched_getaffinity(0)) < 2:
+    os.sched_getaffinity = lambda pid: {0, 1}
 
-profile, profiles_direct = pisano.profile, pisano.profiles_direct
-delay = float(sys.argv[2])
+profiles_direct, pass_chunk, cofactor_mod = pisano.profiles_direct, verify._pass_chunk, wss.cofactor_mod
+delay = float(sys.argv[3])
 
 def report_and_scan(moduli):
     open(os.path.join(sys.argv[1], str(os.getpid())), "a").close()
     return profiles_direct(moduli)
 
-def slow_profile(m):
+def report_chunk(task):
+    tallies = pass_chunk(task)
+    open(os.path.join(sys.argv[2], str(task[1][0])), "w").close()
+    return tallies
+
+def slow_cofactor_mod(a, g, n_l):
     time.sleep(delay)
-    return profile(m)
+    return cofactor_mod(a, g, n_l)
 
 pisano.profiles_direct = report_and_scan
+verify._pass_chunk = report_chunk
 if delay:
-    pisano.profile = slow_profile
-sys.exit(main(sys.argv[3:]))
+    wss.cofactor_mod = slow_cofactor_mod
+sys.exit(main(sys.argv[4:]))
 """
 
 
@@ -766,26 +779,30 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("delay", ["0", "0.002"], ids=["busy-workers", "idle-workers"])
     def test_sigint_stops_verify_and_its_workers_with_one_line(self, tmp_path, delay):
-        pids_dir = tmp_path / "pids"
+        pids_dir, chunks_dir = tmp_path / "pids", tmp_path / "chunks"
         pids_dir.mkdir()
+        chunks_dir.mkdir()
         src = str(pathlib.Path(wss_module.__file__).parents[1])
         proc = subprocess.Popen(
-            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), delay,
+            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), str(chunks_dir), delay,
              "verify", "--suite", "all", "--max", "20000"],
             env={"PYTHONPATH": src},
             stderr=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             start_new_session=True,  # its own process group, as a shell job has
         )
-        # 10 chunks of moduli: one worker per usable CPU
-        want = len(os.sched_getaffinity(0))
+        # 10 chunks of moduli: one worker per usable CPU, two at least; idle
+        # workers have run all 10 while the calling process is still slowed
+        want = max(2, len(os.sched_getaffinity(0)))
+        chunks = 10 if float(delay) else 0
         workers = []
         try:
             deadline = time.monotonic() + 30
-            while len(workers) < want and time.monotonic() < deadline:
+            while (len(workers) < want or len(os.listdir(chunks_dir)) < chunks) and time.monotonic() < deadline:
                 time.sleep(0.02)
                 workers = [int(name) for name in os.listdir(pids_dir)]
             assert len(workers) == want, workers
+            assert len(os.listdir(chunks_dir)) >= chunks
             os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C: verify and its workers
             _, err = proc.communicate(timeout=30)
             assert proc.returncode == 130
@@ -809,7 +826,7 @@ class TestVerifyCommand:
         pids_dir.mkdir()
         src = str(pathlib.Path(wss_module.__file__).parents[1])
         proc = subprocess.Popen(
-            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), "0",
+            [sys.executable, "-c", _REPORTING_VERIFY, str(pids_dir), str(tmp_path), "0",
              "verify", "--suite", "all", "--max", "20000"],
             env={"PYTHONPATH": src},
             stderr=subprocess.PIPE,

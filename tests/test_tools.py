@@ -65,19 +65,22 @@ def test_tool_imports_only_the_stdlib_and_fibmod(tool):
 
 
 _SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "factorize_calls", "profile_calls",
-               "direct_terms", "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"]
+               "is_prime_calls", "root5_calls", "direct_terms", "direct_serial_s", "direct_ns_term", "lanes_serial_s",
+               "lanes_ns_term"]
+_CALLS = ("factorize", "profile", "is_prime", "root5")  # the counted calls, as the tool names their rows
 
 
-def _fresh_verify_calls(max_value: int) -> tuple[int, int]:
-    """The factorize and fast-profile calls of run_suites("all", max_value)
-    with the period memos empty, as in a new process, on one CPU, so that
-    the pass runs here and every call is counted."""
+def _fresh_verify_calls(max_value: int) -> tuple[int, int, int, int]:
+    """The factorize, fast-profile, is_prime and _root5 calls of
+    run_suites("all", max_value) with the period memos empty, as in a new
+    process, on one CPU, so that the pass runs here and every call is counted."""
     for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
         memo.cache_clear()
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}), factorize_calls() as factored, \
-            binding_calls(pisano_module._profile_with_period) as profiled:
+            binding_calls(pisano_module._profile_with_period) as profiled, \
+            binding_calls(pisano_module.is_prime) as proved, binding_calls(pisano_module._root5) as rooted:
         run_suites("all", max_value)
-    return len(factored), len(profiled)
+    return len(factored), len(profiled), len(proved), len(rooted)
 
 
 def _verify_split(max_value: int) -> dict[str, str]:
@@ -89,13 +92,20 @@ def _verify_split(max_value: int) -> dict[str, str]:
     for name in ("wall_s", "caller_cpu_s", "direct_serial_s", "direct_ns_term", "lanes_serial_s", "lanes_ns_term"):
         assert float(lines[name]) > 0, name
     # the counted run counts what the test's own counters count
-    assert (int(lines["factorize_calls"]), int(lines["profile_calls"])) == _fresh_verify_calls(max_value)
+    assert tuple(int(lines[f"{name}_calls"]) for name in _CALLS) == _fresh_verify_calls(max_value)
     return lines
 
 
 def test_verify_split_at_300():
     # one chunk of moduli: the scans run in the calling process, and no pool opens
-    assert float(_verify_split(300)["workers_cpu_s"]) == 0
+    lines = _verify_split(300)
+    assert float(lines["workers_cpu_s"]) == 0
+    # 299 moduli, 62 primes: factorize takes each modulus, each prime's
+    # bound and 5's once more (its one-prime scan block leaves 5 to
+    # _prime_facts), and 119 moduli of the fixed-input checks; is_prime
+    # proves each prime once, and 5 once more; each of the 28 primes with
+    # chi = +1 takes its root of 5 once for its period, once for its criteria
+    assert tuple(int(lines[f"{name}_calls"]) for name in _CALLS) == (481, 457, 63, 56)
 
 
 def test_verify_split_past_one_chunk():
@@ -114,7 +124,7 @@ def test_verify_split_counts_the_whole_run_whether_or_not_a_pool_starts(monkeypa
         assert tool.main(["--max", "2050"]) == 0
         lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
         assert (float(lines["workers_cpu_s"]) > 0) == (len(cpus) > 1)
-        counts[len(cpus)] = (int(lines["factorize_calls"]), int(lines["profile_calls"]))
+        counts[len(cpus)] = tuple(int(lines[f"{name}_calls"]) for name in _CALLS)
     assert counts[1] == counts[2] == _fresh_verify_calls(2050)
 
 

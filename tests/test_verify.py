@@ -233,9 +233,10 @@ def test_single_suites_equal_their_slice_of_all(max_value, faulted, monkeypatch)
 def test_all_factors_each_modulus_once(monkeypatch):
     # on one CPU every call runs here; with the period memos empty, the only
     # factorizations besides the pass's one of each m are the prime-period
-    # layer's of each prime's bound (once through prime_period's memo, once
-    # more through wss_check, which a scan calls past it) and those of the
-    # moduli the fixed-input checks build and hand to a public route
+    # layer's of each prime's bound, once, through prime_period's memo, and
+    # those of the moduli the fixed-input checks build and hand to a public
+    # route.  The criteria's one-prime scan block factors each bound by its
+    # strike pass, bar 5's, 20, which it leaves to factorize
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
         memo.cache_clear()
@@ -248,8 +249,59 @@ def test_all_factors_each_modulus_once(monkeypatch):
     built += [2**e for e in range(1, 13)]  # two-power zero counts
     built += [n**k for n in (2, 3, 5, 6, 7) for k in (1, 2)]  # cofactor products
     built += [n**k for n in range(2, 8) for k in (1, 2)]  # cofactor multipliers
-    assert Counter(calls) == Counter(range(2, 2001)) + Counter(bounds * 2) + Counter(built)
-    assert (len(calls), len(profiles)) == (2757, 2431)
+    assert Counter(calls) == Counter(range(2, 2001)) + Counter(bounds + [20]) + Counter(built)
+    assert (len(calls), len(profiles)) == (2455, 2431)
+
+
+_real_bound_factor_sieve = pisano_module._bound_factor_sieve
+_real_half_period_test = classify_module._half_period_is_negative_identity
+
+
+def _bound_of_2969_two_part_only(primes):
+    # stands in for the strike pass: 2969's bound 2968 = 2^3 * 7 * 53 read as
+    # 2^3 alone, so that the period taken from those facts is 2968, not 424
+    facts = _real_bound_factor_sieve(primes)
+    if 2969 in facts:
+        facts[2969] = facts[2969][:1]
+    return facts
+
+
+def test_prime_criteria_read_the_scan_kernels_facts(monkeypatch):
+    # each prime's criteria come from the scan's kernel on a one-prime block,
+    # whose period reads the strike pass's factors of the bound: its u_gamma
+    # mod p^2 must be the self-square test's, from the pass's own period
+    monkeypatch.setattr(pisano_module, "_bound_factor_sieve", _bound_of_2969_two_part_only)
+    results = {r.name: r for r in run_suites("all", 3000)}
+    criteria = results.pop("no-wss-primes-and-criteria-agree")
+    kernel, test = fib_pair_mod(2968, 2969**2)[0], fib_pair_mod(424, 2969**2)[0]
+    assert criteria.checked == 430  # the primes up to 3000
+    assert criteria.failures == (f"p=2969 is_wss=False agree=True u_gamma={kernel} test={test}",)
+    assert all(r.passed for r in results.values())
+
+
+def _flipped_at_7_9_and_25(m, gamma):
+    # stands in for the direct goodness test: wrong at the prime 7 and at
+    # the prime powers 9 and 25, whose primes it leaves alone
+    return _real_half_period_test(m, gamma) != (m in (7, 9, 25))
+
+
+@pytest.mark.parametrize("suite", ["classify", "all"])
+@pytest.mark.parametrize("layout", ["pooled", "one-cpu", "one-chunk"])
+def test_prime_power_goodness_fails_in_modulus_order(suite, layout, monkeypatch):
+    # each odd prime power p^e is checked against p at p^e's own record in
+    # the pass, so its failures come in m order, not p's; pooled in chunks
+    # of 8 moduli, 25 falls in a later chunk than 7 and 9 do
+    monkeypatch.setattr(classify_module, "_half_period_is_negative_identity", _flipped_at_7_9_and_25)
+    if layout == "pooled":
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(verify_module, "_DIRECT_CHUNK", 8)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if layout == "one-chunk":
+        monkeypatch.setattr(verify_module, "_DIRECT_CHUNK", 10**6)
+    powers = {r.name: r for r in run_suites(suite, 3000)}["prime-power-goodness-follows-prime"]
+    assert powers.checked == 455  # the odd prime powers up to 3000
+    assert powers.failures == ("p=7 e=1", "p=3 e=2", "p=5 e=2")
 
 
 def test_a_wrong_matrix_entry_at_the_top_of_the_table_fails(monkeypatch):

@@ -7,9 +7,11 @@ calling process (getrusage RUSAGE_SELF) and that of the pool workers
 (RUSAGE_CHILDREN, which counts a worker once the run's pool has joined
 it), each as the difference across the run; it is 0 where the run opens no
 pool, as for N up to one chunk or on one CPU.  A second run, with the
-package's memos emptied first, counts the calls of arith.factorize and of
-pisano._profile_with_period, the fast profile, made through every fibmod
-module's binding of each, which it restores after.  It runs in this
+package's memos emptied first, counts the calls of arith.factorize, of
+pisano._profile_with_period, the fast profile, of arith.is_prime and of
+pisano._root5, the root of 5 mod p^2, made through every fibmod module's
+binding of each, which it restores after: a prime whose facts are taken
+twice shows as a second is_prime or _root5 call.  It runs in this
 process on one CPU, os.sched_getaffinity reading one until it ends, so
 that no pool starts and the pass's calls, which a pool's workers would
 make, are counted too: the counts are those of the whole run, wherever
@@ -31,7 +33,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 from fibmod import pisano
-from fibmod.arith import factorize
+from fibmod.arith import factorize, is_prime
 from fibmod.verify import _DIRECT_CHUNK, SUITE_NAMES, run_suites
 
 
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    with one_cpu(), counted_calls(factorize, pisano._profile_with_period) as calls:
+    with one_cpu(), counted_calls(factorize, pisano._profile_with_period, is_prime, pisano._root5) as calls:
         run_suites(args.suite, args.max_value)
 
     moduli = range(2, args.max_value + 1)
@@ -121,6 +123,8 @@ def main(argv=None) -> int:
     print(f"workers_cpu_s    {workers:.3f}")
     print(f"factorize_calls  {calls['factorize']}")
     print(f"profile_calls    {calls['_profile_with_period']}")
+    print(f"is_prime_calls   {calls['is_prime']}")
+    print(f"root5_calls      {calls['_root5']}")
     print(f"direct_terms     {terms}")
     print(f"direct_serial_s  {direct_s:.3f}")
     print(f"direct_ns_term   {direct_s / terms * 1e9:.1f}")
