@@ -123,6 +123,8 @@ def _cmd_good(args):
         lo, hi = args.range
         if lo < 2 or hi < lo:
             raise ValueError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
+        if hi >= 2**64:  # as in wss-scan: factorize works below 2^64
+            raise ValueError(f"hi = {hi} is out of range: need hi < 2^64")
         # the reports are not kept, but the good list is: about a tenth of the
         # range (ROADMAP item 4)
         good = [m for m in range(lo, hi + 1) if classify.goodness_report(m, args.method).is_good]

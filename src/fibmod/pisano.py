@@ -44,15 +44,16 @@ by order reduction with builtin pow, and u_n = (phi^n - psi^n)/s mod p^2
 gives the Wall-Sun-Sun index residue u_{p-1} mod p^2 from x = phi^(p-1):
 (x - 1/x)/s.  Primes with chi = -1, and 2 and 5, keep the ladders.
 
-Every prime's period is reduced over the factors of its bound t.  A scan
-block gets them for all its primes from one strike pass
-(_bound_factor_sieve): the odd primes up to a bound B, read from arith's
-base-prime array, strike the block's neighbours p - chi, and only a
-cofactor of at least (B + 1)^2 goes to is_prime and rho.  _block_facts
-returns each prime's facts, its factors and for chi = +1 its root of 5, and
-a scan passes each to _prime_period past prime_period's memo.  A p given
-facts is taken as proven by the window sieve; a p given none meets
-is_prime, factorize and _root5 in _prime_facts.
+Every prime's period is reduced over the odd primes of its bound t, whose
+power of 2 the doublings take.  p's facts are those primes, ascending,
+and for chi = +1 its root of 5 mod p^2, else None.  A scan block gets them
+for every one of its primes from one strike pass (_bound_factor_sieve): the
+odd primes up to a bound B, read from arith's base-prime array, strike the
+block's neighbours p - chi, whose odd parts are the bounds' odd parts, and
+only a cofactor of at least (B + 1)^2 goes to is_prime and rho.
+_block_facts adds the roots, and a scan passes each prime's facts to
+_prime_period, past prime_period's memo.  The memo, and a lone wss_check,
+take a prime's facts from _prime_facts, behind is_prime.
 """
 
 from __future__ import annotations
@@ -267,29 +268,29 @@ def _legendre5(p: int) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def prime_period(p: int) -> int:
-    """Period of a prime modulus: _prime_period, memoized for callers that meet p again."""
-    return _prime_period(p)
+    """Period of a prime modulus: _prime_period of its _prime_facts, memoized
+    for callers that meet p again."""
+    return _prime_period(p, _prime_facts(p))
 
 
-def _prime_period(p: int, facts: tuple | None = None) -> int:
+def _prime_period(p: int, facts: tuple) -> int:
     """Period of a prime modulus without iterating the full cycle.
 
     The period divides a bound fixed by chi = (p/5): p - 1 when chi = 1,
     2*(p + 1) when chi = -1 and 4*p when chi = 0, so it is found by order
-    reduction over the factors of that bound (p = 2 and p = 5 included),
-    read from p's facts: the bound's factors and, for chi = 1, a root of 5
-    mod p^2.  Given facts, from _block_facts or _prime_facts, state that
-    the caller proved p prime; without them p meets the period layer's one
-    primality check in _prime_facts.  For chi = 1 the reduction runs on the
-    eigenvalue phi with builtin pow.  Otherwise the premise and the halvings
-    read one ladder at the bound's odd part and its doublings, and each odd
-    prime factor's test is a ladder of its own.
+    reduction over the primes of that bound (p = 2 and p = 5 included): its
+    power of 2 by doublings, its odd primes read from p's facts, with, for
+    chi = 1, a root of 5 mod p^2.  The facts, from _block_facts or
+    _prime_facts, state that the caller proved p prime.  For chi = 1 the
+    reduction runs on the eigenvalue phi with builtin pow.  Otherwise the
+    premise and the halvings read one ladder at the bound's odd part and its
+    doublings, and each odd prime's test is a ladder of its own.
     """
-    factors, root = facts or _prime_facts(p)
+    factors, root = facts
     chi = _legendre5(p)
-    t = (p - chi) * {1: 1, -1: 2, 0: 4}[chi]
     if chi == 1:
         return _eigen_period(p, factors, root)
+    t = (p - chi) * (2 if chi else 4)
     # t = 2^v * odd, and P^(odd * 2^i) for i = 0, ..., v are one ladder at odd
     # and its v doublings: the premise reads the last, and the period's 2-part
     # is the first i where P^(odd * 2^i) is the identity
@@ -298,15 +299,15 @@ def _prime_period(p: int, facts: tuple | None = None) -> int:
     if pairs[v] != (0, 1):
         raise AnomalyError(f"order reduction premise fails: predicate false at {t}")
     gamma = odd << pairs.index((0, 1))
-    for q, _ in factors:
-        while q != 2 and gamma % q == 0 and fib_pair_mod(gamma // q, p) == (0, 1):
+    for q in factors:
+        while gamma % q == 0 and fib_pair_mod(gamma // q, p) == (0, 1):
             gamma //= q
     return gamma
 
 
-def _eigen_period(p: int, factors: tuple[tuple[int, int], ...], s: int) -> int:
+def _eigen_period(p: int, factors: tuple[int, ...], s: int) -> int:
     """Period of a chi = +1 prime p from s, a square root of 5 mod p, and
-    the factors of its bound p - 1.
+    the odd primes of its bound p - 1.
 
     P has the eigenvalues phi = (1 + s)/2 and psi = -1/phi in F_p, so
     P^n = I exactly when phi^n = 1 and n is even: the period is the least
@@ -320,8 +321,8 @@ def _eigen_period(p: int, factors: tuple[tuple[int, int], ...], s: int) -> int:
     while x != 1:
         x, i = x * x % p, i + 1
     gamma = odd << max(1, i)
-    for q, _ in factors:
-        while q != 2 and gamma % q == 0 and pow(phi, gamma // q, p) == 1:
+    for q in factors:
+        while gamma % q == 0 and pow(phi, gamma // q, p) == 1:
             gamma //= q
     return gamma
 
@@ -387,39 +388,36 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _index_residue(p: int, facts: tuple | None = None) -> int:
-    """u_{p-1} mod p^2 for a prime p with chi = +1, without a ladder.
+def _index_residue(p: int, s: int) -> int:
+    """u_{p-1} mod p^2 for a prime p with chi = +1, without a ladder, from
+    s, the root of 5 mod p^2 in p's facts.
 
     With s^2 == 5 mod p^2, u_n == (phi^n - psi^n)/s mod p^2, and
     psi^n = phi^-n for even n; so with x = phi^(p-1) mod p^2 the residue is
-    (x - 1/x)/s = (x^2 - 1)/(x*s).  s is the root in p's facts, whose
-    caller proved p prime, or else computed here.
+    (x - 1/x)/s = (x^2 - 1)/(x*s).
     """
-    s = _root5(p) if facts is None else facts[1]
     p2 = p * p
     x = pow((1 + s) * ((p2 + 1) // 2), p - 1, p2)
     return (x * x - 1) * pow(x * s, -1, p2) % p2
 
 
-def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], ...]]:
-    """factorize(t) of the period bound t of each prime but 5 of a scan
+def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[int, ...]]:
+    """The odd primes, ascending, of the period bound t of each of a scan
     block's sorted primes, by one strike pass.
 
-    t is the neighbour n = p - chi, doubled when chi = -1, so t's odd part is
-    n's.  The odd primes up to B = min(_SIEVE_LIMIT, isqrt(max n)) strike the
-    neighbours; a cofactor left below (B + 1)^2 is 1 or a prime, and a
-    larger one goes to is_prime and rho.  Two primes two apart can share a
-    neighbour (17 + 1 = 19 - 1) with different bounds (36, 18), so each
-    result is keyed by its prime and takes its own power of 2.
+    t is the neighbour n = p - chi, times 2 when chi = -1 and 4 when
+    chi = 0, so t's odd part is n's: 20's is 5, and 17 and 19 share 18's
+    (3,).  The odd primes up to B = min(_SIEVE_LIMIT, isqrt(max n)) strike
+    the neighbours; a cofactor left below (B + 1)^2 is 1 or a prime, and a
+    larger one goes to is_prime and rho.
     """
-    neighbours = {p: (p - chi, chi) for p in primes if (chi := _legendre5(p))}
-    if not neighbours:
+    if not primes:
         return {}
+    neighbours = {p: p - _legendre5(p) for p in primes}
     lo, hi = primes[0] - 1, primes[-1] + 1
     bound = min(_SIEVE_LIMIT, math.isqrt(hi))
-    splits = {n: two_adic_split(n) for n, _ in neighbours.values()}
-    rest = {n: odd for n, (_, odd) in splits.items()}
-    found: dict[int, list[tuple[int, int]]] = {n: [] for n in rest}
+    rest = {n: two_adic_split(n)[1] for n in neighbours.values()}
+    found: dict[int, list[int]] = {n: [] for n in rest}
     marks = bytearray(hi - lo + 1)
     for n in rest:
         marks[n - lo] = 1
@@ -438,37 +436,36 @@ def _bound_factor_sieve(primes: list[int]) -> dict[int, tuple[tuple[int, int], .
     hits += [(q, i) for q in islice(base_primes, narrow, stop) if (i := (-lo) % q) < width and marks[i]]
     for q, i in hits:
         n = lo + i
-        m, e = rest[n] // q, 1
+        m = rest[n] // q
         while m % q == 0:
-            m, e = m // q, e + 1
+            m //= q
         rest[n] = m
-        found[n].append((q, e))
+        found[n].append(q)
     for n, m in rest.items():
         if m > 1:
-            found[n].extend(sorted(_rough_factors(m, bound).items()))
-    return {
-        p: ((2, splits[n][0] + (chi == -1)), *found[n]) for p, (n, chi) in neighbours.items()
-    }
+            found[n].extend(sorted(_rough_factors(m, bound)))
+    return {p: tuple(found[n]) for p, n in neighbours.items()}
 
 
 def _block_facts(primes: list[int]) -> dict[int, tuple]:
-    """The facts of each of a scan block's proven primes but 5: its bound's
-    factors, by one strike pass, and for chi = +1 its root of 5 mod p^2
-    (None otherwise).  5 is left out, as _prime_facts factors 20 at once."""
+    """The facts of each of a scan block's proven primes: its bound's odd
+    primes, by one strike pass, and for chi = +1 its root of 5 mod p^2
+    (None otherwise)."""
     return {
         p: (factors, _root5(p) if _legendre5(p) == 1 else None)
         for p, factors in _bound_factor_sieve(primes).items()
     }
 
 
-def _prime_facts(p: int) -> tuple[tuple[tuple[int, int], ...], int | None]:
+def _prime_facts(p: int) -> tuple[tuple[int, ...], int | None]:
     """_block_facts's facts for a p no block proved, after is_prime rejects a
-    non-prime p.  The reduction reads only the bound's odd factors, so for
-    chi = -1 factorize takes p + 1, below 2^64 for every p < 2^64."""
+    non-prime p: factorize takes the odd part of p - chi, below 2^64 for
+    every p < 2^64, unless it is 1 (p = 3, 7, 127, ...)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     chi = _legendre5(p)
-    return factorize((p - chi) * (4 if chi == 0 else 1)), _root5(p) if chi == 1 else None
+    odd = two_adic_split(p - chi)[1]
+    return tuple(q for q, _ in factorize(odd)) if odd > 1 else (), _root5(p) if chi == 1 else None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

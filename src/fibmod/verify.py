@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import random
 from dataclasses import dataclass
 
@@ -183,7 +182,7 @@ def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, befor
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
     tasks = ((suites, chunk, scans(chunk), max_value, profiled) for chunk in chunks)
-    with ordered_map(_pass_chunk, tasks, len(os.sched_getaffinity(0)), len(starts)) as tallies:
+    with ordered_map(_pass_chunk, tasks, len(starts), len(starts)) as tallies:
         results = before()
         built = [_SUITES[suite](max_value) for suite in suites]
         for _, _, here, _, _ in built:

@@ -31,8 +31,8 @@ time, at least min(isqrt(hi), 2**20) wide and capped at hi, with every
 prime up to min(isqrt(window hi), 2**20) (arith._prime_window), so below
 1.1e12 no scanned prime needs a Miller-Rabin proof; each block goes to
 _scan_block with its primes, read from the window's flags as the block is
-made.  pisano._block_facts gives each of a block's primes its facts, the
-factors of its period bound and, for (p/5) = +1, its root of 5, and
+made.  pisano._block_facts gives every prime of a block its facts, the
+odd primes of its period bound and, for (p/5) = +1, its root of 5, and
 _scan_block passes each prime's facts to that prime's wss_check alone.
 """
 
@@ -110,7 +110,7 @@ def wss_check(p: int, facts: tuple | None = None) -> WssRecord:
     p2 = p * p
     # two algorithms for the two criteria: for chi = +1 the index residue
     # comes from the eigenvalue route, the period's residue from a ladder
-    residue_index = _index_residue(p, facts) if chi == 1 else fib_pair_mod(index, p2)[0]
+    residue_index = _index_residue(p, facts[1]) if chi == 1 else fib_pair_mod(index, p2)[0]
     residue_gamma = fib_pair_mod(gamma, p2)[0]
     return WssRecord(
         p=p,
@@ -212,7 +212,7 @@ def _scan_block(block: tuple[int, int, list[int]]) -> tuple[int, list[WssRecord]
     """Check the primes of the block (lo, hi, primes), every one proven and given its facts."""
     _, hi, primes = block
     facts = _block_facts(primes)
-    return hi, [wss_check(p, facts.get(p)) for p in primes]
+    return hi, [wss_check(p, facts[p]) for p in primes]
 
 
 def _fsync_directory(path: str) -> None:

@@ -131,6 +131,11 @@ def period_bound(p: int) -> int:
     return {1: p - 1, 4: p - 1, 2: 2 * (p + 1), 3: 2 * (p + 1), 0: 4 * p}[p % 5]
 
 
+def bound_odd_primes(p: int) -> tuple[int, ...]:
+    """The odd primes of the period bound of a prime p, ascending, by factorize."""
+    return tuple(q for q, _ in factorize(period_bound(p)) if q != 2)
+
+
 def odd_prime_tests(p: int, gamma: int) -> int:
     """Halving tests an order reduction of the period bound t of the prime p
     to its period gamma makes at the odd primes q of t: with q^e

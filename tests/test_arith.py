@@ -404,11 +404,18 @@ def _facts_during_block(lo, hi):
 
 
 def _true_facts(p, facts):
-    """Whether facts are those of the prime p: the factors of its period bound
-    and, for chi = +1 alone, a root of 5 mod p^2."""
+    """Whether facts are those of the prime p: the odd primes of its period
+    bound, strictly ascending, each dividing it and together leaving no odd
+    part of it, and, for chi = +1 alone, a root of 5 mod p^2."""
     factors, root = facts
-    return (math.prod(q**e for q, e in factors) == period_bound(p)
-            and all(is_prime_trial(q) if q < 10**6 else is_prime(q) for q, _ in factors)
+    rest = two_adic_split(period_bound(p))[1]
+    for q in factors:
+        if rest % q:
+            return False
+        while rest % q == 0:
+            rest //= q
+    return (rest == 1 and list(factors) == sorted(set(factors))
+            and all(is_prime_trial(q) if q < 10**6 else is_prime(q) for q in factors)
             and (root is None) == (p % 5 not in (1, 4))
             and (root is None or (root * root - 5) % (p * p) == 0))
 
@@ -462,17 +469,21 @@ class TestWindowMemo:
         assert [p for p, _ in seen] == primes and kept
         assert all(_true_facts(p, facts) for p, facts in seen)
         assert len(primes) < (hi - lo + 1) // 30
-        # 5 is the one prime given no facts: its bound 20 factors at once
+
+    def test_a_block_from_2_gives_every_prime_its_facts(self):
+        # 5 among them, from the strike pass like the rest: 20's odd part is 5;
+        # and 3 and 7, whose bounds 8 and 16 have no odd prime
         seen, kept = _facts_during_block(2, 100)
         assert [p for p, _ in seen] == sieve_upto(100) and kept
-        assert [p for p, facts in seen if facts is None] == [5]
-        assert all(_true_facts(p, facts) for p, facts in seen if p != 5)
+        assert all(_true_facts(p, facts) for p, facts in seen)
+        facts = dict(seen)
+        assert (facts[2], facts[3], facts[5], facts[7]) == (((3,), None), ((), None), ((5,), None), ((), None))
 
     def test_is_prime_reads_no_given_facts(self):
         # composites handed to the period as proven, with facts, stay composite for arith
         composites = (91, 999_983 * 1_000_003)
         for n in composites:
-            pisano_module._prime_period(n, (((2, 1), (3, 1), (5, 1)), 1))
+            pisano_module._prime_period(n, ((3, 5), 1))
         assert [is_prime(n) for n in composites] == [False, False]
         assert [factorize(n) for n in composites] == [((7, 1), (13, 1)), ((999_983, 1), (1_000_003, 1))]
         assert primes_in_range(85, 95) == [89]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import decimal
 import fcntl
@@ -14,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+import fibmod.classify as classify_module
 import fibmod.cli as cli_module
 import fibmod.pisano as pisano_module
 import fibmod.wss as wss_module
@@ -23,7 +25,7 @@ from fibmod.errors import AnomalyError, CheckpointError
 from fibmod.fib import fib_exact
 from fibmod.wss import load_checkpoint
 
-from helpers import fib_upto, interrupted_scan, two_cpus
+from helpers import CountingExecutor, fib_upto, interrupted_scan, two_cpus
 
 _TEST_PID = os.getpid()
 # a Wall-Sun-Sun hit record at p = 7 whose symbol, index and agreement follow from p and its residues
@@ -75,11 +77,15 @@ def _refuse_inherited_lock(lock_path, block):
 
 
 # a --jobs 2 scan whose workers each record their pid in argv[1], then stay
-# busy with their block; argv[2:] is the wss-scan command line
+# busy with their block; argv[2:] is the wss-scan command line.  It sees two
+# CPUs at least, so that a pool starts even on a one-CPU host
 _REPORTING_SCAN = """
 import os, sys, time
 import fibmod.wss as wss
 from fibmod.cli import main
+
+if len(os.sched_getaffinity(0)) < 2:
+    os.sched_getaffinity = lambda pid: {0, 1}
 
 def report_and_wait(block):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
@@ -94,13 +100,16 @@ sys.exit(main(sys.argv[2:]))
 # in argv[1]; the first two blocks take 0.2 s each and the last 1 s, so that
 # once two blocks are checkpointed one worker is idle and the other busy.
 # Ctrl-C must raise KeyboardInterrupt even when the test runner was started
-# with SIGINT ignored, which its child would inherit.
+# with SIGINT ignored, which its child would inherit.  As _REPORTING_SCAN, it
+# sees two CPUs at least.
 _SLOW_SCAN = """
 import os, signal, sys, time
 import fibmod.wss as wss
 from fibmod.cli import main
 
 signal.signal(signal.SIGINT, signal.default_int_handler)
+if len(os.sched_getaffinity(0)) < 2:
+    os.sched_getaffinity = lambda pid: {0, 1}
 
 scan_block = wss._scan_block
 
@@ -303,6 +312,13 @@ class TestGoodCommand:
         code, out, err = run(capsys, "good", "--range", str(lo), str(hi))
         assert (code, out, err) == (1, "", f"fibmod: error: need 2 <= lo <= hi, got ({lo}, {hi})\n")
 
+    @pytest.mark.parametrize("lo", [2, 2**64 - 1, 2**64])
+    def test_range_past_2_64_is_refused_before_any_modulus(self, capsys, monkeypatch, lo):
+        monkeypatch.setattr(classify_module, "goodness_report", lambda m, method: 1 / 0)
+        code, out, err = run(capsys, "good", "--range", str(lo), str(2**64))
+        assert (code, out) == (1, "")
+        assert err == f"fibmod: error: hi = {2**64} is out of range: need hi < 2^64\n"
+
     def test_single_even(self, capsys):
         code, doc, _ = run_json(capsys, "good", "6", "--json")
         assert code == 0
@@ -392,6 +408,18 @@ class TestWssScanCommand:
         assert (code, out) == (1, "")
         assert err == f"fibmod: error: hi = {2**64} is out of range: need hi < 2^64\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus, to, workers", [(1, "1001", 0), (2, "1001", 2), (8, "1001", 8), (8, "31", 3)])
+    def test_jobs_start_no_more_workers_than_cpus_or_blocks(self, capsys, tmp_path, monkeypatch, cpus, to, workers):
+        # --jobs 1000 over blocks of 10: a pool of min(1000, CPUs, blocks)
+        # workers, none for one, counted by a stand-in that forks nothing
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(CountingExecutor, "max_workers", 0)
+        code, _, err = run(capsys, "wss-scan", "--from", "2", "--to", to, "--block-size", "10",
+                           "--jobs", "1000", "--checkpoint", str(tmp_path / "ck.json"))
+        assert (code, err) == (0, "")
+        assert CountingExecutor.max_workers == workers
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code, _, err = run(
@@ -594,6 +622,7 @@ class TestWssScanCommand:
         ck = tmp_path / "ck.json"
         probe = functools.partial(_refuse_inherited_lock, f"{ck}.lock")
         monkeypatch.setattr(wss_module, "_scan_block", probe)
+        two_cpus(monkeypatch)  # a pool, even on a one-CPU host
         code, _, err = run(
             capsys, "wss-scan", "--from", "2", "--to", "3000", "--block-size", "500",
             "--jobs", "2", "--checkpoint", str(ck),
@@ -734,6 +763,7 @@ class TestWssScanCommand:
             )
 
         monkeypatch.setattr(wss_module, "_scan_block", _die_after_two_blocks)
+        two_cpus(monkeypatch)  # a pool, even on a one-CPU host
         code, out, err = scan("crashed")
         assert code == 2 and out == ""
         assert err.startswith("fibmod: worker process died: ")

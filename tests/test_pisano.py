@@ -37,6 +37,7 @@ from fibmod.wss import self_square_test, wss_check
 
 from helpers import (
     binding_calls,
+    bound_odd_primes,
     factorize_calls,
     fib_upto,
     ladder_prime_period,
@@ -303,6 +304,11 @@ class TestPrimePeriod:
             prime_period(10)
 
 
+def _lone_index_residue(p):
+    """The index residue of a chi = +1 prime from the root of its lone facts."""
+    return pisano_module._index_residue(p, pisano_module._prime_facts(p)[1])
+
+
 class TestEigenRoute:
     """chi = +1 primes: the period and the index residue from a square root of
     5, held against the ladders."""
@@ -313,7 +319,7 @@ class TestEigenRoute:
         try:
             for p in chi_plus:
                 assert prime_period(p) == ladder_prime_period(p), p
-                assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+                assert _lone_index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
         finally:
             prime_period.cache_clear()
         assert len(chi_plus) > 4500
@@ -335,7 +341,7 @@ class TestEigenRoute:
             for p in primes:  # factorize and a fresh root, outside a block
                 assert prime_period(p) == ladder_prime_period(p), p
                 if p % 5 in (1, 4):
-                    assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+                    assert _lone_index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
         finally:
             prime_period.cache_clear()
 
@@ -353,7 +359,7 @@ class TestEigenRoute:
                 root = pisano_module._root5(p)
                 assert (root * root - 5) % (p * p) == 0 and root % p == s, p
                 assert prime_period(p) == ladder_prime_period(p), p
-                assert pisano_module._index_residue(p) == fib_pair_mod(p - 1, p * p)[0], p
+                assert pisano_module._index_residue(p, root) == fib_pair_mod(p - 1, p * p)[0], p
         finally:
             prime_period.cache_clear()
 
@@ -384,25 +390,25 @@ class TestEigenRoute:
 
 
 class TestBoundFactorSieve:
-    """A scan block's period bounds, factored by one strike pass."""
+    """The odd primes of a scan block's period bounds, by one strike pass."""
 
-    @pytest.mark.parametrize("lo,hi", [(2, 3000), (10**7, 10**7 + 9999), (10**9, 10**9 + 9999),
+    @pytest.mark.parametrize("lo,hi", [(2, 3000), (5, 5), (10**7, 10**7 + 9999), (10**9, 10**9 + 9999),
                                        (10**12, 10**12 + 9999),
                                        ((2**20 + 1) ** 2 - 3000, (2**20 + 1) ** 2 + 3000),
                                        (2**41, 2**41 + 3000)])
     def test_matches_factorize(self, lo, hi):
         primes = primes_in_range(lo, hi)
-        assert pisano_module._bound_factor_sieve(primes) == {p: factorize(period_bound(p)) for p in primes if p != 5}
+        assert pisano_module._bound_factor_sieve(primes) == {p: bound_odd_primes(p) for p in primes}
 
-    def test_twin_primes_keep_their_own_bounds(self):
+    def test_twin_primes_share_their_neighbours_odd_primes(self):
         # 17 (chi = -1, bound 36) and 19 (chi = +1, bound 18) share the neighbour 18
-        assert pisano_module._bound_factor_sieve([17, 19]) == {17: ((2, 2), (3, 2)), 19: ((2, 1), (3, 2))}
+        assert pisano_module._bound_factor_sieve([17, 19]) == {17: (3,), 19: (3,)}
         lo = 10**12
         primes = primes_between(lo, lo + 9999)
         p = next(p for p in primes if p + 2 in primes and p % 5 == 2)
         sieved = pisano_module._bound_factor_sieve(primes)
         assert period_bound(p) == 2 * (p + 1) and period_bound(p + 2) == p + 1
-        assert sieved[p] == factorize(2 * (p + 1)) != sieved[p + 2] == factorize(p + 1)
+        assert sieved[p] == sieved[p + 2] == bound_odd_primes(p + 2) == bound_odd_primes(p) != ()
 
     def test_a_composite_cofactor_goes_through_rho(self, monkeypatch):
         lo, hi = 10**12, 10**12 + 9999
@@ -414,7 +420,7 @@ class TestBoundFactorSieve:
             return math.prod(q**e for q, e in factorize(period_bound(p)) if q > limit)
 
         p = next(p for p in primes if len([q for q, _ in factorize(period_bound(p)) if q > limit]) > 1)
-        rough, want = cofactor(p), factorize(period_bound(p))
+        rough, want = cofactor(p), bound_odd_primes(p)
         assert not is_prime(rough) and rough >= (limit + 1) ** 2
         splits, proofs = [], []
         rho, real_is_prime = arith._rho_factor, arith.is_prime
@@ -429,10 +435,26 @@ class TestBoundFactorSieve:
         # at 1e7, B = isqrt(largest neighbour), so every cofactor is 1 or a prime
         calls = []
         primes = primes_between(10**7, 10**7 + 9999)
-        want = {p: factorize(period_bound(p)) for p in primes}
+        want = {p: bound_odd_primes(p) for p in primes}
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n))
         assert pisano_module._bound_factor_sieve(primes) == want
         assert calls == []
+
+
+@pytest.mark.parametrize("p", [3, 7, 127, 524_287, 2**31 - 1])
+def test_a_bound_with_no_odd_prime_takes_no_factoring(p):
+    # p + 1 is a power of 2: the facts list no prime, alone or in a block,
+    # and factorize is not called for them
+    with factorize_calls() as calls:
+        facts = pisano_module._prime_facts(p)
+    assert facts == ((), None) and calls == []
+    assert pisano_module._bound_factor_sieve([p]) == {p: ()}
+    assert wss_check(p) == wss_module._scan_block((p, p, [p]))[1][0]
+    prime_period.cache_clear()
+    try:
+        assert prime_period(p) == ladder_prime_period(p)
+    finally:
+        prime_period.cache_clear()
 
 
 class TestLiftingExponent:

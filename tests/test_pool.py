@@ -9,7 +9,7 @@ import pytest
 
 from fibmod.pool import ordered_map
 
-from helpers import CountingExecutor
+from helpers import CountingExecutor, two_cpus
 
 _calls = []
 
@@ -34,8 +34,9 @@ class _ShutdownLog(CountingExecutor):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """CountingExecutor in place of the process pool, its counters at 0 and
-    the calls of _logged_square cleared."""
+    """CountingExecutor in place of the process pool, its counters at 0, the
+    calls of _logged_square cleared, and eight usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     for counter in ("pools", "max_workers", "peak"):
         monkeypatch.setattr(CountingExecutor, counter, 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
@@ -52,7 +53,8 @@ def test_one_worker_maps_here_with_no_executor(workers, counted):
     assert (counted.pools, counted.max_workers, counted.peak) == (0, 0, 0)
 
 
-def test_a_real_pool_keeps_item_order_past_its_depth():
+def test_a_real_pool_keeps_item_order_past_its_depth(monkeypatch):
+    two_cpus(monkeypatch)  # a pool, even on a one-CPU host
     with ordered_map(_slow_when_even, range(12), 2, 3) as results:
         got = list(results)
     assert [x for x, _ in got] == list(range(12))
@@ -95,3 +97,12 @@ def test_a_pool_starts_no_more_workers_than_items_in_flight(items, depth, pools,
         assert list(results) == [x * x for x in range(items)]
     assert (counted.pools, counted.max_workers) == (pools, workers)
     assert counted.peak == min(items, depth) * pools
+
+
+@pytest.mark.parametrize("cpus, pools, workers", [(1, 0, 0), (2, 1, 2), (3, 1, 3)])
+def test_a_pool_starts_no_more_workers_than_cpus(cpus, pools, workers, counted, monkeypatch):
+    # a thousand workers asked for, and a thousand items in flight
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with ordered_map(_logged_square, iter(range(1000)), 1000, 1000) as results:
+        assert list(results) == [x * x for x in range(1000)]
+    assert (counted.pools, counted.max_workers) == (pools, workers)

@@ -100,12 +100,12 @@ def test_verify_split_at_300():
     # one chunk of moduli: the scans run in the calling process, and no pool opens
     lines = _verify_split(300)
     assert float(lines["workers_cpu_s"]) == 0
-    # 299 moduli, 62 primes: factorize takes each modulus, each prime's
-    # bound and 5's once more (its one-prime scan block leaves 5 to
-    # _prime_facts), and 119 moduli of the fixed-input checks; is_prime
-    # proves each prime once, and 5 once more; each of the 28 primes with
-    # chi = +1 takes its root of 5 once for its period, once for its criteria
-    assert tuple(int(lines[f"{name}_calls"]) for name in _CALLS) == (481, 457, 63, 56)
+    # 299 moduli, 62 primes: factorize takes each modulus, the odd part of
+    # each prime's bound but those of 3, 7 and 127, which are 1, and 119
+    # moduli of the fixed-input checks; is_prime proves each prime once;
+    # each of the 28 primes with chi = +1 takes its root of 5 once for its
+    # period, once for its criteria
+    assert tuple(int(lines[f"{name}_calls"]) for name in _CALLS) == (477, 457, 62, 56)
 
 
 def test_verify_split_past_one_chunk():

@@ -16,7 +16,7 @@ import fibmod.pisano as pisano_module
 import fibmod.pool as pool_module
 import fibmod.verify as verify_module
 import fibmod.wss as wss_module
-from fibmod.arith import factorize
+from fibmod.arith import factorize, two_adic_split
 from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import PisanoProfile
@@ -233,10 +233,11 @@ def test_single_suites_equal_their_slice_of_all(max_value, faulted, monkeypatch)
 def test_all_factors_each_modulus_once(monkeypatch):
     # on one CPU every call runs here; with the period memos empty, the only
     # factorizations besides the pass's one of each m are the prime-period
-    # layer's of each prime's bound, once, through prime_period's memo, and
-    # those of the moduli the fixed-input checks build and hand to a public
-    # route.  The criteria's one-prime scan block factors each bound by its
-    # strike pass, bar 5's, 20, which it leaves to factorize
+    # layer's of the odd part of each prime's bound, once, through
+    # prime_period's memo, where that part is not 1, and those of the moduli
+    # the fixed-input checks build and hand to a public route.  The
+    # criteria's one-prime scan block takes every prime's facts, 5's
+    # included, from its strike pass
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for memo in (pisano_module.prime_period, pisano_module.lifting_exponent, pisano_module._prime_zero_count):
         memo.cache_clear()
@@ -244,13 +245,23 @@ def test_all_factors_each_modulus_once(monkeypatch):
         results = run_suites("all", 2000)
     assert all(r.passed for r in results)
     primes = [p for p in range(2, 2001) if is_prime_trial(p)]
-    bounds = [{1: p - 1, 2: p + 1, 3: p + 1, 4: p - 1, 0: 20}[p % 5] if p != 2 else 3 for p in primes]
+    neighbours = [{1: p - 1, 2: p + 1, 3: p + 1, 4: p - 1, 0: 5}[p % 5] if p != 2 else 3 for p in primes]
+    bounds = [odd for odd in (two_adic_split(n)[1] for n in neighbours) if odd > 1]
     built = [p**e for p in primes if 2 < p <= 499 for e in (2, 3) if p**e <= 10**6]  # zero-count stability
     built += [2**e for e in range(1, 13)]  # two-power zero counts
     built += [n**k for n in (2, 3, 5, 6, 7) for k in (1, 2)]  # cofactor products
     built += [n**k for n in range(2, 8) for k in (1, 2)]  # cofactor multipliers
-    assert Counter(calls) == Counter(range(2, 2001)) + Counter(bounds + [20]) + Counter(built)
-    assert (len(calls), len(profiles)) == (2455, 2431)
+    assert Counter(calls) == Counter(range(2, 2001)) + Counter(bounds) + Counter(built)
+    assert (len(calls), len(profiles)) == (2451, 2431)
+
+
+def test_all_at_10000_keeps_the_reference_check_counts():
+    # the benchmark's verify-all holds each property's count of checks at
+    # --max 10000, names and order included, to benchmarks/reference.json
+    reference = json.loads((pathlib.Path(__file__).parents[1] / "benchmarks" / "reference.json").read_text())
+    results = run_suites("all", 10000)
+    assert all(r.passed for r in results)
+    assert [(r.name, r.checked) for r in results] == list(reference["verify_checked"].items())
 
 
 _real_bound_factor_sieve = pisano_module._bound_factor_sieve
@@ -258,11 +269,13 @@ _real_half_period_test = classify_module._half_period_is_negative_identity
 
 
 def _bound_of_2969_two_part_only(primes):
-    # stands in for the strike pass: 2969's bound 2968 = 2^3 * 7 * 53 read as
-    # 2^3 alone, so that the period taken from those facts is 2968, not 424
+    # stands in for the strike pass: 2969's bound 2968 = 2^3 * 7 * 53 read
+    # with no odd prime, so that the period taken from those facts is 2968,
+    # not 424
     facts = _real_bound_factor_sieve(primes)
     if 2969 in facts:
-        facts[2969] = facts[2969][:1]
+        assert facts[2969] == (7, 53)
+        facts[2969] = ()
     return facts
 
 

@@ -33,7 +33,7 @@ from fibmod.wss import (
     wss_check,
 )
 
-from helpers import CountingExecutor, fib_upto, interrupted_scan, module_state, primes_between
+from helpers import CountingExecutor, fib_upto, interrupted_scan, module_state, primes_between, two_cpus
 
 
 class TestLegendre5:
@@ -699,6 +699,7 @@ class TestScan:
         scan_wss(2, 3000, checkpoint_path=str(serial), block_size=100)
         monkeypatch.setattr(CountingExecutor, "peak", 0)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+        two_cpus(monkeypatch)  # a pool, even on a one-CPU host
         pooled = tmp_path / "pooled.json"
         scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
         assert 0 < CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
@@ -708,6 +709,7 @@ class TestScan:
         # a forked pool starts every worker it is given at its first submit
         monkeypatch.setattr(CountingExecutor, "max_workers", 0)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         scan_wss(2, 300, workers=64, checkpoint_path=str(tmp_path / "ck.json"), block_size=100)
         assert CountingExecutor.max_workers == 3
 

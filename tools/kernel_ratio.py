@@ -8,7 +8,7 @@ the fewest whole blocks at least min(isqrt(hi), 2**20) wide, and its sieve
 costs each of its primes the same, so the sieve us/p column is the window
 sieve's time over the window's primes.  The strike us/p column is the
 check's strike pass alone (pisano._bound_factor_sieve of the block's
-primes), which factors every period bound.  Each repeat times the sieve,
+primes), which finds the odd primes of every prime's period bound.  Each repeat times the sieve,
 the strike pass, the check and then the ladder, so that a drift in
 machine speed reaches all four, and the ratio is the median of the
 repeats' ratios.  From one untimed kernel run, per prime: the
