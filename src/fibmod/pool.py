@@ -5,9 +5,10 @@ pool stdlib, which importing fibmod does not, and forks a pool of no more
 workers than the CPUs this process may use, whatever the default start
 method, so that every module binding in place when it starts, a test's
 patch included, reaches the workers, and so that a worker holds a copy of
-its scan's descriptors that it can close.  A worker ignores
-SIGINT and ends itself once its parent is gone.  An early exit, Ctrl-C
-among them, cancels the calls still queued.
+its scan's descriptors that it can close.  It alone sets how many calls
+are in flight: two per started worker, however many workers were asked
+for.  A worker ignores SIGINT and ends itself once its parent is gone.  An
+early exit, Ctrl-C among them, cancels the calls still queued.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ _ORPHAN_POLL_S = 0.5  # how often a pool worker checks that its parent is alive
 
 
 @contextmanager
-def ordered_map(fn, items, workers: int, depth: int, lock=None):
+def ordered_map(fn, items, workers: int, lock=None):
     """fn of each item in item order: map here if workers <= 1, if this
     process may use one CPU, or if there is at most one item, else a forked
-    pool of at most one worker per CPU and per item in flight, given the
-    first depth items on entry and one more as each result is read, so
-    memory stays bounded; lock, the open file of a lock that this process
-    holds, is closed in each worker."""
+    pool of min(workers, CPUs, items) workers, given two items per worker
+    on entry and one more as each result is read, so memory stays bounded
+    however many workers were asked for; lock, the open file of a lock that
+    this process holds, is closed in each worker."""
     items = iter(items)
     # a forked pool starts all its workers at once: no more than there are CPUs or items
-    first = list(islice(items, min(workers, depth, len(os.sched_getaffinity(0))))) if workers > 1 else []
+    first = list(islice(items, min(workers, len(os.sched_getaffinity(0))))) if workers > 1 else []
     if len(first) <= 1:
         yield map(fn, chain(first, items))
         return
@@ -42,7 +43,7 @@ def ordered_map(fn, items, workers: int, depth: int, lock=None):
     held = None if lock is None else lock.fileno()
     with ProcessPoolExecutor(len(first), mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(os.getpid(), held)) as pool:
-        pending = deque(pool.submit(fn, item) for item in chain(first, islice(items, depth - len(first))))
+        pending = deque(pool.submit(fn, item) for item in chain(first, islice(items, len(first))))
 
         def results():
             while pending:

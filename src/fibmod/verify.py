@@ -27,13 +27,14 @@ self-square test of a prime power below the chunk are taken again there,
 by the same fast routes.  A chunk comes back as each property's count of
 checks and first three failures, with the self-square moduli it found:
 about 1.1 KB a chunk, where it was 32 B per modulus.  A run opens at most
-one pool and queues every chunk on it at the start; meanwhile the calling
-process builds each suite and runs its here().  Then it folds the chunks
-in order, counts adding and failures cut at three, which gives the
-results of one pass check for check, and runs each then().  At --max
-10000 on 2 CPUs the calling process takes about 0.06-0.12 s of CPU and
-the workers about 0.6-1.1 s, for about 0.4-0.7 s of wall
-(tools/verify_split.py).  An early exit cancels the queued chunks.
+one pool, which keeps two chunks per worker in flight (pool.ordered_map),
+the first of them queued at the start; meanwhile the calling process
+builds each suite and runs its here().  Then it folds the chunks in
+order, counts adding and failures cut at three, which gives the results
+of one pass check for check, and runs each then().  At --max 10000 on 2
+CPUs the calling process takes about 0.06-0.12 s of CPU and the workers
+about 0.6-1.1 s, for about 0.4-0.7 s of wall (tools/verify_split.py).
+An early exit cancels the queued chunks.
 """
 
 from __future__ import annotations
@@ -173,16 +174,17 @@ def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, befor
 
     The pass runs chunk by chunk, each chunk of _DIRECT_CHUNK moduli one
     call of _pass_chunk, which scans directly the moduli scans(chunk) names
-    and, where profiled, hands each m its fast profile.  Every chunk is
-    queued on a pool of worker processes on entry, where two can run, so
-    the workers take the pass while the caller builds each suite and runs
-    before() and each suite's here().  Each chunk's tallies are then folded
-    in chunk order, after the checks made here, and each suite's then() runs.
+    and, where profiled, hands each m its fast profile.  Where two can run,
+    the chunks go to a pool of worker processes, its first two per worker
+    queued on entry, so the workers take the pass while the caller builds
+    each suite and runs before() and each suite's here().  Each chunk's
+    tallies are then folded in chunk order, after the checks made here, and
+    each suite's then() runs.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
     tasks = ((suites, chunk, scans(chunk), max_value, profiled) for chunk in chunks)
-    with ordered_map(_pass_chunk, tasks, len(starts), len(starts)) as tallies:
+    with ordered_map(_pass_chunk, tasks, len(starts)) as tallies:
         results = before()
         built = [_SUITES[suite](max_value) for suite in suites]
         for _, _, here, _, _ in built:

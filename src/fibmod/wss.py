@@ -14,7 +14,7 @@ conjectured (equivalently to WSS non-existence) to hold only for m = 6 and
 m = 12; enumerate_self_square reproduces that at desk scale.
 
 scan_wss walks a prime range in fixed-size blocks: here with one worker,
-else on a pool with at most 2 * workers blocks in flight, whose queued
+else on a pool with two blocks in flight per started worker, whose queued
 blocks an early exit, Ctrl-C among them, cancels.  Every scan is a resume:
 a fresh one from nothing done, a resumed or finished one from its
 checkpoint, once each line of its results file matches _RESULT_LINE and
@@ -471,7 +471,7 @@ def scan_wss(
         blocks = _blocks(ck.last_completed + 1, hi, block_size)
         # blocks come back in block order: merged output is worker-count invariant;
         # a finished checkpoint has no block left, and comes back as it was
-        with ordered_map(_scan_block, blocks, workers, 2 * workers, lock) as scanned:
+        with ordered_map(_scan_block, blocks, workers, lock) as scanned:
             for block_hi, records in scanned:
                 if results_path:
                     _append_results(results_path, records)

@@ -127,10 +127,10 @@ sys.exit(main(sys.argv[2:]))
 # their first scan, and each chunk's first modulus in argv[2] once the chunk
 # has run, and whose wss.cofactor_mod takes argv[3] more seconds a call:
 # only the calling process calls it, in the wss checks that need no pass,
-# so with a delay the workers run every chunk and then wait idle, and
-# without one they are busy; argv[4:] is the verify command line.  It sees
-# two CPUs at least, so that a pool starts even on a one-CPU host.  SIGINT
-# gets its default handler, as in _SLOW_SCAN.
+# so with a delay the workers run the chunks queued on entry and then wait
+# idle, and without one they are busy; argv[4:] is the verify command
+# line.  It sees two CPUs at least, so that a pool starts even on a one-CPU
+# host.  SIGINT gets its default handler, as in _SLOW_SCAN.
 _REPORTING_VERIFY = """
 import os, signal, sys, time
 import fibmod.pisano as pisano
@@ -408,6 +408,16 @@ class TestWssScanCommand:
         assert (code, out) == (1, "")
         assert err == f"fibmod: error: hi = {2**64} is out of range: need hi < 2^64\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, name", [("--jobs", "workers"), ("--block-size", "block_size")])
+    def test_zero_jobs_or_block_size_is_usage_error(self, capsys, tmp_path, option, name):
+        code, out, err = run(
+            capsys, "wss-scan", "--from", "2", "--to", "100", option, "0",
+            "--checkpoint", str(tmp_path / "ck.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"fibmod: error: {name} must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no lock file
 
     @pytest.mark.parametrize("cpus, to, workers", [(1, "1001", 0), (2, "1001", 2), (8, "1001", 8), (8, "31", 3)])
     def test_jobs_start_no_more_workers_than_cpus_or_blocks(self, capsys, tmp_path, monkeypatch, cpus, to, workers):
@@ -821,10 +831,12 @@ class TestVerifyCommand:
             stdout=subprocess.DEVNULL,
             start_new_session=True,  # its own process group, as a shell job has
         )
-        # 10 chunks of moduli: one worker per usable CPU, two at least; idle
-        # workers have run all 10 while the calling process is still slowed
-        want = max(2, len(os.sched_getaffinity(0)))
-        chunks = 10 if float(delay) else 0
+        # 10 chunks of moduli: one worker per usable CPU, two at least, and
+        # two chunks in flight per worker; idle workers run exactly those
+        # while the calling process is still slowed in here(), which reads
+        # no result and so submits no more
+        want = min(max(2, len(os.sched_getaffinity(0))), 10)
+        chunks = min(2 * want, 10) if float(delay) else 0
         workers = []
         try:
             deadline = time.monotonic() + 30
@@ -832,7 +844,9 @@ class TestVerifyCommand:
                 time.sleep(0.02)
                 workers = [int(name) for name in os.listdir(pids_dir)]
             assert len(workers) == want, workers
-            assert len(os.listdir(chunks_dir)) >= chunks
+            if chunks:
+                time.sleep(0.2)  # time enough for a worker to run one more chunk
+                assert len(os.listdir(chunks_dir)) == chunks
             os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C: verify and its workers
             _, err = proc.communicate(timeout=30)
             assert proc.returncode == 130
@@ -850,8 +864,8 @@ class TestVerifyCommand:
         assert sorted(int(name) for name in os.listdir(pids_dir)) == sorted(workers)
 
     def test_sigint_leaves_the_queued_chunks_unscanned(self, tmp_path):
-        # every chunk of moduli is queued when the workers start; Ctrl-C must
-        # not wait for the queue to be scanned
+        # two chunks of moduli per worker are queued when the workers start;
+        # Ctrl-C must not wait for the queue to be scanned
         pids_dir = tmp_path / "pids"
         pids_dir.mkdir()
         src = str(pathlib.Path(wss_module.__file__).parents[1])

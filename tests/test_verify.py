@@ -415,8 +415,8 @@ def test_pooled_run_equals_in_process_scans_at_edge_sizes(max_value, tmp_path, m
         assert (pools, max_workers, peak) == (0, 0, 0)
     else:
         assert max_workers == workers
-        # one pool, given every chunk before any scan is read
-        assert pools == 1 and peak == chunks
+        # one pool, with two chunks per worker in flight: here every chunk
+        assert pools == 1 and peak == min(chunks, 2 * workers) == chunks
     monkeypatch.setattr(pool_module, "_init_worker", functools.partial(_note_worker, str(tmp_path)))
     assert run_suites("all", max_value) == reference
     assert all(r.passed for r in reference)
@@ -474,20 +474,27 @@ def test_single_suites_pooled_equal_one_cpu(suite, monkeypatch):
     assert all(r.passed for r in one_cpu)
 
 
-@pytest.mark.parametrize("suite", ["all", "pisano", "classify", "identities", "wss"])
-def test_one_pool_per_run_given_every_chunk_at_once(suite, monkeypatch):
+@pytest.mark.parametrize("suite, max_value", [("all", 6000), ("pisano", 6000), ("classify", 6000),
+                                              ("identities", 6000), ("wss", 6000), ("all", 30000)])
+def test_one_pool_per_run_with_two_chunks_per_worker_in_flight(suite, max_value, monkeypatch):
     # at 6000 every suite with a pass takes at least two chunks of the
-    # moduli it passes over; the identities have none
+    # moduli it passes over, and at 30000 the run takes 15; the identities
+    # have none.  Two workers keep at most four chunks in flight
     moduli = {
-        "all": 5999,  # [2, 6000]
-        "pisano": 5999,
-        "classify": 2999,  # the odd m in [3, 6000]
-        "wss": 5999,
+        "all": max_value - 1,  # [2, max_value]
+        "pisano": max_value - 1,
+        "classify": max_value // 2 - 1,  # the odd m in [3, max_value]
+        "wss": max_value - 1,
     }.get(suite, 0)
+    chunks = -(-moduli // verify_module._DIRECT_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu = run_suites(suite, max_value)
     two_cpus(monkeypatch)
-    _, pools, _, peak = _counted(lambda: run_suites(suite, 6000), monkeypatch)
+    pooled, pools, _, peak = _counted(lambda: run_suites(suite, max_value), monkeypatch)
     assert pools == (1 if moduli else 0)
-    assert peak == -(-moduli // verify_module._DIRECT_CHUNK)
+    assert peak == min(chunks, 4)
+    assert pooled == one_cpu
+    assert all(r.passed for r in pooled)
 
 
 # a pooled verify run, two chunks, in an interpreter whose default start

@@ -694,15 +694,17 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 1000])
+    def test_blocks_in_flight_are_bounded(self, tmp_path, monkeypatch, workers):
         serial = tmp_path / "serial.json"
         scan_wss(2, 3000, checkpoint_path=str(serial), block_size=100)
         monkeypatch.setattr(CountingExecutor, "peak", 0)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
         two_cpus(monkeypatch)  # a pool, even on a one-CPU host
         pooled = tmp_path / "pooled.json"
-        scan_wss(2, 3000, workers=2, checkpoint_path=str(pooled), block_size=100)
-        assert 0 < CountingExecutor.peak <= 4  # 2 x workers, of 30 blocks
+        scan_wss(2, 3000, workers=workers, checkpoint_path=str(pooled), block_size=100)
+        # 2 x the two started workers, of 30 blocks, however many were asked for
+        assert 0 < CountingExecutor.peak <= 4
         assert _normalized(pooled) == _normalized(serial)
 
     def test_a_pool_starts_no_more_workers_than_blocks(self, tmp_path, monkeypatch):
