@@ -39,8 +39,6 @@ def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if m == 1:
-        return 0, 0
     a, b = 0, 1  # (u_0, u_1)
     for bit in bin(n)[2:]:
         # (u_k, u_{k+1}) -> (u_2k, u_2k+1),

@@ -6,35 +6,38 @@ The CLI exposes them via `fibmod verify`; they are the same statements the
 test suite pins down, packaged for ad-hoc, larger-range runs.
 
 Each suite with a pass is one builder, which states its properties once
-and returns them with the set its pass finds and three checkers: here(),
-the checks that need no pass, at(), those of one modulus's record, and
-then(), those after the pass.  Its checks of each modulus m run in one
-pass over its moduli, m ascending, cut in chunks of _DIRECT_CHUNK moduli,
-each one call of _pass_chunk, on forked worker processes, one per CPU this
-process may use and no more than there are chunks, or here, as they are
-read, where that is one.  A chunk first runs the brute-force direct scans
-of its moduli, one call of pisano.profiles_direct, which scans up to 192
-of them at once as the lanes of Python ints.  Then it builds each suite,
-factors each m once, takes its fast period and profile once, and hands
-that record to each suite's at(): the checks of m, against m's scan among
-them, at a prime power p^e the goodness of p^e against p's, and, at a
-prime p, the checks of p's period and rank, and p's Wall-Sun-Sun
-criteria from the scan's own kernel on a one-prime block.  Suites share
-each modulus's one fast record, never each other's verdicts, and the fast
-routes share no cache with the direct scans, which hold none.  What a
-check reads of a smaller modulus stays in the chunk: the rank and the
-self-square test of a prime power below the chunk are taken again there,
-by the same fast routes.  A chunk comes back as each property's count of
-checks and first three failures, with the self-square moduli it found:
-about 1.1 KB a chunk, where it was 32 B per modulus.  A run opens at most
-one pool, which keeps two chunks per worker in flight (pool.ordered_map),
-the first of them queued at the start; meanwhile the calling process
-builds each suite and runs its here().  Then it folds the chunks in
-order, counts adding and failures cut at three, which gives the results
-of one pass check for check, and runs each then().  At --max 10000 on 2
-CPUs the calling process takes about 0.06-0.12 s of CPU and the workers
-about 0.6-1.1 s, for about 0.4-0.7 s of wall (tools/verify_split.py).
-An early exit cancels the queued chunks.
+and returns them with the set its pass finds, its scan rule, which names
+the moduli of a chunk whose direct scan its checks read, and three
+checkers: here(), the checks that need no pass, at(), those of one
+modulus's record, and then(), those after the pass.  Its checks of each
+modulus m run in one pass over its moduli, m ascending, cut in chunks of
+_DIRECT_CHUNK moduli, each one call of _pass_chunk, on forked worker
+processes, one per CPU this process may use and no more than there are
+chunks, or here, as they are read, where that is one.  A chunk builds
+each suite, then runs the brute-force direct scans of the moduli their
+scan rules name, one call of pisano.profiles_direct, which scans up to
+192 of them at once as the lanes of Python ints.  Then it factors each m
+once, takes its fast period and profile once, and hands that record to
+each suite's at(): the checks of m, against m's scan among them, at a
+prime power p^e the goodness of p^e against p's, and, at a prime p, the
+checks of p's period and rank, and p's Wall-Sun-Sun criteria from the
+scan's own kernel on a one-prime block.  Suites share each modulus's one
+fast record, never each other's verdicts, and the fast routes share no
+cache with the direct scans, which hold none.  Of a smaller modulus, a
+chunk takes only the rank of a prime power below it again, by the same
+fast route; the odd moduli's self-square check reads the set found, once
+the pass is done.  A chunk
+comes back as each property's count of checks and first three failures,
+with the self-square moduli it found: about 1.1 KB a chunk, where it was
+32 B per modulus.  A run opens at most one pool, which keeps two chunks
+per worker in flight (pool.ordered_map), the first of them queued at the
+start; meanwhile the calling process builds each suite and runs its
+here().  Then it folds the chunks in order, counts adding and failures
+cut at three, which gives the results of one pass check for check, and
+runs each then().  At --max 10000 on 2 CPUs the calling process takes
+about 0.06-0.12 s of CPU and the workers about 0.6-1.1 s, for about
+0.4-0.7 s of wall (tools/verify_split.py).  An early exit cancels the
+queued chunks.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import random
 from dataclasses import dataclass
 
 from . import classify, pisano, wss
-from .arith import factorize, sieve_upto
+from .arith import factorize, primes_in_range
 from .errors import AnomalyError
 from .fib import (
     binomial_expansion_rhs,
@@ -169,25 +172,25 @@ def suite_identities(max_value: int = 3000, seed: int = 0) -> list[PropertyResul
     return [prop.result() for prop in props]
 
 
-def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, before=list) -> list[PropertyResult]:
+def _checked(suites, moduli, max_value: int, profiled: bool = True, before=list) -> list[PropertyResult]:
     """before()'s results, then those of each of suites, one pass over moduli.
 
     The pass runs chunk by chunk, each chunk of _DIRECT_CHUNK moduli one
-    call of _pass_chunk, which scans directly the moduli scans(chunk) names
-    and, where profiled, hands each m its fast profile.  Where two can run,
-    the chunks go to a pool of worker processes, its first two per worker
-    queued on entry, so the workers take the pass while the caller builds
-    each suite and runs before() and each suite's here().  Each chunk's
-    tallies are then folded in chunk order, after the checks made here, and
-    each suite's then() runs.
+    call of _pass_chunk, which scans directly the moduli of the chunk that
+    some suite's scan rule names and, where profiled, hands each m its fast
+    profile.  Where two can run, the chunks go to a pool of worker
+    processes, its first two per worker queued on entry, so the workers
+    take the pass while the caller builds each suite and runs before() and
+    each suite's here().  Each chunk's tallies are then folded in chunk
+    order, after the checks made here, and each suite's then() runs.
     """
     starts = range(0, len(moduli), _DIRECT_CHUNK)
     chunks = (moduli[i : i + _DIRECT_CHUNK] for i in starts)
-    tasks = ((suites, chunk, scans(chunk), max_value, profiled) for chunk in chunks)
+    tasks = ((suites, chunk, max_value, profiled) for chunk in chunks)
     with ordered_map(_pass_chunk, tasks, len(starts)) as tallies:
         results = before()
         built = [_SUITES[suite](max_value) for suite in suites]
-        for _, _, here, _, _ in built:
+        for _, _, _, here, _, _ in built:
             here()
         for tally in tallies:
             for (props, found, *_), (theirs, their_found) in zip(built, tally, strict=True):
@@ -201,21 +204,24 @@ def _checked(suites, moduli, scans, max_value: int, profiled: bool = True, befor
 
 def _pass_chunk(task):
     """One chunk's share of the pass, in a pool worker or, with one worker,
-    in the caller: its direct scans first, then each m of the chunk,
-    ascending, is factored once and given its fast period and, where
-    profiled, its fast profile: one record, which each suite's
-    at(m, factors, gamma, prof, direct) reads, direct being m's direct
-    profile where the chunk scanned m, else None.  Returns, for each suite,
-    its properties as the chunk checked them and the set its pass found.
+    in the caller: it builds each suite, then scans directly, in one call,
+    the moduli that any suite's scan rule names of the chunk, then gives
+    each m of the chunk, ascending, its factors, taken once, its fast
+    period and, where profiled, its fast profile: one record, which each
+    suite's at(m, factors, gamma, prof, direct) reads, direct being m's
+    direct profile where the chunk scanned m, else None.  Returns, for each
+    suite, its properties as the chunk checked them and the set its pass
+    found.
     """
-    suites, moduli, scanned, max_value, profiled = task
-    direct = dict(zip(scanned, pisano.profiles_direct(scanned), strict=True))
+    suites, moduli, max_value, profiled = task
     built = [_SUITES[suite](max_value) for suite in suites]
+    scanned = sorted(set().union(*(scans(moduli) for _, _, scans, *_ in built)))
+    direct = dict(zip(scanned, pisano.profiles_direct(scanned), strict=True))
     for m in moduli:
         factors = factorize(m)
         gamma = pisano._period_from_factors(factors)
         prof = pisano._profile_with_period(m, gamma) if profiled else None
-        for _, _, _, at, _ in built:
+        for *_, at, _ in built:
             at(m, factors, gamma, prof, direct.get(m))
     return [(props, found) for props, found, *_ in built]
 
@@ -226,12 +232,7 @@ def _properties(names) -> list[_Property]:
 
 def suite_pisano(max_value: int = 10_000) -> list[PropertyResult]:
     """Period/rank/zero-count structure over [2, max_value], against one direct scan."""
-    return _checked(("pisano",), range(2, max_value + 1), _every, max_value)
-
-
-def _every(chunk):
-    """Every modulus of chunk: the ones to scan where the pass covers [2, max]."""
-    return chunk
+    return _checked(("pisano",), range(2, max_value + 1), max_value)
 
 
 _PISANO = (
@@ -245,10 +246,11 @@ _PISANO = (
 
 
 def _pisano(max_value: int):
-    """suite_pisano's properties, the set its pass finds (none), here(), the
-    checks that need no pass, at(), the checks of one m's record against
-    its direct scan, which at a prime p also read p's period, rank and zero
-    count, and then(), which has none to make."""
+    """suite_pisano's properties, the set its pass finds (none), its scan
+    rule, which names every modulus of a chunk, here(), the checks that
+    need no pass, at(), the checks of one m's record against its direct
+    scan, which at a prime p also read p's period, rank and zero count, and
+    then(), which has none to make."""
     props = _properties(_PISANO)
     routes, structure, stable, two_powers, even_period, neighbors = props
 
@@ -280,7 +282,7 @@ def _pisano(max_value: int):
         after = fib_pair_mod(rank + 1, m)[0]
         neighbors.check(before != 0 and after != 0, f"p={m} rank={rank}")
 
-    return props, set(), here, at, lambda: None
+    return props, set(), lambda chunk: chunk, here, at, lambda: None
 
 
 def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
@@ -289,10 +291,7 @@ def suite_classify(max_value: int = 10_000) -> list[PropertyResult]:
     The pass runs over the odd moduli, and the odd-composite zero-count
     formula is checked against a direct scan of the odd composites alone.
     """
-    primes = set(sieve_upto(max_value))
-    return _checked(
-        ("classify",), range(3, max_value + 1, 2), lambda chunk: [m for m in chunk if m not in primes], max_value
-    )
+    return _checked(("classify",), range(3, max_value + 1, 2), max_value)
 
 
 _CLASSIFY = (
@@ -308,13 +307,15 @@ _CLASSIFY = (
 
 
 def _classify(max_value: int):
-    """suite_classify's properties, the set its pass finds (none), here(),
-    the checks that need no pass, at(), the checks of one odd m's record,
+    """suite_classify's properties, the set its pass finds (none), its scan
+    rule, which names the odd composites of a chunk, the moduli whose
+    direct scan the formula reads, from the chunk's own primes, here(), the
+    checks that need no pass, at(), the checks of one odd m's record,
     the zero-count formula against m's direct scan among them, at an odd
     prime power p^e the goodness of p^e against p's and, at a prime p, the
     checks of p's period, and then(), which has none to make."""
     props = _properties(_CLASSIFY)
-    routes, even, powers, pattern, structure, force, formula, covers = props
+    routes, even, prime_powers, pattern, structure, force, formula, covers = props
     # the rank of each odd prime power, for the lattice formula: from its
     # own record where the chunk passed it, which it did before any m that
     # it divides, else, below the chunk, from its lifted period
@@ -324,6 +325,10 @@ def _classify(max_value: int):
         if p**e not in ranks:
             ranks[p**e] = pisano._profile_with_period(p**e, pisano.prime_power_period(p, e)).alpha
         return ranks[p**e]
+
+    def scans(chunk):
+        primes = set(primes_in_range(chunk[0], chunk[-1]))
+        return [m for m in chunk if m % 2 and m not in primes]
 
     def here() -> None:
         for m in range(2, min(2000, max_value) + 1, 2):
@@ -350,7 +355,7 @@ def _classify(max_value: int):
         if len(factors) == 1:
             ranks[m] = prof.alpha
             [(p, e)] = factors
-            powers.check(good == classify.is_good_prime(p), f"p={p} e={e}")
+            prime_powers.check(good == classify.is_good_prime(p), f"p={p} e={e}")
         if factors != ((m, 1),):
             try:
                 value = classify._zero_count_odd(m, factors, gamma, [rank(p, e) for p, e in factors])
@@ -369,16 +374,16 @@ def _classify(max_value: int):
         except AnomalyError as exc:
             pattern.check(False, str(exc))
 
-    return props, set(), here, at, lambda: None
+    return props, set(), scans, here, at, lambda: None
 
 
 def suite_wss(max_value: int = 10_000) -> list[PropertyResult]:
     """Wall-Sun-Sun criteria, self-square enumeration, cofactor structure.
 
     Its pass over [2, max_value] takes each m's factors and period, which the
-    self-square test reads, and no profile, and scans nothing directly.
+    self-square test reads, and no profile; its scan rule names no modulus.
     """
-    return _checked(("wss",), range(2, max_value + 1), lambda chunk: (), max_value, profiled=False)
+    return _checked(("wss",), range(2, max_value + 1), max_value, profiled=False)
 
 
 _WSS = (
@@ -392,23 +397,13 @@ _WSS = (
 
 
 def _wss(max_value: int):
-    """suite_wss's properties, the set of self-square m its pass finds,
-    here(), the checks that need no pass, at(), the self-square test of one
-    m's record and, at a prime p, p's two Wall-Sun-Sun criteria, and
-    then(), the check of the set found."""
+    """suite_wss's properties, the set of self-square m its pass finds, its
+    scan rule, which names no modulus, here(), the checks that need no pass,
+    at(), the self-square test of one m's record and, at a prime p, p's two
+    Wall-Sun-Sun criteria, and then(), the checks of the set found."""
     props = _properties(_WSS)
     criteria, self_square, two_power, cofactor, multiplier, odd_moduli = props
     found = set()  # the m passed so far with m^2 | u_{period(m)}
-    # the test of each prime power: from its own record where the chunk
-    # passed it, which it did before any m that it divides, else, below
-    # the chunk, from its lifted period
-    powers = {}
-    odd_top = min(2000, max_value)
-
-    def square(p: int, e: int) -> bool:
-        if p**e not in powers:
-            powers[p**e] = wss._self_square_test(p**e, pisano.prime_power_period(p, e)).divisible
-        return powers[p**e]
 
     def here() -> None:
         for k in range(1, 31):
@@ -441,10 +436,6 @@ def _wss(max_value: int):
         test = wss._self_square_test(m, gamma)
         if test.divisible:
             found.add(m)
-        if len(factors) == 1:
-            powers[m] = test.divisible
-        if m % 2 and m <= odd_top:
-            odd_moduli.check(not test.divisible and not any(square(p, e) for p, e in factors), f"m={m}")
         if factors == ((m, 1),):
             # the scan's own kernel on a one-prime block: its u_gamma mod p^2,
             # of the period from the block's facts, must be the test's
@@ -459,8 +450,14 @@ def _wss(max_value: int):
     def then() -> None:
         expected = {m for m in (6, 12) if m <= max_value}
         self_square.check(found == expected, f"found={sorted(found)}")
+        # an odd m fails where it was found, or an odd prime power q that
+        # exactly divides it was: q | m, and q is prime to m / q
+        odd_powers = [q for q in found if q % 2 and len(factorize(q)) == 1]
+        for m in range(3, min(2000, max_value) + 1, 2):
+            hit = m in found or any(m % q == 0 and math.gcd(q, m // q) == 1 for q in odd_powers)
+            odd_moduli.check(not hit, f"m={m}")
 
-    return props, found, here, at, then
+    return props, found, lambda chunk: (), here, at, then
 
 
 # each suite that the pass serves, by the builder of its checks
@@ -484,4 +481,4 @@ def run_suites(suite: str, max_value: int, seed: int = 0) -> list[PropertyResult
     # one pass over [2, max] serves every suite, in the pool's workers,
     # while the identities and every check that needs no pass run here
     identities = functools.partial(suite_identities, min(max_value, 3000), seed=seed)
-    return _checked(("pisano", "classify", "wss"), range(2, max_value + 1), _every, max_value, before=identities)
+    return _checked(("pisano", "classify", "wss"), range(2, max_value + 1), max_value, before=identities)

@@ -55,7 +55,8 @@ class TestFibPairMod:
                 assert fib_pair_mod(n, m) == (FIB[n] % m, FIB[n + 1] % m)
 
     def test_modulus_one(self):
-        assert fib_pair_mod(17, 1) == (0, 0)
+        for n in (0, 17):
+            assert fib_pair_mod(n, 1) == (0, 0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

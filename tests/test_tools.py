@@ -65,8 +65,8 @@ def test_tool_imports_only_the_stdlib_and_fibmod(tool):
 
 
 _SPLIT_ROWS = ["suite", "max", "wall_s", "caller_cpu_s", "workers_cpu_s", "factorize_calls", "profile_calls",
-               "is_prime_calls", "root5_calls", "direct_terms", "direct_serial_s", "direct_ns_term", "lanes_serial_s",
-               "lanes_ns_term"]
+               "is_prime_calls", "root5_calls", "scanned_moduli", "direct_terms", "direct_serial_s", "direct_ns_term",
+               "lanes_serial_s", "lanes_ns_term"]
 _CALLS = ("factorize", "profile", "is_prime", "root5")  # the counted calls, as the tool names their rows
 
 
@@ -106,6 +106,8 @@ def test_verify_split_at_300():
     # each of the 28 primes with chi = +1 takes its root of 5 once for its
     # period, once for its criteria
     assert tuple(int(lines[f"{name}_calls"]) for name in _CALLS) == (477, 457, 62, 56)
+    # in all the pisano suite names every modulus, and the lanes scan each once
+    assert lines["scanned_moduli"] == "299"
 
 
 def test_verify_split_past_one_chunk():

@@ -16,7 +16,7 @@ import fibmod.pisano as pisano_module
 import fibmod.pool as pool_module
 import fibmod.verify as verify_module
 import fibmod.wss as wss_module
-from fibmod.arith import factorize, two_adic_split
+from fibmod.arith import factorize, primes_in_range, two_adic_split
 from fibmod.errors import AnomalyError
 from fibmod.fib import fib_pair_mod
 from fibmod.pisano import PisanoProfile
@@ -67,9 +67,21 @@ def _twenty_five_divisible(m, gamma):
 
 
 def test_odd_moduli_read_the_self_square_test(monkeypatch):
-    # the pass's self-square test, which verify reads in place of self_square_test
-    monkeypatch.setattr(wss_module, "_self_square_test", _twenty_five_divisible)
-    odd_moduli = {r.name: r for r in suite_wss(300)}["odd-moduli-never-self-square"]
+    # the pass's self-square test, which verify reads in place of
+    # self_square_test, taken once per modulus at its own record: the check
+    # after the pass reads the set found, so in chunks of 8 moduli, where 75
+    # and 175 lie in later chunks than 25, none of them tests 25 again
+    tested = []
+
+    def logged(m, gamma):
+        tested.append(m)
+        return _twenty_five_divisible(m, gamma)
+
+    monkeypatch.setattr(wss_module, "_self_square_test", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(verify_module, "_DIRECT_CHUNK", 8)
+    odd_moduli = {r.name: r for r in run_suites("wss", 300)}["odd-moduli-never-self-square"]
+    assert tested == list(range(2, 301))
     assert not odd_moduli.passed
     assert odd_moduli.failures == ("m=25", "m=75", "m=175")
 
@@ -345,6 +357,19 @@ def _scans(directory):
             for name in os.listdir(directory)}
 
 
+def test_classify_sieves_each_chunk_for_its_own_primes(monkeypatch):
+    # the classify suite's scan rule takes the primes of a chunk's own span,
+    # so no sieve spans [2, max]: on one CPU every call runs here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    moduli = range(3, 6001, 2)
+    size = verify_module._DIRECT_CHUNK
+    chunks = [moduli[i : i + size] for i in range(0, len(moduli), size)]
+    with binding_calls(primes_in_range) as calls:
+        assert all(r.passed for r in run_suites("classify", 6000))
+    assert calls
+    assert all(any(chunk[0] <= lo <= hi <= chunk[-1] for chunk in chunks) for lo, hi in calls)
+
+
 def test_all_suites_scan_each_modulus_directly_once(tmp_path, monkeypatch):
     # at 6000 both scans take more than one chunk, so a pool: 2217 odd composites
     two_cpus(monkeypatch)
@@ -440,9 +465,9 @@ def _three_hundred_seven_divisible(m, gamma):
 def test_chunk_tallies_fold_to_the_one_pass(chunk, monkeypatch):
     # each chunk's failures come back in m order and are cut at 3 across the
     # chunks, and its counts add: pooled, on one CPU and in one chunk, the
-    # run is the same.  In chunks of 300 a modulus reads the rank and the
-    # self-square test of a prime power below its chunk, as 921 = 3 * 307
-    # and 1535 = 5 * 307 read those of 307
+    # run is the same.  In chunks of 300 a modulus reads the rank of a prime
+    # power below its chunk, as 921 = 3 * 307 and 1535 = 5 * 307 read that of
+    # 307, and the odd-moduli check reads 307 among the moduli found
     monkeypatch.setattr(classify_module, "_zero_count_odd", _formula_wrong_in_three_chunks)
     monkeypatch.setattr(wss_module, "_self_square_test", _three_hundred_seven_divisible)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

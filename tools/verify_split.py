@@ -11,7 +11,11 @@ package's memos emptied first, counts the calls of arith.factorize, of
 pisano._profile_with_period, the fast profile, of arith.is_prime and of
 pisano._root5, the root of 5 mod p^2, made through every fibmod module's
 binding of each, which it restores after: a prime whose facts are taken
-twice shows as a second is_prime or _root5 call.  It runs in this
+twice shows as a second is_prime or _root5 call.  It counts too the
+moduli that run's lanes scan, the lengths of the arguments of
+pisano.profiles_direct summed: each suite names the moduli of a chunk
+that its checks read scanned, and a modulus two suites name is scanned
+once.  It runs in this
 process on one CPU, os.sched_getaffinity reading one until it ends, so
 that no pool starts and the pass's calls, which a pool's workers would
 make, are counted too: the counts are those of the whole run, wherever
@@ -47,21 +51,22 @@ def fibmod_modules():
 
 
 @contextmanager
-def counted_calls(*functions):
-    """A Counter of the calls of each of functions, by name, made through
-    any fibmod module's binding of it; every binding is restored on exit."""
+def counted_calls(weights):
+    """A Counter, by name, of weight(*args) summed over the calls of each
+    function of weights, {function: weight}, made through any fibmod
+    module's binding of it; every binding is restored on exit."""
     calls = Counter()
     patched = []
 
-    def counting(function):
+    def counting(function, weight):
         def wrapper(*args):
-            calls[function.__name__] += 1
+            calls[function.__name__] += weight(*args)
             return function(*args)
         return wrapper
 
     try:
-        for function in functions:
-            wrapper = counting(function)
+        for function, weight in weights.items():
+            wrapper = counting(function, weight)
             for module in fibmod_modules():
                 if getattr(module, function.__name__, None) is function:
                     patched.append((module, function))
@@ -101,7 +106,8 @@ def main(argv=None) -> int:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    with one_cpu(), counted_calls(factorize, pisano._profile_with_period, is_prime, pisano._root5) as calls:
+    once = dict.fromkeys((factorize, pisano._profile_with_period, is_prime, pisano._root5), lambda *args: 1)
+    with one_cpu(), counted_calls({**once, pisano.profiles_direct: len}) as calls:
         run_suites(args.suite, args.max_value)
 
     moduli = range(2, args.max_value + 1)
@@ -125,6 +131,7 @@ def main(argv=None) -> int:
     print(f"profile_calls    {calls['_profile_with_period']}")
     print(f"is_prime_calls   {calls['is_prime']}")
     print(f"root5_calls      {calls['_root5']}")
+    print(f"scanned_moduli   {calls['profiles_direct']}")
     print(f"direct_terms     {terms}")
     print(f"direct_serial_s  {direct_s:.3f}")
     print(f"direct_ns_term   {direct_s / terms * 1e9:.1f}")
